@@ -5,7 +5,8 @@ optional flat key=value --config file, then --set overrides, then dedicated
 flags; the final values are echoed before any work starts.  Existing output
 files are never overwritten unless --force is given, and every stage is
 deterministic given its inputs and seed, so a --force rerun reproduces the
-previous outputs byte for byte.
+previous outputs byte for byte on the same BLAS build and BLAS thread count
+(another thread count can change the last bits of weights and embeddings).
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def _load_feature_set(manifest: Manifest) -> list:
             raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
         try:
             feats.append(load_features(e.path, e.utterance_id, e.speaker_id))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise CliError(str(exc)) from exc
     return feats
 
@@ -243,7 +244,7 @@ def _load_ckpt(path):
         return load_checkpoint(path)
     except FileNotFoundError as exc:
         raise CliError(f"{exc}; run `hvector train` first") from exc
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
 
 

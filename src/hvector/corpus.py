@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import SAMPLE_RATE, AudioClip, save_wav
 
@@ -107,6 +106,10 @@ def make_speaker_spec(master_seed: int, index: int, speaker_id: str) -> SynthSpe
 def synth_utterance(spec: SynthSpeakerSpec, duration_s: float,
                     master_seed: int, speaker_index: int, utt_index: int) -> AudioClip:
     """Render one utterance: jittered pulse train through formant resonators."""
+    # Imported here: scipy.signal takes about a second to import, and only
+    # synthesis needs it.
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, speaker_index, utt_index])
     )

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as hv
-from .audio import UtteranceFeatures
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -30,7 +29,7 @@ __all__ = [
     "ModelConfig", "ModelParams", "build_params",
     "attention_normalize",
     "frame_encode", "frame_attention", "segment_encode", "segment_attention",
-    "forward", "forward_baseline", "embed_batch",
+    "forward_batch", "batches", "embed_batch",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -258,49 +257,29 @@ def _attend_and_pool(h, params, name):
 
 def frame_encode(fragments, params: ModelParams, cfg: ModelConfig,
                  training: bool = False):
-    """Conv + BiGRU over one fragment (M, F) or a stack (B, M, F)."""
-    x = fragments if isinstance(fragments, Tensor) else Tensor(fragments)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = hv.reshape(x, (1,) + x.shape)
-    h = hv.conv1d(x, params["frame_conv.w"], params["frame_conv.b"])
+    """Conv + BiGRU over a stack of fragments (B, M, F) -> (B, M, E)."""
+    h = hv.conv1d(fragments, params["frame_conv.w"], params["frame_conv.b"])
     h = _batchnorm(hv.relu(h), params, "frame_bn", training)
     fwd = _gru_direction(h, params.gru("gru_f"), reverse=False)
     bwd = _gru_direction(h, params.gru("gru_b"), reverse=True)
-    out = hv.concat([fwd, bwd], axis=-1)
-    return hv.reshape(out, out.shape[1:]) if squeeze else out
+    return hv.concat([fwd, bwd], axis=-1)
 
 
 def frame_attention(h, params: ModelParams):
-    """Pool (M, E) or (B, M, E) encoder outputs to segment vectors of 2E."""
-    x = h if isinstance(h, Tensor) else Tensor(h)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = hv.reshape(x, (1,) + x.shape)
-    pooled, alpha = _attend_and_pool(x, params, "frame_att")
-    if squeeze:
-        return hv.reshape(pooled, pooled.shape[1:]), hv.reshape(alpha, alpha.shape[1:])
-    return pooled, alpha
+    """Pool (B, M, E) encoder outputs to segment vectors (B, 2E); weights (B, M)."""
+    return _attend_and_pool(h, params, "frame_att")
 
 
 def segment_encode(segments, params: ModelParams, cfg: ModelConfig,
                    training: bool = False):
-    """Width-1 conv over the segment sequence (N, 2E) or (B, N, 2E)."""
-    x = segments if isinstance(segments, Tensor) else Tensor(segments)
-    h = hv.conv1d(x, params["seg_conv.w"], params["seg_conv.b"])
+    """Width-1 conv over segment sequences (B, N, 2E) -> (B, N, S)."""
+    h = hv.conv1d(segments, params["seg_conv.w"], params["seg_conv.b"])
     return _batchnorm(hv.relu(h), params, "seg_bn", training)
 
 
 def segment_attention(s, params: ModelParams):
-    """Pool (N, S) or (B, N, S) segment encodings to utterance vectors of 2S."""
-    x = s if isinstance(s, Tensor) else Tensor(s)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = hv.reshape(x, (1,) + x.shape)
-    pooled, alpha = _attend_and_pool(x, params, "seg_att")
-    if squeeze:
-        return hv.reshape(pooled, pooled.shape[1:]), hv.reshape(alpha, alpha.shape[1:])
-    return pooled, alpha
+    """Pool (B, N, S) segment encodings to utterance vectors (B, 2S); weights (B, N)."""
+    return _attend_and_pool(s, params, "seg_att")
 
 
 def _head(pooled, params, cfg, training, rng, trace):
@@ -318,10 +297,10 @@ def _hvector_forward(frags, params, cfg, training, rng, trace):
     batch, n_frag, m, feat = frags.shape
     flat = Tensor(frags.reshape(batch * n_frag, m, feat))
     enc = frame_encode(flat, params, cfg, training)
-    seg_vec, frame_alpha = _attend_and_pool(enc, params, "frame_att")
+    seg_vec, frame_alpha = frame_attention(enc, params)
     segments = hv.reshape(seg_vec, (batch, n_frag, seg_vec.shape[-1]))
     seg_enc = segment_encode(segments, params, cfg, training)
-    utt_vec, seg_alpha = _attend_and_pool(seg_enc, params, "seg_att")
+    utt_vec, seg_alpha = segment_attention(seg_enc, params)
     if trace is not None:
         trace.update(frame_encoded=enc, frame_alpha=frame_alpha,
                      segments=segments, segment_encoded=seg_enc,
@@ -349,20 +328,6 @@ def _baseline_forward(frags, n_frames, params, cfg, training, rng, trace):
     return _head(pooled, params, cfg, training, rng, trace)
 
 
-def _as_batch(u):
-    if isinstance(u, UtteranceFeatures):
-        return u.fragments[None], np.array([u.n_frames]), True
-    raise TypeError(f"forward expects UtteranceFeatures, got {type(u).__name__}")
-
-
-def forward(u, params: ModelParams, cfg: ModelConfig, training: bool = False,
-            rng=None, trace: dict | None = None):
-    """Logits and embedding for one utterance."""
-    frags, n_frames, _ = _as_batch(u)
-    logits, emb = forward_batch(frags, n_frames, params, cfg, training, rng, trace)
-    return hv.reshape(logits, (cfg.n_speakers,)), hv.reshape(emb, (cfg.fc1_dim,))
-
-
 def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
                   cfg: ModelConfig, training: bool = False, rng=None,
                   trace: dict | None = None):
@@ -379,32 +344,32 @@ def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
     return _baseline_forward(frags, n_frames, params, cfg, training, rng, trace)
 
 
-def forward_baseline(u, params: ModelParams, cfg: ModelConfig,
-                     training: bool = False, rng=None, trace: dict | None = None):
-    """Logits and embedding from an x-vector style model."""
-    if cfg.mode == "hvector":
-        raise ValueError("forward_baseline needs an xvector or xvector_attn config")
-    return forward(u, params, cfg, training, rng, trace)
+def batches(features: list, order, batch_size: int):
+    """Yield (indices, fragments, n_frames) for stacked chunks of ``features``.
+
+    Indices from ``order`` are grouped by (fragments.shape, n_frames) in order
+    of first appearance, keep their given order within each group, and are
+    cut into chunks of at most ``batch_size``, so every chunk stacks and mixed
+    inputs still form valid batches.
+    """
+    groups: dict = {}
+    for i in order:
+        u = features[i]
+        groups.setdefault((u.fragments.shape, u.n_frames), []).append(i)
+    for group in groups.values():
+        for lo in range(0, len(group), batch_size):
+            idx = np.array(group[lo:lo + batch_size])
+            yield (idx, np.stack([features[i].fragments for i in idx]),
+                   np.array([features[i].n_frames for i in idx]))
 
 
 def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
                 batch_size: int = 64) -> np.ndarray:
-    """Inference-mode embeddings for a list of UtteranceFeatures.
-
-    Utterances are grouped by shape so mixed-length sets still form valid
-    batches; results come back in input order.
-    """
-    groups: dict = {}
-    for i, u in enumerate(features):
-        groups.setdefault((u.fragments.shape, u.n_frames), []).append(i)
+    """Inference-mode embeddings for a list of UtteranceFeatures, in input order."""
     out = np.zeros((len(features), cfg.fc1_dim))
-    for idx in groups.values():
-        for lo in range(0, len(idx), batch_size):
-            chunk = idx[lo:lo + batch_size]
-            frags = np.stack([features[i].fragments for i in chunk])
-            n_frames = np.array([features[i].n_frames for i in chunk])
-            _, emb = forward_batch(frags, n_frames, params, cfg, training=False)
-            out[chunk] = emb.data
+    for idx, frags, n_frames in batches(features, range(len(features)), batch_size):
+        _, emb = forward_batch(frags, n_frames, params, cfg, training=False)
+        out[idx] = emb.data
     return out
 
 

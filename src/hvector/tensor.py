@@ -11,6 +11,8 @@ meaningful; float32 can be requested per tensor for speed.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -26,7 +28,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "relu", "sigmoid", "tanh",
     "concat", "reshape", "slice_axis", "mean", "tsum",
     "dropout", "batchnorm",
-    "save_array", "load_array", "save_archive", "load_archive",
+    "save_archive", "load_archive",
 ]
 
 
@@ -58,9 +60,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -661,31 +660,34 @@ def _write_array(fh, arr: np.ndarray):
 def _read_exact(fh, n: int) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise IOError(f"truncated tensor file: wanted {n} bytes, got {len(buf)}")
+        raise IOError(f"{fh.name}: truncated tensor file: wanted {n} bytes, "
+                      f"got {len(buf)}")
     return buf
+
+
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def _read_array(fh) -> np.ndarray:
     magic = _read_exact(fh, 4)
     if magic != _MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}, expected {_MAGIC!r}")
+        raise ValueError(f"{fh.name}: bad tensor magic {magic!r}, expected {_MAGIC!r}")
     rank, = struct.unpack("<q", _read_exact(fh, 8))
     if rank < 0 or rank > 32:
-        raise ValueError(f"implausible tensor rank {rank}")
+        raise ValueError(f"{fh.name}: implausible tensor rank {rank}")
     shape = tuple(struct.unpack("<q", _read_exact(fh, 8))[0] for _ in range(rank))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8")
+    if any(dim < 0 for dim in shape):
+        raise ValueError(f"{fh.name}: negative dimension in tensor shape {shape}")
+    # Check the header against the file before allocating, so a corrupt
+    # shape cannot ask for more memory than the file could hold.
+    nbytes = 8 * math.prod(shape)
+    left = _bytes_left(fh)
+    if nbytes > left:
+        raise ValueError(f"{fh.name}: truncated tensor file: shape {shape} needs "
+                         f"{nbytes} bytes, {left} left")
+    data = np.frombuffer(_read_exact(fh, nbytes), dtype="<f8")
     return data.reshape(shape).copy()
-
-
-def save_array(path, arr):
-    with open(path, "wb") as fh:
-        _write_array(fh, np.asarray(arr))
-
-
-def load_array(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return _read_array(fh)
 
 
 def save_archive(path, arrays: dict):
@@ -705,10 +707,13 @@ def load_archive(path) -> dict:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4)
         if magic != _ARCHIVE_MAGIC:
-            raise ValueError(f"bad archive magic {magic!r}, expected {_ARCHIVE_MAGIC!r}")
+            raise ValueError(f"{path}: bad archive magic {magic!r}, "
+                             f"expected {_ARCHIVE_MAGIC!r}")
         count, = struct.unpack("<q", _read_exact(fh, 8))
         for _ in range(count):
             n, = struct.unpack("<q", _read_exact(fh, 8))
+            if not 0 <= n <= _bytes_left(fh):
+                raise ValueError(f"{path}: implausible tensor name length {n}")
             name = _read_exact(fh, n).decode("utf-8")
             out[name] = _read_array(fh)
     return out

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as hv
-from .model import ModelConfig, ModelParams, build_params, forward_batch, save_checkpoint
+from .model import (
+    ModelConfig, ModelParams, batches, build_params, forward_batch, save_checkpoint,
+)
 from .tensor import Tensor
 
 __all__ = [
@@ -103,31 +105,12 @@ def _labels_for(features, index, role):
     return labels
 
 
-def _batch_indices(order, n_frames, batch_size, uniform):
-    """Split a permuted index order into batches, optionally grouping by length."""
-    if not uniform:
-        groups = [order]
-    else:
-        by_len: dict[int, list] = {}
-        for i in order:
-            by_len.setdefault(int(n_frames[i]), []).append(i)
-        groups = [np.array(g) for g in by_len.values()]
-    for g in groups:
-        for lo in range(0, len(g), batch_size):
-            yield np.asarray(g[lo:lo + batch_size])
-
-
 def predict(features, params: ModelParams, cfg: ModelConfig,
             batch_size: int = 64) -> np.ndarray:
     """Inference-mode argmax class index per utterance."""
-    frags = np.stack([u.fragments for u in features])
-    n_frames = np.array([u.n_frames for u in features])
     out = np.empty(len(features), dtype=np.int64)
-    uniform = cfg.mode != "hvector"
-    order = np.arange(len(features))
-    for idx in _batch_indices(order, n_frames, batch_size, uniform):
-        logits, _ = forward_batch(frags[idx], n_frames[idx], params, cfg,
-                                  training=False)
+    for idx, frags, n_frames in batches(features, range(len(features)), batch_size):
+        logits, _ = forward_batch(frags, n_frames, params, cfg, training=False)
         out[idx] = np.argmax(logits.data, axis=1)
     return out
 
@@ -155,10 +138,6 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
     y_train = _labels_for(train_feats, index, "train")
     y_dev = _labels_for(dev_feats, index, "dev")
 
-    frags = np.stack([u.fragments for u in train_feats])
-    n_frames = np.array([u.n_frames for u in train_feats])
-    uniform = model_cfg.mode != "hvector"
-
     params = build_params(model_cfg, seed=cfg.seed)
     state = AdamState(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
@@ -174,12 +153,11 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
             order = shuffle_rng.permutation(len(train_feats))
             loss_sum = 0.0
             correct = 0
-            for idx in _batch_indices(order, n_frames, cfg.batch_size, uniform):
+            for idx, frags, n_frames in batches(train_feats, order, cfg.batch_size):
                 params.zero_grads()
                 with hv.record():
-                    logits, _ = forward_batch(frags[idx], n_frames[idx], params,
-                                              model_cfg, training=True,
-                                              rng=dropout_rng)
+                    logits, _ = forward_batch(frags, n_frames, params, model_cfg,
+                                              training=True, rng=dropout_rng)
                     loss = cross_entropy(logits, y_train[idx])
                 hv.backward(loss)
                 adam_step(params, state, cfg)

@@ -7,13 +7,17 @@ synth -> prepare -> train pipeline that the embed/score tests reuse.
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvector
 from hvector.cli import load_features, main
 from hvector.corpus import Manifest
 from hvector.scoring import (
@@ -290,6 +294,36 @@ class TestEmbed:
         assert "hvector train" in err
 
 
+    def test_truncated_feature_file_is_a_one_line_error(self, pipeline, tmp_path):
+        manifest = Manifest.load(pipeline["feats_manifest"], check_paths=False)
+        entry = manifest.entries[0]
+        raw = Path(entry.path).read_bytes()
+        short = tmp_path / "short.hvt"
+        short.write_bytes(raw[:-16])
+        bad_manifest = tmp_path / "manifest.tsv"
+        bad_manifest.write_text(
+            f"{entry.utterance_id}\t{entry.speaker_id}\t{short}\t{entry.n_frames}\n")
+        code, _, err = run_cli("embed", "--manifest", str(bad_manifest),
+                               "--ckpt", str(pipeline["ckpt"]),
+                               "--out", str(tmp_path / "emb.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(short) in err
+
+    def test_truncated_checkpoint_is_a_one_line_error(self, pipeline, tmp_path):
+        ckpt = tmp_path / "model.hvt"
+        ckpt.write_bytes(pipeline["ckpt"].read_bytes()[:-16])
+        for suffix in (".cfg", ".spk"):
+            ckpt.with_suffix(suffix).write_bytes(
+                pipeline["ckpt"].with_suffix(suffix).read_bytes())
+        code, _, err = run_cli("embed", "--manifest",
+                               str(pipeline["feats_manifest"]),
+                               "--ckpt", str(ckpt), "--out", str(tmp_path / "emb.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(ckpt) in err
+
+
 class TestScoreId:
     def test_prints_accuracy(self, pipeline):
         code, out, err = run_cli("score-id", "--manifest",
@@ -379,3 +413,13 @@ class TestScoreVer:
                                "--out", str(tmp_path / "ver"))
         assert code == 1
         assert "hvector embed" in err
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """Only `synth` needs scipy.signal, which is slow to import."""
+    src = str(Path(hvector.__file__).resolve().parent.parent)
+    probe = "import sys, hvector.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -6,11 +6,10 @@ from hvector.audio import UtteranceFeatures
 from hvector.model import (
     ModelConfig,
     _gru_direction,
+    batches,
     build_params,
     embed_batch,
-    forward,
     forward_batch,
-    forward_baseline,
     frame_attention,
     frame_encode,
     load_checkpoint,
@@ -148,16 +147,6 @@ class TestForwardShapes:
         assert trace["frame_alpha"] is None
         assert trace["utterance_vector"].shape == (2, 128)
 
-    def test_single_utterance(self):
-        cfg = desk_cfg()
-        p = build_params(cfg, seed=0)
-        rng = np.random.default_rng(2)
-        u = UtteranceFeatures(fragments=random_frags(rng, cfg, batch=1)[0],
-                              n_frames=97)
-        logits, emb = forward(u, p, cfg)
-        assert logits.shape == (5,)
-        assert emb.shape == (64,)
-
     def test_wrong_rank_rejected(self):
         cfg = desk_cfg()
         p = build_params(cfg, seed=0)
@@ -175,13 +164,6 @@ class TestForwardShapes:
         p = build_params(cfg, seed=0)
         with pytest.raises(ValueError, match="uniform"):
             forward_batch(np.zeros((2, 10, 10, 20)), np.array([98, 97]), p, cfg)
-
-    def test_forward_baseline_rejects_hvector_config(self):
-        cfg = desk_cfg()
-        p = build_params(cfg, seed=0)
-        u = UtteranceFeatures(fragments=np.zeros((10, 10, 20)), n_frames=98)
-        with pytest.raises(ValueError, match="xvector"):
-            forward_baseline(u, p, cfg)
 
 
 class TestDegenerateCases:
@@ -212,13 +194,13 @@ class TestDegenerateCases:
         cfg = desk_cfg()
         p = build_params(cfg, seed=6)
         rng = np.random.default_rng(7)
-        row = rng.standard_normal((1, cfg.frame_out_dim))
+        row = rng.standard_normal((1, 1, cfg.frame_out_dim))
         pooled, alpha = frame_attention(row, p)
         e = cfg.frame_out_dim
-        assert np.array_equal(alpha.data, np.ones(1))
-        assert np.array_equal(pooled.data[:e], row[0])
+        assert np.array_equal(alpha.data, np.ones((1, 1)))
+        assert np.array_equal(pooled.data[0, :e], row[0, 0])
         # identical "population" of one row: the variance floor sets the std
-        assert np.allclose(pooled.data[e:], 1e-6, rtol=0, atol=0)
+        assert np.allclose(pooled.data[0, e:], 1e-6, rtol=0, atol=0)
 
     def test_attentive_pooling_with_zero_scorer_matches_plain_xvector(self):
         cfg_a = desk_cfg(mode="xvector_attn")
@@ -355,9 +337,9 @@ class TestStageHelpers:
         rng = np.random.default_rng(17)
         stack = rng.standard_normal((3, cfg.frames_per_fragment, cfg.feat_dim))
         batch = frame_encode(stack, p, cfg)
-        single = frame_encode(stack[1], p, cfg)
-        assert single.shape == (cfg.frames_per_fragment, cfg.frame_out_dim)
-        np.testing.assert_allclose(single.data, batch.data[1], rtol=0, atol=1e-12)
+        single = frame_encode(stack[1:2], p, cfg)
+        assert single.shape == (1, cfg.frames_per_fragment, cfg.frame_out_dim)
+        np.testing.assert_allclose(single.data[0], batch.data[1], rtol=0, atol=1e-12)
 
     def test_segment_stages_single_matches_batch_row(self):
         cfg = ModelConfig.tiny()
@@ -366,12 +348,14 @@ class TestStageHelpers:
         segs = rng.standard_normal((2, cfg.n_fragments, 2 * cfg.frame_out_dim))
         enc = segment_encode(segs, p, cfg)
         assert enc.shape == (2, cfg.n_fragments, cfg.seg_cnn_out)
-        enc_single = segment_encode(segs[0], p, cfg)
-        np.testing.assert_allclose(enc_single.data, enc.data[0], rtol=0, atol=1e-12)
-        pooled, alpha = segment_attention(enc.data[0], p)
-        assert pooled.shape == (2 * cfg.seg_cnn_out,)
-        assert alpha.shape == (cfg.n_fragments,)
+        enc_single = segment_encode(segs[:1], p, cfg)
+        np.testing.assert_allclose(enc_single.data[0], enc.data[0], rtol=0, atol=1e-12)
+        pooled, alpha = segment_attention(enc.data[:1], p)
+        pooled_all, _ = segment_attention(enc, p)
+        assert pooled.shape == (1, 2 * cfg.seg_cnn_out)
+        assert alpha.shape == (1, cfg.n_fragments)
         assert abs(float(alpha.data.sum()) - 1.0) < 1e-12
+        np.testing.assert_allclose(pooled.data[0], pooled_all.data[0], rtol=0, atol=1e-12)
 
     def test_embed_batch_matches_per_utterance_forward(self):
         cfg = ModelConfig.tiny(n_speakers=3)
@@ -386,9 +370,26 @@ class TestStageHelpers:
         ]
         table = embed_batch(feats, p, cfg, batch_size=2)
         assert table.shape == (5, cfg.fc1_dim)
-        for i, u in enumerate(feats):
-            _, emb = forward(u, p, cfg)
-            np.testing.assert_allclose(table[i], emb.data, rtol=0, atol=1e-12)
+        frags = np.stack([u.fragments for u in feats])
+        n_frames = np.array([u.n_frames for u in feats])
+        _, emb = forward_batch(frags, n_frames, p, cfg)
+        np.testing.assert_allclose(table, emb.data, rtol=0, atol=1e-12)
+
+
+class TestBatches:
+    def test_groups_by_shape_in_first_seen_order_and_keeps_given_order(self):
+        def utt(m, n_frames, tag):
+            return UtteranceFeatures(np.full((2, m, 3), float(tag)), n_frames)
+        feats = [utt(4, 8, 0), utt(2, 4, 1), utt(4, 8, 2), utt(4, 7, 3),
+                 utt(2, 4, 4), utt(4, 8, 5), utt(4, 8, 6)]
+        order = [6, 1, 3, 0, 5, 4, 2]
+        got = [(idx.tolist(), frags[:, 0, 0, 0].tolist(), n.tolist())
+               for idx, frags, n in batches(feats, order, batch_size=2)]
+        assert got == [
+            ([6, 0], [6.0, 0.0], [8, 8]), ([5, 2], [5.0, 2.0], [8, 8]),
+            ([1, 4], [1.0, 4.0], [4, 4]),
+            ([3], [3.0], [7]),
+        ]
 
 
 class TestTrainingMode:

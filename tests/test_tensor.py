@@ -1,4 +1,6 @@
 """Tensor core: op semantics, tape replay, and finite-difference checks."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -442,28 +444,52 @@ class TestSerialisation:
         rng = np.random.default_rng(21)
         arr = rng.normal(size=(3, 4, 5))
         path = tmp_path / "a.hvt"
-        hv.save_array(path, arr)
-        np.testing.assert_array_equal(hv.load_array(path), arr)
+        hv.save_archive(path, {"a": arr})
+        np.testing.assert_array_equal(hv.load_archive(path)["a"], arr)
 
     def test_scalar_roundtrip(self, tmp_path):
         path = tmp_path / "s.hvt"
-        hv.save_array(path, np.float64(2.5))
-        got = hv.load_array(path)
+        hv.save_archive(path, {"s": np.float64(2.5)})
+        got = hv.load_archive(path)["s"]
         assert got.shape == () and got == 2.5
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hvt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            hv.load_array(path)
+            hv.load_archive(path)
+        hv.save_archive(path, {"a": np.ones(2)})
+        raw = bytearray(path.read_bytes())
+        raw[21:25] = b"NOPE"          # the array's own magic, after the name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="magic"):
+            hv.load_archive(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.hvt"
-        hv.save_array(path, np.ones((4, 4)))
+        hv.save_archive(path, {"a": np.ones((4, 4))})
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(IOError):
-            hv.load_array(path)
+        path.write_bytes(raw[:-8])        # cut inside the payload
+        with pytest.raises(ValueError, match="truncated"):
+            hv.load_archive(path)
+        path.write_bytes(raw[:30])        # cut inside the shape header
+        with pytest.raises(IOError, match="truncated"):
+            hv.load_archive(path)
+
+    def test_lying_header_is_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "lie.hvt"
+        hv.save_archive(path, {"a": np.ones((1, 5))})
+        raw = bytearray(path.read_bytes())
+        dims = 4 + 8 + 8 + 1 + 4 + 8      # archive header, name, array magic, rank
+        raw[dims:dims + 16] = struct.pack("<qq", 2**20, 2**22)
+        path.write_bytes(bytes(raw))
+        assert len(raw) == 89
+        with pytest.raises(ValueError, match="needs 35184372088832 bytes"):
+            hv.load_archive(path)
+        raw[dims:dims + 8] = struct.pack("<q", -2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="negative"):
+            hv.load_archive(path)
 
     def test_archive_roundtrip(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -7,6 +7,7 @@ from hvector.corpus import split, synth_corpus
 from hvector.model import (
     ModelConfig,
     build_params,
+    embed_batch,
     forward_batch,
     load_checkpoint,
 )
@@ -274,6 +275,31 @@ class TestTrainLoop:
         assert len(history) == 1
         preds = predict(feats[10:], params, cfg)
         assert preds.shape == (2,)
+
+    @pytest.mark.parametrize("mode", ["hvector", "xvector"])
+    def test_mixed_window_lengths_train_predict_and_embed(self, mode):
+        cfg = ModelConfig.tiny(n_speakers=2, mode=mode)
+        rng = np.random.default_rng(11)
+        feats = toy_features(rng, cfg, 8, spread=2.0)
+        # as from two `prepare` runs with different --len: half the windows
+        # have fragments half as long
+        short = cfg.frames_per_fragment // 2
+        for u in feats[::2]:
+            u.fragments = u.fragments[:, :short].copy()
+            u.n_frames = cfg.n_fragments * short
+        tcfg = TrainConfig(lr=1e-3, epochs=1, seed=3, batch_size=4)
+        params, history, _ = train(feats[:12], feats[12:], cfg, tcfg)
+        assert len(history) == 1
+
+        preds = predict(feats, params, cfg, batch_size=3)
+        table = embed_batch(feats, params, cfg, batch_size=3)
+        for idx in (np.arange(0, len(feats), 2), np.arange(1, len(feats), 2)):
+            group = [feats[i] for i in idx]
+            logits, emb = forward_batch(np.stack([u.fragments for u in group]),
+                                        np.array([u.n_frames for u in group]),
+                                        params, cfg)
+            np.testing.assert_array_equal(preds[idx], np.argmax(logits.data, axis=1))
+            np.testing.assert_allclose(table[idx], emb.data, rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="betas"):
