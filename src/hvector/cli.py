@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,16 +81,10 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_opt_float(raw: str):
-    if raw.strip().lower() == "none":
-        return None
-    return float(raw)
-
-
-def _parse_opt_int(raw: str):
-    if raw.strip().lower() == "none":
-        return None
-    return int(raw)
+def _optional(cast):
+    def parse(raw):
+        return None if raw.strip().lower() == "none" else cast(raw)
+    return parse
 
 
 def _positive(cast, what: str):
@@ -133,7 +128,7 @@ _SCHEMAS = {
         "seed": (0, int),
         "dropout": (0.2, float),
         "train_fraction": (0.9, float),
-        "stop_at_dev_acc": (None, _parse_opt_float),
+        "stop_at_dev_acc": (None, _optional(float)),
     },
     "embed": {
         "batch_size": (64, _positive(int, "batch_size")),
@@ -143,7 +138,7 @@ _SCHEMAS = {
     },
     "score-ver": {
         "backend": ("plda", _choice({"plda", "cosine"})),
-        "lda_dim": (None, _parse_opt_int),
+        "lda_dim": (None, _optional(int)),
         "length_norm": (False, _parse_bool),
     },
 }
@@ -429,12 +424,17 @@ def cmd_score_ver(args) -> int:
     try:
         trials = make_trials(enrol, eval_records, length_norm=cfg["length_norm"])
         if cfg["backend"] == "plda":
-            model = plda_fit(_load_embedding_csv(plda_train_path),
-                             reduced_dim=cfg["lda_dim"])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = plda_fit(_load_embedding_csv(plda_train_path),
+                                 reduced_dim=cfg["lda_dim"])
+            # each distinct message once, as Python's default filter would
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
             scores = score_trials(model, trials)
         else:
-            scores = np.array([cosine_score(t.enrol_vector, t.test_vector)
-                               for t in trials])
+            scores = cosine_score(np.stack([t.enrol_vector for t in trials]),
+                                  np.stack([t.test_vector for t in trials]))
         targets = [t.target for t in trials]
         eer, threshold = eer_operating_point(scores, targets)
     except (ValueError, np.linalg.LinAlgError) as exc:

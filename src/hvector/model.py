@@ -139,21 +139,25 @@ class ModelParams:
         return out
 
 
-def _uniform(rng, fan_in, shape):
-    return (rng.random(shape) * 2.0 - 1.0) / np.sqrt(fan_in)
+def _uniform(fan_in):
+    return lambda rng, shape: (rng.random(shape) * 2.0 - 1.0) / np.sqrt(fan_in)
 
 
-class _Builder:
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.params = ModelParams()
+def _fill(value):
+    return lambda rng, shape: np.full(shape, value)
+
+
+_BUFFER = "buffer."  # checkpoint key prefix of the batchnorm running statistics
+
+
+class _Layout(list):
+    """(checkpoint key, shape, initialiser) of every array, in drawing order."""
 
     def weight(self, name, fan_in, shape):
-        self.params.tensors[name] = Tensor(_uniform(self.rng, fan_in, shape),
-                                           requires_grad=True)
+        self.append((name, shape, _uniform(fan_in)))
 
     def bias(self, name, size):
-        self.params.tensors[name] = Tensor(np.zeros(size), requires_grad=True)
+        self.append((name, (size,), _fill(0.0)))
 
     def conv(self, name, width, cin, cout):
         self.weight(f"{name}.w", width * cin, (width, cin, cout))
@@ -164,10 +168,10 @@ class _Builder:
         self.bias(f"{name}.b", dout)
 
     def norm(self, name, size):
-        self.params.tensors[f"{name}.gamma"] = Tensor(np.ones(size), requires_grad=True)
-        self.params.tensors[f"{name}.beta"] = Tensor(np.zeros(size), requires_grad=True)
-        self.params.buffers[f"{name}.mean"] = np.zeros(size)
-        self.params.buffers[f"{name}.var"] = np.ones(size)
+        self.extend([(f"{name}.gamma", (size,), _fill(1.0)),
+                     (f"{name}.beta", (size,), _fill(0.0)),
+                     (f"{_BUFFER}{name}.mean", (size,), _fill(0.0)),
+                     (f"{_BUFFER}{name}.var", (size,), _fill(1.0))])
 
     def gru(self, name, din, hidden):
         for k in ("wz", "wr", "wh"):
@@ -183,9 +187,8 @@ class _Builder:
         self.weight(f"{name}.w1", dim, (dim, 1))
 
 
-def build_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
-    """Initialise all weights with centred uniforms scaled by 1/sqrt(fan_in)."""
-    b = _Builder(seed)
+def _layout(cfg: ModelConfig) -> _Layout:
+    b = _Layout()
     if cfg.mode == "hvector":
         b.conv("frame_conv", cfg.frame_cnn_width, cfg.feat_dim, cfg.frame_cnn_out)
         b.norm("frame_bn", cfg.frame_cnn_out)
@@ -208,7 +211,25 @@ def build_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     b.norm("fc1_bn", cfg.fc1_dim)
     b.linear("fc2", cfg.fc1_dim, cfg.fc2_dim)
     b.linear("out", cfg.fc2_dim, cfg.n_speakers)
-    return b.params
+    return b
+
+
+def _assemble(cfg: ModelConfig, make) -> ModelParams:
+    """Parameters whose arrays come from make(key, shape, initialiser)."""
+    params = ModelParams()
+    for key, shape, init in _layout(cfg):
+        data = make(key, shape, init)
+        if key.startswith(_BUFFER):
+            params.buffers[key[len(_BUFFER):]] = data
+        else:
+            params.tensors[key] = Tensor(data, requires_grad=True)
+    return params
+
+
+def build_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
+    """Initialise all weights with centred uniforms scaled by 1/sqrt(fan_in)."""
+    rng = np.random.default_rng(seed)
+    return _assemble(cfg, lambda key, shape, init: init(rng, shape))
 
 
 def _batchnorm(x, params, name, training):
@@ -377,7 +398,7 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
     """Write a named-tensor archive plus a sibling .cfg text file."""
     path = Path(path)
     arrays = {name: t.data for name, t in params.tensors.items()}
-    arrays.update({f"buffer.{name}": b for name, b in params.buffers.items()})
+    arrays.update({_BUFFER + name: b for name, b in params.buffers.items()})
     hv.save_archive(path, arrays)
     path.with_suffix(".cfg").write_text(cfg.to_text(), encoding="utf-8")
 
@@ -391,20 +412,16 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         )
     cfg = ModelConfig.from_text(cfg_path.read_text(encoding="utf-8"))
     arrays = hv.load_archive(path)
-    reference = build_params(cfg, seed=0)
-    params = ModelParams()
-    for name, t in reference.tensors.items():
-        if name not in arrays:
-            raise ValueError(f"checkpoint is missing tensor {name}")
-        if arrays[name].shape != t.shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape {arrays[name].shape}, "
-                f"expected {t.shape}"
-            )
-        params.tensors[name] = Tensor(arrays[name], requires_grad=True)
-    for name in reference.buffers:
-        key = f"buffer.{name}"
+
+    def stored(key, shape, _):
+        what = "buffer" if key.startswith(_BUFFER) else "tensor"
+        name = key.removeprefix(_BUFFER)
         if key not in arrays:
-            raise ValueError(f"checkpoint is missing buffer {name}")
-        params.buffers[name] = arrays[key]
+            raise ValueError(f"checkpoint is missing {what} {name}")
+        if arrays[key].shape != shape:
+            raise ValueError(f"checkpoint {what} {name} has shape "
+                             f"{arrays[key].shape}, expected {shape}")
+        return arrays[key]
+
+    params = _assemble(cfg, stored)
     return params, cfg

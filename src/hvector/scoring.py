@@ -49,17 +49,22 @@ def accuracy(preds, truth) -> float:
 # Operating points sweep a threshold over the distinct scores (accept iff
 # score >= threshold): FAR = P(accept | non-target), FRR = P(reject | target).
 # With finite trial counts the two step functions rarely meet, so the EER is
-# read off the convex hull of the operating points in (FAR, FRR) space: the
-# hull edges are exactly the linear interpolations between achievable points,
-# and the EER is where the hull crosses FAR == FRR.
+# read off the ROC convex hull of the operating points in (FAR, FRR) space
+# (as in the BOSARIS toolkit): the hull edges are exactly the linear
+# interpolations between achievable points, and the EER is where the hull
+# crosses FAR == FRR.
 #
-# The error rates are exact rationals (error counts over class sizes), so the
-# hull orientation tests and the diagonal crossing are done with Fraction
-# arithmetic and rounded to float once at the end. Any other exact procedure
-# over the same operating points (e.g. a brute-force sweep over all point
-# pairs) lands on the same rational and therefore on the identical float.
+# Scaled by n_target * n_non the points are integers, so the hull is exact
+# and the crossing is one rational, rounded to float once: any other exact
+# procedure over the same points (e.g. a brute-force sweep over all point
+# pairs) lands on the identical float.
 
-def _operating_points(scores, targets):
+def eer_operating_point(scores, targets) -> tuple[float, float]:
+    """(EER, threshold) of a verification score set.
+
+    The threshold is the swept operating point closest to equal error
+    (ties resolved toward the lower threshold).
+    """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=bool)
     if scores.ndim != 1 or scores.shape != targets.shape:
@@ -70,75 +75,54 @@ def _operating_points(scores, targets):
     n_n = len(targets) - n_t
     if n_t == 0 or n_n == 0:
         raise ValueError("EER needs at least one target and one non-target trial")
-    t_scores = np.sort(scores[targets])
-    n_scores = np.sort(scores[~targets])
-    points = [(Fraction(1), Fraction(0), -np.inf)]  # accept everything
-    for th in np.unique(scores):
-        far = Fraction(int(n_n - np.searchsorted(n_scores, th, side="left")), n_n)
-        frr = Fraction(int(np.searchsorted(t_scores, th, side="left")), n_t)
-        points.append((far, frr, float(th)))
-    points.append((Fraction(0), Fraction(1), np.inf))  # reject everything
-    return points
+    n = n_t * n_n
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    below = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    misses = np.r_[0, np.cumsum(targets[order])][below]
+    # int64 holds these coordinates (each <= n); their cross products can
+    # pass 2**63, so the hull below works on Python ints
+    far = (n_n - (below - misses)) * n_t
+    frr = misses * n_n
+    threshold = float(ranked[below[np.argmin(np.abs(far - frr))]])
 
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _lower_hull(points):
-    """Lower-left convex hull over (FAR, FRR) operating points."""
-    pts = sorted(points, key=lambda p: (p[0], p[1]))
-    hull = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+    # accept-everything (n, 0) and reject-everything (0, n) close the sweep
+    xs = np.r_[n, 0, far]
+    ys = np.r_[0, n, frr]
+    by_x = np.lexsort((ys, xs))
+    hull: list[tuple[int, int]] = []
+    for p in zip(xs[by_x].tolist(), ys[by_x].tolist()):
+        while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])) <= 0:
             hull.pop()
         hull.append(p)
-    return hull
-
-
-def _diagonal_crossing(a, b) -> Fraction:
-    """Where the segment a-b meets FAR == FRR; points are (far, frr, thr)."""
-    da = a[0] - a[1]
-    db = b[0] - b[1]
-    if da == 0:
-        return a[0]
-    if db == 0:
-        return b[0]
-    t = da / (da - db)
-    return a[0] + t * (b[0] - a[0])
-
-
-def compute_eer(scores, targets) -> float:
-    """Equal error rate of a verification score set.
-
-    The hull walk always finds a sign change: the sweep starts at
-    (FAR, FRR) = (1, 0) and ends at (0, 1).
-    """
-    hull = _lower_hull(_operating_points(scores, targets))
-    for a, b in zip(hull, hull[1:]):
-        if (a[0] - a[1]) <= 0 <= (b[0] - b[1]) or \
-           (b[0] - b[1]) <= 0 <= (a[0] - a[1]):
-            return float(_diagonal_crossing(a, b))
+    # the hull runs from FAR == 0 (FAR - FRR <= 0) to (1, 0): some edge crosses
+    for (ax, ay), (bx, by) in zip(hull, hull[1:]):
+        da, db = ax - ay, bx - by
+        if da <= 0 <= db or db <= 0 <= da:
+            return float(Fraction(da * bx - db * ax, (da - db) * n)), threshold
     raise AssertionError("operating points never crossed the diagonal")
 
 
-def eer_operating_point(scores, targets) -> tuple[float, float]:
-    """(EER, threshold) where the threshold is the swept operating point
-    closest to equal error (ties resolved toward the lower threshold)."""
-    points = _operating_points(scores, targets)
-    eer = compute_eer(scores, targets)
-    finite = [p for p in points if np.isfinite(p[2])]
-    best = min(finite, key=lambda p: (abs(p[0] - p[1]), p[2]))
-    return eer, best[2]
+def compute_eer(scores, targets) -> float:
+    """Equal error rate of a verification score set."""
+    return eer_operating_point(scores, targets)[0]
 
 
 # --- verification trials --------------------------------------------------
 
+def _inner(a, b):
+    # unlike np.sum(a * b, -1) or einsum, a stacked matmul rounds each row
+    # exactly as np.dot does for one pair
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _unit(v):
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return v
-    return v / n
+    """v scaled to unit length along its last axis; zero rows stay zero."""
+    v = np.asarray(v, dtype=np.float64)
+    norm = np.sqrt(_inner(v, v))[..., None]
+    return v / np.where(norm == 0.0, 1.0, norm)
 
 
 def make_trials(enrol, eval_records, length_norm: bool = False) -> list[Trial]:
@@ -150,28 +134,25 @@ def make_trials(enrol, eval_records, length_norm: bool = False) -> list[Trial]:
     """
     if not enrol or not eval_records:
         raise ValueError("enrolment and evaluation sets must both be non-empty")
+
+    def vector(r):
+        return _unit(r.vector) if length_norm else np.asarray(r.vector, dtype=np.float64)
+
     by_speaker: dict[str, list[np.ndarray]] = {}
     for r in enrol:
-        v = _unit(r.vector) if length_norm else r.vector
-        by_speaker.setdefault(r.speaker_id, []).append(np.asarray(v, dtype=np.float64))
+        by_speaker.setdefault(r.speaker_id, []).append(vector(r))
     models = {spk: np.mean(vs, axis=0) for spk, vs in sorted(by_speaker.items())}
-    trials = []
-    for spk, model_vec in models.items():
-        for r in eval_records:
-            v = _unit(r.vector) if length_norm else r.vector
-            trials.append(Trial(
-                enrol_speaker=spk,
-                test_utterance=r.utterance_id,
-                enrol_vector=model_vec,
-                test_vector=np.asarray(v, dtype=np.float64),
-                target=(r.speaker_id == spk),
-            ))
-    return trials
+    tests = [vector(r) for r in eval_records]
+    return [Trial(enrol_speaker=spk, test_utterance=r.utterance_id,
+                  enrol_vector=model_vec, test_vector=v, target=r.speaker_id == spk)
+            for spk, model_vec in models.items() for r, v in zip(eval_records, tests)]
 
 
-def cosine_score(e, t) -> float:
-    return float(np.dot(_unit(np.asarray(e, dtype=np.float64)),
-                        _unit(np.asarray(t, dtype=np.float64))))
+def cosine_score(e, t) -> float | np.ndarray:
+    """Cosine similarity along the last axis: a float for two vectors, an
+    array of scores for two row-stacked arrays. A zero vector scores 0."""
+    scores = _inner(_unit(e), _unit(t))
+    return float(scores) if scores.ndim == 0 else scores
 
 
 # --- LDA + two-covariance PLDA ---------------------------------------------

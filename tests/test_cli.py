@@ -407,6 +407,22 @@ class TestScoreVer:
         assert (out_dir / "trials.csv").exists()
         assert (out_dir / "eer.txt").exists()
 
+    def test_backend_warning_is_one_line(self, tmp_path):
+        # 3 speakers x 2 utterances in 8-d: the within-class scatter is singular
+        rng = np.random.default_rng(0)
+        emb = tmp_path / "emb.csv"
+        save_embeddings(emb, [EmbeddingRecord(f"s{k}-u{j}", f"s{k}", rng.standard_normal(8))
+                              for k in range(3) for j in range(2)])
+        src = str(Path(hvector.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "hvector.cli", "score-ver", "--enrol", str(emb),
+             "--eval", str(emb), "--out", str(tmp_path / "ver"), "--set", "lda_dim=2"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "warning: within-class scatter is singular; regularizing with 1e-6*I"]
+
     def test_missing_embeddings_hint(self, tmp_path):
         code, _, err = run_cli("score-ver", "--enrol", str(tmp_path / "a.csv"),
                                "--eval", str(tmp_path / "b.csv"),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -478,3 +480,39 @@ class TestCheckpoint:
         hv.save_archive(path, arrays)
         with pytest.raises(ValueError, match="out.w"):
             load_checkpoint(path)
+        arrays = hv.load_archive(path)
+        arrays["out.w"] = p["out.w"].data
+        arrays["buffer.fc1_bn.var"] = np.ones(3)
+        hv.save_archive(path, arrays)
+        with pytest.raises(ValueError, match="buffer fc1_bn.var"):
+            load_checkpoint(path)
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        cfg = ModelConfig.tiny()
+        p = build_params(cfg, seed=34)
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, p, cfg)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded["out.w"].data, p["out.w"].data)
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("hvector", "bfff17818940d17d"),
+        ("xvector", "70046d8e2ddabbc4"),
+        ("xvector_attn", "e2c89d4fdf0d4261"),
+    ])
+    def test_seeded_weights_are_pinned(self, mode, digest):
+        """A seed keeps drawing the same weights, names and order."""
+        p = build_params(ModelConfig.tiny(n_speakers=3, mode=mode), seed=7)
+        h = hashlib.sha256()
+        for name, t in p.tensors.items():
+            h.update(name.encode())
+            h.update(repr(t.data.shape).encode())
+            h.update(t.data.tobytes())
+        for name, b in p.buffers.items():
+            h.update(name.encode())
+            h.update(b.tobytes())
+        assert h.hexdigest()[:16] == digest

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvector.scoring import (
     EmbeddingRecord,
@@ -82,6 +84,30 @@ def sweep_oracle(scores, targets):
     return float(best)
 
 
+def threshold_oracle(scores, targets):
+    """Brute-force threshold: the distinct score minimising
+    (|FAR - FRR|, score), with exact rational error rates."""
+    scores = np.asarray(scores, dtype=np.float64)
+    targets = np.asarray(targets, dtype=bool)
+    t_scores = scores[targets]
+    n_scores = scores[~targets]
+
+    def key(th):
+        far = Fraction(int((n_scores >= th).sum()), len(n_scores))
+        frr = Fraction(int((t_scores < th).sum()), len(t_scores))
+        return abs(far - frr), th
+    return float(min(np.unique(scores), key=key))
+
+
+# scores from a small grid (heavy ties) or anywhere, both classes present
+_score_sets = st.lists(
+    st.tuples(st.one_of(st.integers(-3, 3).map(lambda k: k / 2.0),
+                        st.floats(-1e3, 1e3, allow_nan=False)),
+              st.booleans()),
+    min_size=2, max_size=60,
+).filter(lambda rows: {t for _, t in rows} == {True, False})
+
+
 class TestEqualErrorRate:
     def test_interleaved_example(self):
         # one miss or one false alarm at the crossing: a quarter either way
@@ -136,6 +162,28 @@ class TestEqualErrorRate:
         assert eer == 0.25
         assert threshold == 2.5
 
+    @settings(max_examples=300, deadline=None)
+    @given(_score_sets)
+    def test_operating_point_matches_brute_force(self, rows):
+        scores = [s for s, _ in rows]
+        targets = [t for _, t in rows]
+        eer, threshold = eer_operating_point(scores, targets)
+        assert eer == sweep_oracle(scores, targets)
+        assert threshold == threshold_oracle(scores, targets)
+
+    def test_cross_products_beyond_int64(self):
+        # 65,000 targets spread over 12 scores and 65,000 non-targets on the
+        # top three: n_target * n_non = 4.2e9, and the hull's orientation
+        # tests multiply coordinate spans of that size, past 2**63
+        target_counts = [5000] * 11 + [10000]
+        nontarget_counts = [0] * 9 + [55000, 5000, 5000]
+        grid = np.arange(12.0)
+        scores = np.r_[np.repeat(grid, target_counts), np.repeat(grid, nontarget_counts)]
+        targets = np.r_[np.ones(65000, bool), np.zeros(65000, bool)]
+        eer, threshold = eer_operating_point(scores, targets)
+        assert eer == sweep_oracle(scores, targets)
+        assert threshold == threshold_oracle(scores, targets)
+
 
 class TestMakeTrials:
     def embed(self, spk, utt, vec):
@@ -185,6 +233,21 @@ class TestMakeTrials:
     def test_cosine_score(self):
         assert abs(cosine_score([1.0, 0.0], [0.0, 1.0])) < 1e-15
         assert abs(cosine_score([2.0, 0.0], [5.0, 0.0]) - 1.0) < 1e-15
+
+    def test_row_wise_cosine_matches_per_pair_dot(self):
+        def unit(v):
+            n = np.linalg.norm(v)
+            return v if n == 0.0 else v / n
+
+        rng = np.random.default_rng(5)
+        e = rng.standard_normal((500, 64)) * rng.uniform(0.01, 100.0, (500, 1))
+        t = rng.standard_normal((500, 64))
+        e[7] = 0.0
+        scores = cosine_score(e, t)
+        expected = [float(np.dot(unit(a), unit(b))) for a, b in zip(e, t)]
+        assert scores.shape == (500,)
+        assert scores[7] == 0.0
+        assert scores.tolist() == expected
 
 
 def sample_two_cov(seed, n_speakers=20, per_speaker=30, d=5):
