@@ -240,19 +240,6 @@ def _batchnorm(x, params, name, training):
     )
 
 
-def _gru_direction(seq, p, reverse: bool):
-    batch, steps, _ = seq.shape
-    hidden = p["uz"].shape[0]
-    h = Tensor(np.zeros((batch, hidden), dtype=seq.data.dtype))
-    outs = [None] * steps
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    for t in order:
-        xt = hv.reshape(hv.slice_axis(seq, 1, t, t + 1), (batch, -1))
-        h = hv.gru_cell(xt, h, p)
-        outs[t] = hv.reshape(h, (batch, 1, hidden))
-    return hv.concat(outs, axis=1)
-
-
 def attention_normalize(scores) -> Tensor:
     """Raw relevance scores to attention weights: softmax over the last axis.
 
@@ -281,8 +268,8 @@ def frame_encode(fragments, params: ModelParams, cfg: ModelConfig,
     """Conv + BiGRU over a stack of fragments (B, M, F) -> (B, M, E)."""
     h = hv.conv1d(fragments, params["frame_conv.w"], params["frame_conv.b"])
     h = _batchnorm(hv.relu(h), params, "frame_bn", training)
-    fwd = _gru_direction(h, params.gru("gru_f"), reverse=False)
-    bwd = _gru_direction(h, params.gru("gru_b"), reverse=True)
+    fwd = hv.gru_sequence(h, params.gru("gru_f"))
+    bwd = hv.gru_sequence(h, params.gru("gru_b"), reverse=True)
     return hv.concat([fwd, bwd], axis=-1)
 
 

@@ -1,8 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The op set covers exactly what the speaker-embedding models need: matrix
-products, 1-D convolution, GRU cells, softmax, statistics pooling, and a
-small family of elementwise/reduction ops.  Gradients are recorded on an
+products, 1-D convolution, a whole-sequence GRU (:func:`gru_sequence`, one
+tape node per direction, with :func:`gru_cell` as its step-by-step
+reference), softmax, statistics pooling, and a small family of
+elementwise/reduction ops.  Gradients are recorded on an
 explicit tape (:class:`Graph`) whose insertion order is already a
 topological order; :func:`backward` replays the tape once in reverse.
 
@@ -23,7 +25,8 @@ VAR_FLOOR = 1e-12  # variance floor used by the pooling ops before sqrt
 
 __all__ = [
     "Tensor", "Graph", "record", "backward", "grad_check",
-    "matmul", "conv1d", "gru_cell", "softmax", "log_sum_exp", "pick",
+    "matmul", "conv1d", "gru_cell", "gru_sequence",
+    "softmax", "log_sum_exp", "pick",
     "stats_pool", "weighted_stats_pool",
     "add", "sub", "mul", "neg", "relu", "sigmoid", "tanh",
     "concat", "reshape", "slice_axis", "mean", "tsum",
@@ -603,6 +606,84 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
     # h' = cand + z * (h_prev - cand)
     out = add(cand, mul(z, sub(h_prev, cand)))
     return reshape(out, (-1,)) if squeeze else out
+
+
+_GRU_KEYS = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")
+
+
+def gru_sequence(seq, params: dict, reverse: bool = False) -> Tensor:
+    """One GRU direction over a whole sequence as a single tape node.
+
+    Maps seq (B, T, D) to the hidden states (B, T, H), starting from a zero
+    state and stepping through time backwards when ``reverse`` is set.  The
+    equations are gru_cell's, which stays the reference: the input
+    projection seq @ [Wz|Wr|Wh] is one GEMM over all steps, each step runs
+    h @ [Uz|Ur] and (r*h) @ Uh, and every bias is added after the sum of
+    its two products, so the forward pass matches a chain of gru_cell
+    calls bit for bit.  The backward pass through time is written by hand
+    from the gates saved per step.
+    """
+    seq = _wrap(seq)
+    ps = [params[k] for k in _GRU_KEYS]
+    if seq.ndim != 3:
+        raise ValueError(f"gru_sequence expects (B, T, D) input, got shape {seq.shape}")
+    batch, steps, d = seq.shape
+    hidden = params["uz"].shape[-1]
+    want = [(d, hidden)] * 3 + [(hidden, hidden)] * 3 + [(hidden,)] * 3
+    if [p.shape for p in ps] != want:
+        raise ValueError(
+            f"gru_sequence dim mismatch: seq {seq.shape}, "
+            + ", ".join(f"{k} {p.shape}" for k, p in zip(_GRU_KEYS, ps))
+        )
+    wz, wr, wh, uz, ur, uh, bz, br, bh = (p.data for p in ps)
+    w = np.concatenate([wz, wr, wh], axis=1)
+    u_zr = np.concatenate([uz, ur], axis=1)
+    b_zr = np.concatenate([bz, br])
+    h2 = 2 * hidden
+    # Time-major, in the order the steps run.
+    xs = seq.data[:, ::-1] if reverse else seq.data
+    xs = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * batch, d)
+    proj = (xs @ w).reshape(steps, batch, 3 * hidden)
+    hs = np.zeros((steps + 1, batch, hidden), dtype=proj.dtype)  # hs[s] feeds step s
+    zr = np.empty((steps, batch, h2), dtype=proj.dtype)
+    cand = np.empty((steps, batch, hidden), dtype=proj.dtype)
+    for s in range(steps):
+        h = hs[s]
+        zr[s] = 1.0 / (1.0 + np.exp(-((proj[s, :, :h2] + h @ u_zr) + b_zr)))
+        r = zr[s, :, hidden:]
+        cand[s] = np.tanh((proj[s, :, h2:] + (r * h) @ uh) + bh)
+        hs[s + 1] = cand[s] + zr[s, :, :hidden] * (h - cand[s])
+    out = hs[1:].transpose(1, 0, 2)
+    if reverse:
+        out = out[:, ::-1]
+
+    def bwd(g):
+        g = g[:, ::-1] if reverse else g
+        g = g.transpose(1, 0, 2)
+        da = np.empty((steps, batch, 3 * hidden), dtype=hs.dtype)
+        carry = np.zeros((batch, hidden), dtype=hs.dtype)
+        for s in range(steps - 1, -1, -1):
+            dh = g[s] + carry
+            h, z, r, c = hs[s], zr[s, :, :hidden], zr[s, :, hidden:], cand[s]
+            da[s, :, h2:] = dh * (1.0 - z) * (1.0 - c * c)
+            d_rh = da[s, :, h2:] @ uh.T
+            da[s, :, :hidden] = dh * (h - c) * z * (1.0 - z)
+            da[s, :, hidden:h2] = d_rh * h * r * (1.0 - r)
+            carry = dh * z + d_rh * r + da[s, :, :h2] @ u_zr.T
+        # Weight and bias gradients: one GEMM or sum each over all B*T rows.
+        da = da.reshape(steps * batch, 3 * hidden)
+        h_prev = hs[:-1].reshape(steps * batch, hidden)
+        r_h = zr[:, :, hidden:].reshape(steps * batch, hidden) * h_prev
+        grads = (*np.split(xs.T @ da, 3, axis=1),
+                 *np.split(h_prev.T @ da[:, :h2], 2, axis=1), r_h.T @ da[:, h2:],
+                 *np.split(da.sum(axis=0), 3))
+        for p, gp in zip(ps, grads):
+            _accumulate(p, gp)
+        if seq.requires_grad:
+            gx = (da @ w.T).reshape(steps, batch, d).transpose(1, 0, 2)
+            _accumulate(seq, gx[:, ::-1] if reverse else gx)
+
+    return _make(out, (seq, *ps), bwd)
 
 
 # ---------------------------------------------------------------------------

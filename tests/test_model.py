@@ -7,7 +7,6 @@ from hvector import tensor as hv
 from hvector.audio import UtteranceFeatures
 from hvector.model import (
     ModelConfig,
-    _gru_direction,
     batches,
     build_params,
     embed_batch,
@@ -227,8 +226,8 @@ class TestGruDirections:
         p = build_params(cfg, seed=11).gru("gru_f")
         rng = np.random.default_rng(12)
         seq = rng.standard_normal((2, 5, cfg.frame_cnn_out))
-        rev = _gru_direction(Tensor(seq), p, reverse=True)
-        flipped = _gru_direction(Tensor(seq[:, ::-1].copy()), p, reverse=False)
+        rev = hv.gru_sequence(Tensor(seq), p, reverse=True)
+        flipped = hv.gru_sequence(Tensor(seq[:, ::-1].copy()), p, reverse=False)
         assert np.array_equal(rev.data, flipped.data[:, ::-1])
 
     def test_zero_input_zero_state_stays_zero(self):
@@ -236,8 +235,8 @@ class TestGruDirections:
         p = build_params(cfg, seed=13).gru("gru_b")
         for k in ("bz", "br", "bh"):
             p[k].data[...] = 0.0
-        out = _gru_direction(Tensor(np.zeros((1, 4, cfg.frame_cnn_out))), p,
-                             reverse=False)
+        out = hv.gru_sequence(Tensor(np.zeros((1, 4, cfg.frame_cnn_out))), p,
+                              reverse=False)
         assert np.all(out.data == 0.0)
 
 

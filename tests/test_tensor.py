@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvector.tensor as hv
 from hvector.tensor import Tensor, backward, grad_check, record
@@ -150,6 +152,69 @@ class TestGruCell:
         for name, param in p.items():
             err = grad_check(lambda t: hv.tsum(hv.gru_cell(x, h0, p)), param)
             assert err < 1e-6, name
+
+
+def _gru_cell_loop(seq, p, reverse):
+    """Reference for gru_sequence: one gru_cell per step, sliced off the tape."""
+    batch, steps, _ = seq.shape
+    hidden = p["uz"].shape[0]
+    h = Tensor(np.zeros((batch, hidden)))
+    outs = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        h = hv.gru_cell(hv.reshape(hv.slice_axis(seq, 1, t, t + 1), (batch, -1)), h, p)
+        outs[t] = hv.reshape(h, (batch, 1, hidden))
+    return hv.concat(outs, axis=1)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+class TestGruSequence:
+    @settings(deadline=None)
+    @given(batch=st.integers(1, 4), steps=st.integers(1, 8), d=st.integers(1, 6),
+           h=st.integers(1, 6), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_gru_cell_loop(self, batch, steps, d, h, reverse, seed):
+        rng = np.random.default_rng(seed)
+        p = _gru_params(d, h, rng)        # biases drawn nonzero like the weights
+        seq = _t(rng.normal(size=(batch, steps, d)))
+        probe = Tensor(rng.normal(size=(batch, steps, h)))
+        runs = []
+        for op in (hv.gru_sequence, _gru_cell_loop):
+            seq.grad = None
+            for t in p.values():
+                t.grad = None
+            with record():
+                out = op(seq, p, reverse)
+                loss = hv.tsum(hv.mul(out, probe))
+            backward(loss)
+            runs.append([out.data, seq.grad] + [p[k].grad for k in sorted(p)])
+        for got, want in zip(*runs):
+            assert got.shape == want.shape
+            assert _rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_all_params(self, reverse):
+        rng = np.random.default_rng(6)
+        p = _gru_params(3, 4, rng)
+        seq = _t(rng.normal(size=(2, 5, 3)))
+        probe = Tensor(rng.normal(size=(2, 5, 4)))
+
+        def f(t):
+            return hv.tsum(hv.mul(hv.gru_sequence(seq, p, reverse), probe))
+
+        for name, param in p.items():
+            assert grad_check(f, param) < 1e-6, name
+
+    def test_shape_errors_name_the_shapes(self):
+        p = _gru_params(3, 4, zero=True)
+        with pytest.raises(ValueError, match=r"\(B, T, D\).*\(5, 3\)"):
+            hv.gru_sequence(_t(np.zeros((5, 3))), p)
+        with pytest.raises(ValueError,
+                           match=r"gru_sequence dim mismatch: seq \(2, 5, 6\).*wz \(3, 4\)"):
+            hv.gru_sequence(_t(np.zeros((2, 5, 6))), p)
+        with pytest.raises(ValueError, match=r"dim mismatch.*uh \(4, 5\)"):
+            hv.gru_sequence(_t(np.zeros((2, 5, 3))), {**p, "uh": _t(np.zeros((4, 5)))})
 
 
 class TestSoftmax:
@@ -393,6 +458,7 @@ REGISTERED_OPS = [
     ("matmul", lambda t, c: hv.matmul(t, c["m"]), (3, 4)),
     ("conv1d", lambda t, c: hv.conv1d(t, c["k"], c["cb"]), (6, 3)),
     ("gru_cell", lambda t, c: hv.gru_cell(t, c["h0"], c["gru"]), (2, 3)),
+    ("gru_sequence", lambda t, c: hv.gru_sequence(t, c["gru"]), (2, 5, 3)),
     ("softmax", lambda t, c: hv.mul(hv.softmax(t), c["probe5"]), (2, 5)),
     ("log_sum_exp", lambda t, c: hv.log_sum_exp(t), (2, 5)),
     ("pick", lambda t, c: hv.pick(t, [0, 2]), (2, 4)),

@@ -166,6 +166,22 @@ class TestFixedBatchDescent:
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
+def test_desk_training_step_tape_stays_small():
+    # One node per GRU direction: a per-time-step op chain would put
+    # hundreds of nodes on this tape (482 with ten steps of 22 ops each).
+    cfg = ModelConfig.desk(4)
+    params = build_params(cfg, seed=0)
+    rng = np.random.default_rng(8)
+    frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+    n_frames = np.full(8, cfg.n_fragments * cfg.frames_per_fragment)
+    with hv.record() as graph:
+        logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+                                  rng=np.random.default_rng(9))
+        loss = cross_entropy(logits, np.arange(8) % 4)
+    hv.backward(loss)
+    assert len(graph.nodes) <= 42
+
+
 class TestTrainLoop:
     def test_two_synthetic_speakers_reach_95_percent(self, tmp_path):
         manifest = synth_corpus(2, 20, 1.0, seed=11, out_dir=tmp_path)
