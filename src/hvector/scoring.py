@@ -173,34 +173,13 @@ class PldaModel:
         return (x - self.mean) @ self.lda
 
 
-def _group_by_speaker(embeddings):
-    groups: dict[str, list[np.ndarray]] = {}
-    for r in embeddings:
-        groups.setdefault(r.speaker_id, []).append(np.asarray(r.vector, np.float64))
-    return {k: np.stack(v) for k, v in sorted(groups.items())}
-
-
-def _scatter_matrices(groups, dim):
-    """Biased within/between scatter of globally centred data."""
-    n = sum(len(g) for g in groups.values())
-    sw = np.zeros((dim, dim))
-    sb = np.zeros((dim, dim))
-    for g in groups.values():
-        m = g.mean(axis=0)
-        c = g - m
-        sw += c.T @ c
-        sb += len(g) * np.outer(m, m)
-    return sw / n, sb / n
-
-
-def _lda_projection(groups, dim, reduced_dim):
-    sw, sb = _scatter_matrices(groups, dim)
+def _lda_projection(sw, sb, reduced_dim):
     try:
         evals, evecs = scipy.linalg.eigh(sb, sw)
     except scipy.linalg.LinAlgError:
         warnings.warn("within-class scatter is singular; regularizing with 1e-6*I")
         try:
-            evals, evecs = scipy.linalg.eigh(sb, sw + 1e-6 * np.eye(dim))
+            evals, evecs = scipy.linalg.eigh(sb, sw + 1e-6 * np.eye(len(sw)))
         except scipy.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "within-class scatter is singular even after regularization"
@@ -213,31 +192,30 @@ def _lda_projection(groups, dim, reduced_dim):
     return w * flips
 
 
-def _marginal_log_likelihood(stats, mu, phi_b, phi_w):
+def _marginal_log_likelihood(sizes, slot, means, scatter, mu, phi_b, phi_w):
     """Exact marginal log-likelihood of the two-covariance model.
 
     Decomposing each speaker's observations into the mean and within-speaker
     contrasts makes the likelihood a product of small Gaussians: the n-1
     contrast directions see covariance phi_w, the mean direction sees
-    phi_b + phi_w / n.
+    phi_b + phi_w / n.  Speaker k has sizes[slot[k]] observations, the mean
+    means[k], and `scatter` is the within scatter summed over speakers.
     """
     d = mu.shape[0]
+    counts = sizes[slot]
     _, logdet_w = np.linalg.slogdet(phi_w)
-    w_inv = np.linalg.inv(phi_w)
-    total = 0.0
-    for count, mean_vec, scatter in stats:
-        m = phi_b * count + phi_w
-        _, logdet_m = np.linalg.slogdet(m)
-        diff = mean_vec - mu
-        quad = count * diff @ np.linalg.solve(m, diff)
-        total += (
-            -0.5 * count * d * np.log(2.0 * np.pi)
-            - 0.5 * (count - 1) * logdet_w
-            - 0.5 * logdet_m
-            - 0.5 * np.sum(w_inv * scatter)
-            - 0.5 * quad
-        )
-    return total
+    m = phi_b * sizes[:, None, None] + phi_w
+    _, logdet_m = np.linalg.slogdet(m)
+    diff = means - mu
+    quad = counts * _inner(diff, (np.linalg.inv(m)[slot] @ diff[:, :, None])[:, :, 0])
+    n_total = counts.sum()
+    return (
+        -0.5 * n_total * d * np.log(2.0 * np.pi)
+        - 0.5 * (n_total - len(counts)) * logdet_w
+        - 0.5 * logdet_m[slot].sum()
+        - 0.5 * np.sum(np.linalg.inv(phi_w) * scatter)
+        - 0.5 * quad.sum()
+    )
 
 
 def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
@@ -252,16 +230,23 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
     if not np.all(np.isfinite(vectors)):
         raise ValueError("embeddings must be finite")
     dim = vectors.shape[1]
-    speakers = {r.speaker_id for r in embeddings}
+    speakers, which, counts = np.unique([r.speaker_id for r in embeddings],
+                                        return_inverse=True, return_counts=True)
     if len(speakers) < 2:
         raise ValueError("PLDA needs at least 2 speakers")
     mean = vectors.mean(axis=0)
-    centred = [EmbeddingRecord(r.utterance_id, r.speaker_id,
-                               np.asarray(r.vector, np.float64) - mean)
-               for r in embeddings]
-    groups = _group_by_speaker(centred)
-    if max(len(g) for g in groups.values()) < 2:
+    if counts.max() < 2:
         raise ValueError("PLDA needs repeated utterances for at least one speaker")
+
+    # sufficient statistics of the centred data: count and mean per speaker,
+    # one within scatter summed over all speakers
+    centred = vectors - mean
+    sums = np.zeros((len(speakers), dim))
+    np.add.at(sums, which, centred)
+    means = sums / counts[:, None]
+    contrasts = centred - means[which]
+    within = contrasts.T @ contrasts
+    n_total = len(vectors)
 
     if use_lda:
         if reduced_dim is None:
@@ -273,49 +258,43 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
                 f"LDA rank caps at n_speakers-1 = {len(speakers) - 1}, "
                 f"got reduced_dim {reduced_dim}"
             )
-        lda = _lda_projection(groups, dim, reduced_dim)
+        between = (means.T * counts) @ means
+        lda = _lda_projection(within / n_total, between / n_total, reduced_dim)
     else:
         lda = np.eye(dim)
 
-    projected = {spk: g @ lda for spk, g in groups.items()}
-    # sufficient statistics per speaker: count, mean, within scatter
-    stats = []
-    for g in projected.values():
-        m = g.mean(axis=0)
-        c = g - m
-        stats.append((len(g), m, c.T @ c))
+    means = means @ lda
+    scatter = lda.T @ within @ lda
+    # every matrix EM needs depends on a speaker only through its count, so
+    # it is built once per distinct count: speaker k's count is
+    # sizes[slot[k]], and speakers_of[s] speakers have count sizes[s]
+    sizes, slot = np.unique(counts, return_inverse=True)
+    speakers_of = np.bincount(slot)
 
     d = lda.shape[1]
-    n_total = sum(count for count, _, _ in stats)
-    mu = sum(count * m for count, m, _ in stats) / n_total
-    phi_w = sum(s for _, _, s in stats) / n_total + 1e-6 * np.eye(d)
-    phi_b = sum(count * np.outer(m - mu, m - mu) for count, m, _ in stats) \
-        / n_total + 1e-6 * np.eye(d)
+    mu = counts @ means / n_total
+    phi_w = scatter / n_total + 1e-6 * np.eye(d)
+    diff = means - mu
+    phi_b = (diff.T * counts) @ diff / n_total + 1e-6 * np.eye(d)
 
     ll_prev = -np.inf
     for _ in range(max_iter):
-        ll = _marginal_log_likelihood(stats, mu, phi_b, phi_w)
+        ll = _marginal_log_likelihood(sizes, slot, means, scatter, mu, phi_b, phi_w)
         if ll - ll_prev < tol:
             break
         ll_prev = ll
         # E-step: Gaussian posterior of each speaker factor, in a form that
         # tolerates phi_b approaching zero
-        post = []
-        for count, m, _ in stats:
-            g = np.linalg.solve(phi_b + phi_w / count, np.eye(d))
-            gain = phi_b @ g
-            post_mean = mu + gain @ (m - mu)
-            post_cov = phi_b - gain @ phi_b
-            post.append((post_mean, post_cov))
+        gain = phi_b @ np.linalg.inv(phi_b + phi_w / sizes[:, None, None])
+        post_mean = mu + (gain[slot] @ (means - mu)[:, :, None])[:, :, 0]
+        post_cov = phi_b - gain @ phi_b
         # M-step
-        k = len(stats)
-        mu = sum(pm for pm, _ in post) / k
-        phi_b = sum(pc + np.outer(pm - mu, pm - mu) for pm, pc in post) / k
-        phi_w_new = np.zeros((d, d))
-        for (count, m, scatter), (pm, pc) in zip(stats, post):
-            diff = m - pm
-            phi_w_new += scatter + count * (np.outer(diff, diff) + pc)
-        phi_w = phi_w_new / n_total
+        mu = post_mean.mean(axis=0)
+        diff = post_mean - mu
+        phi_b = (np.tensordot(speakers_of, post_cov, 1) + diff.T @ diff) / len(counts)
+        resid = means - post_mean
+        phi_w = (scatter + (resid.T * counts) @ resid
+                 + np.tensordot(speakers_of * sizes, post_cov, 1)) / n_total
         # keep both covariances symmetric against accumulated round-off
         phi_b = 0.5 * (phi_b + phi_b.T)
         phi_w = 0.5 * (phi_w + phi_w.T)
@@ -330,35 +309,37 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
     return PldaModel(mean=mean, lda=lda, mu=mu, phi_b=phi_b, phi_w=phi_w)
 
 
-def _llr_terms(model):
+def _llr(model, e, t) -> np.ndarray:
+    """Same-speaker log-likelihood ratio of each row pair of two projected stacks.
+
+    Centred on mu, u = (e+t)/sqrt(2) and v = (e-t)/sqrt(2) are independent
+    under both hypotheses: same speaker, u ~ N(0, W+2B) and v ~ N(0, W);
+    different speakers, both ~ N(0, T) with T = B+W.  So the LLR is
+    const + u'Pu/2 + v'Qv/2 with P = T^-1 - (W+2B)^-1 and Q = T^-1 - W^-1,
+    both fixed by the model.
+    """
     b, w = model.phi_b, model.phi_w
-    t = b + w
-    s_plus = w + 2.0 * b
-    return t, s_plus, w
+    cov_t, cov_plus = b + w, w + 2.0 * b
+    t_inv = np.linalg.inv(cov_t)
+    p = t_inv - np.linalg.inv(cov_plus)
+    q = t_inv - np.linalg.inv(w)
+    _, ld_t = np.linalg.slogdet(cov_t)
+    _, ld_plus = np.linalg.slogdet(cov_plus)
+    _, ld_w = np.linalg.slogdet(w)
+    # u, then v, under one name, so only one (trials, dim) array lives at a time
+    x = (e + t - 2.0 * model.mu) / np.sqrt(2.0)
+    llr = ld_t - 0.5 * (ld_plus + ld_w) + 0.5 * np.sum((x @ p) * x, axis=1)
+    x = (e - t) / np.sqrt(2.0)
+    return llr + 0.5 * np.sum((x @ q) * x, axis=1)
 
 
 def score_trials(model: PldaModel, trials) -> np.ndarray:
     """Log-likelihood ratios, same speaker vs different, for each trial."""
     if not trials:
         return np.zeros(0)
-    e = model.project(np.stack([tr.enrol_vector for tr in trials])) - model.mu
-    t = model.project(np.stack([tr.test_vector for tr in trials])) - model.mu
-    cov_t, cov_plus, cov_minus = _llr_terms(model)
-    u = (e + t) / np.sqrt(2.0)
-    v = (e - t) / np.sqrt(2.0)
-
-    def quad(cov, x):
-        return np.sum(x * np.linalg.solve(cov, x.T).T, axis=1)
-
-    _, ld_t = np.linalg.slogdet(cov_t)
-    _, ld_plus = np.linalg.slogdet(cov_plus)
-    _, ld_minus = np.linalg.slogdet(cov_minus)
-    llr = (
-        ld_t - 0.5 * (ld_plus + ld_minus)
-        - 0.5 * (quad(cov_plus, u) + quad(cov_minus, v))
-        + 0.5 * (quad(cov_t, u) + quad(cov_t, v))
-    )
-    return llr
+    e = model.project(np.stack([tr.enrol_vector for tr in trials]))
+    t = model.project(np.stack([tr.test_vector for tr in trials]))
+    return _llr(model, e, t)
 
 
 def plda_score(model: PldaModel, enrol, test) -> float:
@@ -367,8 +348,7 @@ def plda_score(model: PldaModel, enrol, test) -> float:
     test = np.asarray(test, dtype=np.float64)
     if enrol.shape != test.shape:
         raise ValueError(f"vector dims differ: {enrol.shape} vs {test.shape}")
-    trial = Trial("", "", enrol, test, target=False)
-    return float(score_trials(model, [trial])[0])
+    return float(_llr(model, model.project(enrol[None]), model.project(test[None]))[0])
 
 
 # --- file formats ----------------------------------------------------------

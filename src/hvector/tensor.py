@@ -73,10 +73,9 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "out", "bwd", "graph")
+    __slots__ = ("out", "bwd", "graph")
 
-    def __init__(self, inputs, out, bwd, graph):
-        self.inputs = inputs
+    def __init__(self, out, bwd, graph):
         self.out = out
         self.bwd = bwd
         self.graph = graph
@@ -115,7 +114,7 @@ def _make(out_data, inputs, bwd) -> Tensor:
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
     if requires and _ACTIVE is not None:
-        node = _Node(inputs, out, bwd, _ACTIVE)
+        node = _Node(out, bwd, _ACTIVE)
         out.node = node
         _ACTIVE.nodes.append(node)
     return out
@@ -141,7 +140,10 @@ def backward(loss: Tensor):
     """Run reverse-mode accumulation from a scalar loss.
 
     Visits the tape in exact reverse insertion order.  A tape can only be
-    replayed once; record a new graph for the next step.
+    replayed once; record a new graph for the next step.  Each node drops its
+    output and closure as it is visited, which breaks the Tensor <-> node
+    cycle, so a step's activations are freed by reference counting as soon
+    as the caller lets go of them.
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -150,13 +152,13 @@ def backward(loss: Tensor):
     graph = loss.node.graph
     if graph.finished:
         raise RuntimeError("backward was already called on this graph; record a new one")
+    graph.finished = True
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
-        out_grad = node.out.grad
-        if out_grad is None:
-            continue
-        node.bwd(out_grad)
-    graph.finished = True
+        out, bwd = node.out, node.bwd
+        node.out = node.bwd = None
+        if out.grad is not None:
+            bwd(out.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hvector.scoring import (
@@ -283,6 +284,89 @@ def spearman(a, b):
     return np.corrcoef(ra, rb)[0, 1]
 
 
+def plda_fit_oracle(embeddings, use_lda, max_iter=50, tol=1e-6):
+    """(mu, phi_b, phi_w, lda) of the two-covariance EM, one speaker at a time.
+
+    Each speaker keeps its own scatter matrix, likelihood term and posterior,
+    summed in Python; same initialisation, stopping rule, ridges and default
+    LDA rank as `plda_fit`.
+    """
+    vectors = np.stack([r.vector for r in embeddings])
+    mean = vectors.mean(axis=0)
+    by_speaker = {}
+    for r in embeddings:
+        by_speaker.setdefault(r.speaker_id, []).append(r.vector - mean)
+    groups = [np.stack(g) for _, g in sorted(by_speaker.items())]
+    dim = len(mean)
+    if use_lda:
+        sw = np.zeros((dim, dim))
+        sb = np.zeros((dim, dim))
+        for g in groups:
+            m = g.mean(axis=0)
+            sw += (g - m).T @ (g - m)
+            sb += len(g) * np.outer(m, m)
+        sw, sb = sw / len(vectors), sb / len(vectors)
+        try:
+            evals, evecs = scipy.linalg.eigh(sb, sw)
+        except scipy.linalg.LinAlgError:
+            evals, evecs = scipy.linalg.eigh(sb, sw + 1e-6 * np.eye(dim))
+        w = evecs[:, np.argsort(evals)[::-1][:min(len(groups) - 1, dim)]]
+        signs = np.sign(w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])])
+        lda = w * np.where(signs == 0.0, 1.0, signs)
+    else:
+        lda = np.eye(dim)
+
+    stats = []
+    for g in groups:
+        p = g @ lda
+        m = p.mean(axis=0)
+        stats.append((len(g), m, (p - m).T @ (p - m)))
+    d = lda.shape[1]
+    n_total = len(vectors)
+    mu = sum(n * m for n, m, _ in stats) / n_total
+    phi_w = sum(s for _, _, s in stats) / n_total + 1e-6 * np.eye(d)
+    phi_b = sum(n * np.outer(m - mu, m - mu) for n, m, _ in stats) / n_total \
+        + 1e-6 * np.eye(d)
+
+    def log_likelihood():
+        _, logdet_w = np.linalg.slogdet(phi_w)
+        total = 0.0
+        for n, m, s in stats:
+            cov = phi_b * n + phi_w
+            _, logdet = np.linalg.slogdet(cov)
+            total += (-0.5 * n * d * np.log(2.0 * np.pi) - 0.5 * (n - 1) * logdet_w
+                      - 0.5 * logdet - 0.5 * np.sum(np.linalg.inv(phi_w) * s)
+                      - 0.5 * n * (m - mu) @ np.linalg.solve(cov, m - mu))
+        return total
+
+    ll_prev = -np.inf
+    for _ in range(max_iter):
+        ll = log_likelihood()
+        if ll - ll_prev < tol:
+            break
+        ll_prev = ll
+        post = []
+        for n, m, _ in stats:
+            gain = phi_b @ np.linalg.inv(phi_b + phi_w / n)
+            post.append((mu + gain @ (m - mu), phi_b - gain @ phi_b))
+        mu = sum(pm for pm, _ in post) / len(stats)
+        phi_b = sum(pc + np.outer(pm - mu, pm - mu) for pm, pc in post) / len(stats)
+        phi_w = sum(s + n * (np.outer(m - pm, m - pm) + pc)
+                    for (n, m, s), (pm, pc) in zip(stats, post)) / n_total
+        phi_b = 0.5 * (phi_b + phi_b.T)
+        phi_w = 0.5 * (phi_w + phi_w.T)
+        evals = np.linalg.eigvalsh(phi_w)
+        if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+            phi_w = phi_w + 1e-6 * np.eye(d)
+    return mu, phi_b, phi_w, lda
+
+
+def log_normal(x, cov):
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * (len(x) * np.log(2.0 * np.pi) + logdet + x @ np.linalg.solve(cov, x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPlda:
     def test_recovers_generating_covariances(self):
         recs, truth, latents, noises, rng = sample_two_cov(seed=42)
@@ -327,6 +411,48 @@ class TestPlda:
         for e, t in pairs:
             assert abs(plda_score(plain, e, t)
                        - plda_score(projected, e, t)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.integers(1, 6), min_size=2, max_size=8)
+           .filter(lambda c: max(c) >= 2),
+           d=st.integers(2, 5), use_lda=st.booleans())
+    def test_fit_matches_per_speaker_oracle(self, seed, counts, d, use_lda):
+        # Uneven counts: EM inverts one matrix per distinct count.  With fewer
+        # within-speaker contrasts than dimensions the within scatter is
+        # singular up to rounding, and even the oracle's fit then changes
+        # with the order of the records, so such draws are left out.
+        assume(sum(counts) - len(counts) >= d)
+        rng = np.random.default_rng(seed)
+        recs = [EmbeddingRecord(f"s{k}-u{j}", f"s{k}", y + rng.standard_normal(d))
+                for k, n in enumerate(counts)
+                for y in [2.0 * rng.standard_normal(d)] for j in range(n)]
+        recs = [recs[i] for i in rng.permutation(len(recs))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = plda_fit(recs, use_lda=use_lda)
+            expected = plda_fit_oracle(recs, use_lda)
+        # the data are O(1), so mu (0 when every count is equal) is held to
+        # the data scale, the rest to their own norms
+        for got, want in zip((model.mu, model.phi_b, model.phi_w, model.lda), expected):
+            assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))
+    def test_llr_matches_joint_gaussian_oracle(self, seed, d):
+        rng = np.random.default_rng(seed)
+        a, c = rng.standard_normal((2, d, d))
+        b = a @ a.T + 0.1 * np.eye(d)
+        w = c @ c.T + 0.1 * np.eye(d)
+        mu = rng.standard_normal(d)
+        model = PldaModel(mean=np.zeros(d), lda=np.eye(d), mu=mu, phi_b=b, phi_w=w)
+        pairs = 2.0 * rng.standard_normal((20, 2, d))
+        t = b + w
+        joint = np.block([[t, b], [b, t]])
+        expected = [log_normal(np.r_[e - mu, x - mu], joint)
+                    - log_normal(e - mu, t) - log_normal(x - mu, t) for e, x in pairs]
+        trials = [Trial("e", "t", e, x, False) for e, x in pairs]
+        np.testing.assert_allclose(score_trials(model, trials), expected, rtol=0, atol=1e-9)
 
     def test_zero_between_covariance_gives_zero_llr(self):
         rng = np.random.default_rng(4)

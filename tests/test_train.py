@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,28 @@ def test_desk_training_step_tape_stays_small():
         loss = cross_entropy(logits, np.arange(8) % 4)
     hv.backward(loss)
     assert len(graph.nodes) <= 42
+
+
+def test_finished_step_is_freed_without_the_cycle_collector():
+    cfg = ModelConfig.desk(4)
+    params = build_params(cfg, seed=0)
+    rng = np.random.default_rng(8)
+    frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+    n_frames = np.full(8, cfg.n_fragments * cfg.frames_per_fragment)
+    # with the cycle collector off, only reference counting can free the step
+    gc.disable()
+    try:
+        trace = {}
+        with hv.record():
+            logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+                                      rng=np.random.default_rng(9), trace=trace)
+            loss = cross_entropy(logits, np.arange(8) % 4)
+        hv.backward(loss)
+        activation = weakref.ref(trace["frame_encoded"].data)
+        del trace, logits, loss
+        assert activation() is None
+    finally:
+        gc.enable()
 
 
 class TestTrainLoop:
