@@ -31,16 +31,22 @@ from .audio import (
 )
 from .corpus import Manifest, ManifestEntry, split, synth_corpus
 from .model import ModelConfig, embed_batch, load_checkpoint
-from .scoring import (
+# make_trials, score_trials and save_trials are no longer called here; they
+# stay importable from this module, where perfbench/spans.py patches them
+from .scoring import (  # noqa: F401
     EmbeddingRecord,
     accuracy,
     cosine_score,
     eer_operating_point,
+    embedding_matrix,
+    enrolment_models,
     load_embeddings,
     make_trials,
     plda_fit,
+    plda_score,
     save_eer_report,
     save_embeddings,
+    save_score_matrix,
     save_trials,
     score_trials,
 )
@@ -421,8 +427,13 @@ def cmd_score_ver(args) -> int:
     _guard_outputs([trials_path, report_path], args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # one (K, N) score matrix: K enrolment models by N test vectors
     try:
-        trials = make_trials(enrol, eval_records, length_norm=cfg["length_norm"])
+        speakers, models = enrolment_models(enrol, length_norm=cfg["length_norm"])
+        tests = embedding_matrix(eval_records, length_norm=cfg["length_norm"])
+        if models.shape[1] != tests.shape[1]:
+            raise ValueError(f"embedding dims differ: {args.enrol} has "
+                             f"{models.shape[1]}, {args.eval} has {tests.shape[1]}")
         if cfg["backend"] == "plda":
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -431,15 +442,15 @@ def cmd_score_ver(args) -> int:
             # each distinct message once, as Python's default filter would
             for message in dict.fromkeys(str(w.message) for w in caught):
                 print(f"warning: {message}", file=sys.stderr)
-            scores = score_trials(model, trials)
+            scores = plda_score(model, models[:, None], tests[None])
         else:
-            scores = cosine_score(np.stack([t.enrol_vector for t in trials]),
-                                  np.stack([t.test_vector for t in trials]))
-        targets = [t.target for t in trials]
-        eer, threshold = eer_operating_point(scores, targets)
+            scores = cosine_score(models[:, None], tests[None])
+        targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
+        eer, threshold = eer_operating_point(scores.ravel(), targets.ravel())
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise CliError(str(exc)) from exc
-    save_trials(trials_path, trials, scores)
+    save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
+                      scores, targets)
     save_eer_report(report_path, eer, threshold)
     print(f"trials: {trials_path}")
     print(f"report: {report_path}")

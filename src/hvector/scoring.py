@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,8 +13,9 @@ import scipy.linalg
 __all__ = [
     "EmbeddingRecord", "Trial", "PldaModel",
     "accuracy", "compute_eer", "eer_operating_point",
-    "make_trials", "plda_fit", "plda_score", "score_trials", "cosine_score",
-    "save_embeddings", "load_embeddings", "save_trials", "load_trials",
+    "embedding_matrix", "enrolment_models", "make_trials", "plda_fit",
+    "plda_score", "score_trials", "cosine_score", "save_embeddings",
+    "load_embeddings", "save_trials", "save_score_matrix", "load_trials",
     "save_eer_report",
 ]
 
@@ -86,9 +88,16 @@ def eer_operating_point(scores, targets) -> tuple[float, float]:
     frr = misses * n_n
     threshold = float(ranked[below[np.argmin(np.abs(far - frr))]])
 
+    # raising the threshold past one distinct score moves the point up (only
+    # targets had it), left (only non-targets) or diagonally (both); a point
+    # between two up-steps or two left-steps lies inside a straight run of
+    # the sweep, so it is no hull vertex and the hull never sees it
+    hits = np.diff(misses, append=n_t)
+    step = np.sign(hits) - np.sign(np.diff(below, append=len(ranked)) - hits)
+    corner = np.r_[True, (step[1:] != step[:-1]) | (step[1:] == 0)]
     # accept-everything (n, 0) and reject-everything (0, n) close the sweep
-    xs = np.r_[n, 0, far]
-    ys = np.r_[0, n, frr]
+    xs = np.r_[n, 0, far[corner]]
+    ys = np.r_[0, n, frr[corner]]
     by_x = np.lexsort((ys, xs))
     hull: list[tuple[int, int]] = []
     for p in zip(xs[by_x].tolist(), ys[by_x].tolist()):
@@ -125,32 +134,47 @@ def _unit(v):
     return v / np.where(norm == 0.0, 1.0, norm)
 
 
-def make_trials(enrol, eval_records, length_norm: bool = False) -> list[Trial]:
-    """Cartesian trials: every enrolment speaker against every eval utterance.
+def embedding_matrix(records, length_norm: bool = False) -> np.ndarray:
+    """The records' vectors stacked into an (n, d) matrix, each row scaled to
+    unit length if asked."""
+    vectors = np.stack([np.asarray(r.vector, dtype=np.float64) for r in records])
+    return _unit(vectors) if length_norm else vectors
 
-    The enrolment model for a speaker is the mean of that speaker's
-    embeddings (optionally length-normalized first); a trial is a target
-    iff the eval utterance belongs to the enrolment speaker.
+
+def enrolment_models(enrol, length_norm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted enrolment speaker ids and the (K, d) matrix of their models.
+
+    A speaker's model is the mean of that speaker's embeddings (each
+    length-normalized first if asked).
+    """
+    if not enrol:
+        raise ValueError("enrolment set must be non-empty")
+    vectors = embedding_matrix(enrol, length_norm)
+    speakers, which = np.unique([r.speaker_id for r in enrol], return_inverse=True)
+    return speakers, np.stack([np.mean(vectors[which == k], axis=0)
+                               for k in range(len(speakers))])
+
+
+def make_trials(enrol, eval_records, length_norm: bool = False) -> list[Trial]:
+    """Cartesian trials: every enrolment model (`enrolment_models`) against
+    every eval utterance, row-major; a trial is a target iff the eval
+    utterance belongs to the enrolment speaker.
     """
     if not enrol or not eval_records:
         raise ValueError("enrolment and evaluation sets must both be non-empty")
-
-    def vector(r):
-        return _unit(r.vector) if length_norm else np.asarray(r.vector, dtype=np.float64)
-
-    by_speaker: dict[str, list[np.ndarray]] = {}
-    for r in enrol:
-        by_speaker.setdefault(r.speaker_id, []).append(vector(r))
-    models = {spk: np.mean(vs, axis=0) for spk, vs in sorted(by_speaker.items())}
-    tests = [vector(r) for r in eval_records]
+    speakers, models = enrolment_models(enrol, length_norm)
+    tests = embedding_matrix(eval_records, length_norm)
     return [Trial(enrol_speaker=spk, test_utterance=r.utterance_id,
                   enrol_vector=model_vec, test_vector=v, target=r.speaker_id == spk)
-            for spk, model_vec in models.items() for r, v in zip(eval_records, tests)]
+            for spk, model_vec in zip(speakers.tolist(), models)
+            for r, v in zip(eval_records, tests)]
 
 
 def cosine_score(e, t) -> float | np.ndarray:
     """Cosine similarity along the last axis: a float for two vectors, an
-    array of scores for two row-stacked arrays. A zero vector scores 0."""
+    array for stacks that broadcast against each other, so (K, 1, d) models
+    against (1, N, d) tests give the (K, N) score matrix. A zero vector
+    scores 0."""
     scores = _inner(_unit(e), _unit(t))
     return float(scores) if scores.ndim == 0 else scores
 
@@ -226,7 +250,7 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
     x = y + e with e ~ N(0, phi_w). EM stops after max_iter iterations or
     when the exact marginal log-likelihood improves by less than tol.
     """
-    vectors = np.stack([np.asarray(r.vector, dtype=np.float64) for r in embeddings])
+    vectors = embedding_matrix(embeddings)
     if not np.all(np.isfinite(vectors)):
         raise ValueError("embeddings must be finite")
     dim = vectors.shape[1]
@@ -309,46 +333,44 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
     return PldaModel(mean=mean, lda=lda, mu=mu, phi_b=phi_b, phi_w=phi_w)
 
 
-def _llr(model, e, t) -> np.ndarray:
-    """Same-speaker log-likelihood ratio of each row pair of two projected stacks.
+def plda_score(model: PldaModel, enrol, test) -> float | np.ndarray:
+    """Same-speaker log-likelihood ratio along the last axis: a float for two
+    vectors, an array for stacks that broadcast against each other, so
+    (K, 1, d) models against (1, N, d) tests give the (K, N) score matrix.
 
     Centred on mu, u = (e+t)/sqrt(2) and v = (e-t)/sqrt(2) are independent
     under both hypotheses: same speaker, u ~ N(0, W+2B) and v ~ N(0, W);
     different speakers, both ~ N(0, T) with T = B+W.  So the LLR is
-    const + u'Pu/2 + v'Qv/2 with P = T^-1 - (W+2B)^-1 and Q = T^-1 - W^-1,
-    both fixed by the model.
+    const + u'Pu/2 + v'Qv/2 with P = T^-1 - (W+2B)^-1 and Q = T^-1 - W^-1.
+    Expanded, it is const + e'Ae + t'At + e'Ct with A = (P+Q)/4 and
+    C = (P-Q)/2: only the cross term pairs a model with a test vector.
     """
+    enrol = np.asarray(enrol, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    if enrol.shape[-1] != test.shape[-1]:
+        raise ValueError(f"vector dims differ: {enrol.shape} vs {test.shape}")
     b, w = model.phi_b, model.phi_w
     cov_t, cov_plus = b + w, w + 2.0 * b
     t_inv = np.linalg.inv(cov_t)
     p = t_inv - np.linalg.inv(cov_plus)
     q = t_inv - np.linalg.inv(w)
+    a, c = (p + q) / 4.0, (p - q) / 2.0
     _, ld_t = np.linalg.slogdet(cov_t)
     _, ld_plus = np.linalg.slogdet(cov_plus)
     _, ld_w = np.linalg.slogdet(w)
-    # u, then v, under one name, so only one (trials, dim) array lives at a time
-    x = (e + t - 2.0 * model.mu) / np.sqrt(2.0)
-    llr = ld_t - 0.5 * (ld_plus + ld_w) + 0.5 * np.sum((x @ p) * x, axis=1)
-    x = (e - t) / np.sqrt(2.0)
-    return llr + 0.5 * np.sum((x @ q) * x, axis=1)
+    e = model.project(enrol) - model.mu
+    t = model.project(test) - model.mu
+    scores = (ld_t - 0.5 * (ld_plus + ld_w)
+              + _inner(e @ a, e) + _inner(t @ a, t) + _inner(e @ c, t))
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def score_trials(model: PldaModel, trials) -> np.ndarray:
     """Log-likelihood ratios, same speaker vs different, for each trial."""
     if not trials:
         return np.zeros(0)
-    e = model.project(np.stack([tr.enrol_vector for tr in trials]))
-    t = model.project(np.stack([tr.test_vector for tr in trials]))
-    return _llr(model, e, t)
-
-
-def plda_score(model: PldaModel, enrol, test) -> float:
-    """Closed-form same-speaker log-likelihood ratio for one pair."""
-    enrol = np.asarray(enrol, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if enrol.shape != test.shape:
-        raise ValueError(f"vector dims differ: {enrol.shape} vs {test.shape}")
-    return float(_llr(model, model.project(enrol[None]), model.project(test[None]))[0])
+    return plda_score(model, np.stack([tr.enrol_vector for tr in trials]),
+                      np.stack([tr.test_vector for tr in trials]))
 
 
 # --- file formats ----------------------------------------------------------
@@ -378,16 +400,28 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
         if not header or header[:2] != ["utterance_id", "speaker_id"]:
             raise ValueError(f"{path} is not an embedding CSV")
         dim = len(header) - 2
-        out = []
+        out, lines = [], []
         for row in reader:
             if len(row) != dim + 2:
-                raise ValueError(f"row for {row[0] if row else '?'} has "
-                                 f"{len(row) - 2} values, expected {dim}")
-            vec = np.array([float(x) for x in row[2:]])
+                raise ValueError(f"{path} line {reader.line_num}: row for "
+                                 f"{row[0] if row else '?'} has {len(row) - 2} "
+                                 f"values, expected {dim}")
+            try:
+                vec = np.array([float(x) for x in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             out.append(EmbeddingRecord(row[0], row[1], vec))
+            lines.append(reader.line_num)
     if not out:
         raise ValueError(f"{path} contains no embeddings")
+    finite = np.isfinite(embedding_matrix(out)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path} line {lines[np.argmin(finite)]}: "
+                         "embedding values must be finite")
     return out
+
+
+_TRIALS_HEADER = ["enrol_speaker", "test_utterance", "score", "target"]
 
 
 def save_trials(path, trials, scores):
@@ -397,10 +431,34 @@ def save_trials(path, trials, scores):
         raise ValueError(f"{len(trials)} trials but {len(scores)} scores")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["enrol_speaker", "test_utterance", "score", "target"])
+        writer.writerow(_TRIALS_HEADER)
         for tr, s in zip(trials, scores):
             writer.writerow([tr.enrol_speaker, tr.test_utterance,
                              repr(float(s)), int(tr.target)])
+
+
+def _csv_field(value) -> str:
+    """value as a csv writer writes it within a row: quoted only if needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def save_score_matrix(path, speakers, test_utterances, scores, targets):
+    """The trials CSV of a (K, N) score matrix, row-major: the file
+    `save_trials` writes for `make_trials`' list, one enrolment row at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    targets = np.asarray(targets, dtype=bool)
+    if not scores.shape == targets.shape == (len(speakers), len(test_utterances)):
+        raise ValueError(f"{len(speakers)} x {len(test_utterances)} trials but "
+                         f"scores {scores.shape} and targets {targets.shape}")
+    tests = [_csv_field(u) + "," for u in test_utterances]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_TRIALS_HEADER) + "\n")
+        for spk, row, hits in zip(speakers, scores, targets):
+            enrol = _csv_field(spk) + ","
+            fh.write("".join([f"{enrol}{u}{s!r},{t}\n" for u, s, t in
+                              zip(tests, row.tolist(), hits.astype(int).tolist())]))
 
 
 def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +467,7 @@ def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["enrol_speaker", "test_utterance", "score", "target"]:
+        if header != _TRIALS_HEADER:
             raise ValueError(f"{path} is not a trials CSV")
         for row in reader:
             scores.append(float(row[2]))

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -23,9 +24,14 @@ from hvector.corpus import Manifest
 from hvector.scoring import (
     EmbeddingRecord,
     compute_eer,
+    cosine_score,
     load_embeddings,
     load_trials,
+    make_trials,
+    plda_fit,
     save_embeddings,
+    save_trials,
+    score_trials,
 )
 
 
@@ -393,6 +399,31 @@ class TestScoreVer:
         assert "config score-ver.backend=cosine" in out
         assert "EER=0.0000" in out
 
+    def test_matrix_output_matches_per_trial_api(self, tmp_path):
+        paths = _clustered_embedding_csvs(tmp_path)
+        enrol, test = load_embeddings(paths["enrol"]), load_embeddings(paths["eval"])
+        trials = make_trials(enrol, test, length_norm=True)
+        for backend, scores in [
+                ("cosine", cosine_score(np.stack([t.enrol_vector for t in trials]),
+                                        np.stack([t.test_vector for t in trials]))),
+                ("plda", score_trials(plda_fit(load_embeddings(paths["plda"])), trials))]:
+            code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                                   "--eval", str(paths["eval"]),
+                                   "--plda-train", str(paths["plda"]),
+                                   "--out", str(tmp_path / backend),
+                                   "--set", f"backend={backend}", "--set", "length_norm=true")
+            assert code == 0, err
+            save_trials(tmp_path / f"{backend}.csv", trials, scores)
+            got = (tmp_path / backend / "trials.csv").read_text().splitlines()
+            want = (tmp_path / f"{backend}.csv").read_text().splitlines()
+            if backend == "cosine":
+                assert got == want
+            # ids, row order and targets: all but the score column
+            assert ([row.rsplit(",", 2)[::2] for row in got]
+                    == [row.rsplit(",", 2)[::2] for row in want])
+            got_scores = load_trials(tmp_path / backend / "trials.csv")[0]
+            assert np.max(np.abs(got_scores - scores)) <= 1e-12 * np.max(np.abs(scores))
+
     def test_real_pipeline_embeddings(self, pipeline, tmp_path):
         emb_csv = tmp_path / "emb.csv"
         assert run_cli("embed", "--manifest", str(pipeline["feats_manifest"]),
@@ -429,6 +460,67 @@ class TestScoreVer:
                                "--out", str(tmp_path / "ver"))
         assert code == 1
         assert "hvector embed" in err
+
+    def test_non_numeric_value_is_a_one_line_error(self, tmp_path):
+        paths = _clustered_embedding_csvs(tmp_path)
+        lines = paths["eval"].read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
+        paths["eval"].write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"))
+        assert code == 1
+        assert err.splitlines() == [f"error: {paths['eval']} line 4: "
+                                    "could not convert string to float: 'x'"]
+
+    def test_non_finite_value_is_a_one_line_error(self, tmp_path):
+        paths = _clustered_embedding_csvs(tmp_path)
+        lines = paths["plda"].read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        paths["plda"].write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                               "--eval", str(paths["eval"]),
+                               "--plda-train", str(paths["plda"]),
+                               "--out", str(tmp_path / "ver"))
+        assert code == 1
+        assert err.splitlines() == [f"error: {paths['plda']} line 3: "
+                                    "embedding values must be finite"]
+
+    def test_dim_mismatch_is_a_one_line_error(self, tmp_path):
+        paths = _clustered_embedding_csvs(tmp_path)
+        save_embeddings(paths["eval"], [EmbeddingRecord("x0", "a", np.ones(4))])
+        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"),
+                               "--set", "backend=cosine")
+        assert code == 1
+        assert err.splitlines() == [f"error: embedding dims differ: {paths['enrol']} "
+                                    f"has 8, {paths['eval']} has 4"]
+
+    @pytest.mark.parametrize("backend", ["plda", "cosine"])
+    def test_matrix_scoring_stays_near_input_size(self, tmp_path, backend):
+        # 200 enrolment models x 1,000 test vectors in 64-d: the score matrix
+        # is 1.6 MB and the run peaks near 19 MB traced.  Copying both vectors
+        # into each of the 200k trials peaked at ~420 MB, and holding every
+        # trials.csv line at once (instead of one enrolment row's) at ~34 MB.
+        rng = np.random.default_rng(8)
+        means = rng.standard_normal((200, 64))
+        save_embeddings(tmp_path / "enrol.csv", [
+            EmbeddingRecord(f"s{k}-e{j}", f"s{k}", means[k] + rng.standard_normal(64))
+            for k in range(200) for j in range(2)])
+        save_embeddings(tmp_path / "eval.csv", [
+            EmbeddingRecord(f"s{k}-t{j}", f"s{k}", means[k] + rng.standard_normal(64))
+            for k in range(200) for j in range(5)])
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli("score-ver", "--enrol", str(tmp_path / "enrol.csv"),
+                                     "--eval", str(tmp_path / "eval.csv"),
+                                     "--out", str(tmp_path / "ver"),
+                                     "--set", f"backend={backend}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert len(load_trials(tmp_path / "ver/trials.csv")[0]) == 200_000
+        assert peak < 28 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -1,3 +1,5 @@
+import re
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from hvector.scoring import (
     compute_eer,
     cosine_score,
     eer_operating_point,
+    embedding_matrix,
+    enrolment_models,
     load_embeddings,
     load_trials,
     make_trials,
@@ -22,6 +26,7 @@ from hvector.scoring import (
     plda_score,
     save_eer_report,
     save_embeddings,
+    save_score_matrix,
     save_trials,
     score_trials,
 )
@@ -109,6 +114,30 @@ _score_sets = st.lists(
 ).filter(lambda rows: {t for _, t in rows} == {True, False})
 
 
+# runs of consecutive distinct scores held by one class only (the sweep's
+# straight stretches) next to runs that both classes share; each step of a
+# run draws its own (targets, non-targets) tie counts
+_score_runs = st.lists(
+    st.tuples(st.sampled_from(["target", "non-target", "both"]),
+              st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       min_size=1, max_size=8)),
+    min_size=1, max_size=10,
+)
+
+
+def _expand_runs(runs):
+    """(scores, targets) with one distinct score per step of each run."""
+    scores, targets = [], []
+    for kind, steps in runs:
+        for n_target, n_non in steps:
+            level = len(set(scores)) / 4.0
+            n_target *= kind != "non-target"
+            n_non *= kind != "target"
+            scores += [level] * (n_target + n_non)
+            targets += [True] * n_target + [False] * n_non
+    return scores, targets
+
+
 class TestEqualErrorRate:
     def test_interleaved_example(self):
         # one miss or one false alarm at the crossing: a quarter either way
@@ -168,6 +197,19 @@ class TestEqualErrorRate:
     def test_operating_point_matches_brute_force(self, rows):
         scores = [s for s, _ in rows]
         targets = [t for _, t in rows]
+        eer, threshold = eer_operating_point(scores, targets)
+        assert eer == sweep_oracle(scores, targets)
+        assert threshold == threshold_oracle(scores, targets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_score_runs, st.randoms(use_true_random=False))
+    def test_long_one_class_runs_match_brute_force(self, runs, shuffler):
+        scores, targets = _expand_runs(runs)
+        assume(any(targets) and not all(targets))
+        order = list(range(len(scores)))
+        shuffler.shuffle(order)
+        scores = [scores[i] for i in order]
+        targets = [targets[i] for i in order]
         eer, threshold = eer_operating_point(scores, targets)
         assert eer == sweep_oracle(scores, targets)
         assert threshold == threshold_oracle(scores, targets)
@@ -249,6 +291,116 @@ class TestMakeTrials:
         assert scores.shape == (500,)
         assert scores[7] == 0.0
         assert scores.tolist() == expected
+
+
+def make_trials_oracle(enrol, eval_records, length_norm=False):
+    """Per-pair trials as the one-Trial-per-pair back end built them: each
+    enrolment model a mean of per-record vectors, speakers sorted."""
+    def vector(r):
+        v = np.asarray(r.vector, dtype=np.float64)
+        if not length_norm:
+            return v
+        norm = np.sqrt((v[None] @ v[:, None])[0, 0])
+        return v / (1.0 if norm == 0.0 else norm)
+
+    by_speaker = {}
+    for r in enrol:
+        by_speaker.setdefault(r.speaker_id, []).append(vector(r))
+    models = {spk: np.mean(vs, axis=0) for spk, vs in sorted(by_speaker.items())}
+    return [Trial(spk, r.utterance_id, m, vector(r), r.speaker_id == spk)
+            for spk, m in models.items() for r in eval_records]
+
+
+def llr_oracle(model, e, t):
+    """The LLR as two quadratic forms in u = (e+t)/sqrt(2), v = (e-t)/sqrt(2),
+    on row-stacked projected vectors."""
+    b, w = model.phi_b, model.phi_w
+    t_inv = np.linalg.inv(b + w)
+    p = t_inv - np.linalg.inv(w + 2.0 * b)
+    q = t_inv - np.linalg.inv(w)
+    const = (np.linalg.slogdet(b + w)[1]
+             - 0.5 * (np.linalg.slogdet(w + 2.0 * b)[1] + np.linalg.slogdet(w)[1]))
+    u = (e + t - 2.0 * model.mu) / np.sqrt(2.0)
+    v = (e - t) / np.sqrt(2.0)
+    return const + 0.5 * np.sum((u @ p) * u, axis=1) + 0.5 * np.sum((v @ q) * v, axis=1)
+
+
+# ids the csv writer must quote, next to plain ones
+_ids = st.sampled_from(["a", "b", "spk 3", "x,y", 'say "hi"', "two\nlines", ""])
+
+
+@st.composite
+def _verification_sets(draw):
+    """Enrolment and evaluation records in d dims, some of them zero vectors."""
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def records(n, tag):
+        out = []
+        for i in range(n):
+            vec = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            if draw(st.integers(0, 4)) == 0:
+                vec[:] = 0.0
+            out.append(EmbeddingRecord(f"{tag}{i}", draw(_ids), vec))
+        return out
+
+    return d, rng, records(draw(st.integers(1, 9)), "e"), records(draw(st.integers(1, 9)), "t")
+
+
+class TestScoreMatrix:
+    """The (K, N) score matrix `score-ver` computes, held to per-pair oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_verification_sets(), st.booleans())
+    def test_matrix_equals_per_pair_scoring(self, sets, length_norm):
+        d, rng, enrol, eval_records = sets
+        trials = make_trials_oracle(enrol, eval_records, length_norm)
+        speakers, models = enrolment_models(enrol, length_norm)
+        tests = embedding_matrix(eval_records, length_norm)
+        targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
+        assert [(tr.enrol_speaker, tr.test_utterance, tr.target) for tr in trials] == [
+            (spk, r.utterance_id, bool(targets[k, j]))
+            for k, spk in enumerate(speakers) for j, r in enumerate(eval_records)]
+        e = np.stack([tr.enrol_vector for tr in trials])
+        t = np.stack([tr.test_vector for tr in trials])
+        assert np.array_equal(models[:, None].repeat(len(tests), 1).reshape(e.shape), e)
+
+        cosine = cosine_score(models[:, None], tests[None])
+        assert cosine.shape == targets.shape
+        assert cosine.ravel().tolist() == cosine_score(e, t).tolist()
+
+        k = int(rng.integers(1, d + 1))
+        a, c = rng.standard_normal((2, k, k))
+        model = PldaModel(mean=rng.standard_normal(d), lda=rng.standard_normal((d, k)),
+                          mu=rng.standard_normal(k), phi_b=a @ a.T + 0.1 * np.eye(k),
+                          phi_w=c @ c.T + 0.1 * np.eye(k))
+        expected = llr_oracle(model, model.project(e), model.project(t))
+        plda = plda_score(model, models[:, None], tests[None])
+        assert plda.shape == targets.shape
+        bound = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(plda.ravel() - expected)) <= bound
+        assert np.max(np.abs(score_trials(model, trials) - expected)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(_verification_sets())
+    def test_matrix_file_equals_per_trial_file(self, sets):
+        _, rng, enrol, eval_records = sets
+        trials = make_trials_oracle(enrol, eval_records)
+        speakers, _ = enrolment_models(enrol)
+        targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
+        scores = rng.standard_normal(targets.shape) * 10.0 ** rng.uniform(-20, 20)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_trials(f"{tmp}/oracle.csv", trials, scores.ravel())
+            save_score_matrix(f"{tmp}/matrix.csv", speakers,
+                              [r.utterance_id for r in eval_records], scores, targets)
+            with open(f"{tmp}/oracle.csv", "rb") as a, open(f"{tmp}/matrix.csv", "rb") as b:
+                assert a.read() == b.read()
+
+    def test_matrix_file_rejects_mismatched_shapes(self, tmp_path):
+        with pytest.raises(ValueError, match="2 x 3 trials"):
+            save_score_matrix(tmp_path / "t.csv", ["a", "b"], ["u", "v", "w"],
+                              np.zeros((3, 2)), np.zeros((3, 2), dtype=bool))
 
 
 def sample_two_cov(seed, n_speakers=20, per_speaker=30, d=5):
@@ -556,6 +708,13 @@ class TestFileFormats:
             load_embeddings(path)
         path.write_text("utterance_id,speaker_id,e0\n")
         with pytest.raises(ValueError, match="no embeddings"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["x", "", "nan", "-inf", "1e999"])
+    def test_bad_value_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"utterance_id,speaker_id,e0,e1\nu0,s0,1.0,2.0\nu1,s0,3.0,{value}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "):
             load_embeddings(path)
 
     def test_trials_roundtrip(self, tmp_path):
