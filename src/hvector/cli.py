@@ -2,11 +2,15 @@
 
 Each subcommand resolves its settings from built-in defaults, then an
 optional flat key=value --config file, then --set overrides, then dedicated
-flags; the final values are echoed before any work starts.  Existing output
-files are never overwritten unless --force is given, and every stage is
-deterministic given its inputs and seed, so a --force rerun reproduces the
-previous outputs byte for byte on the same BLAS build and BLAS thread count
-(another thread count can change the last bits of weights and embeddings).
+flags, all three through the same per-key parsers; the final values are
+echoed before any work starts.  Existing output files are never overwritten
+unless --force is given, and every stage is deterministic given its inputs
+and seed, so a --force rerun reproduces the previous outputs byte for byte on
+the same BLAS build and BLAS thread count (another thread count can change
+the last bits of weights and embeddings).  A failure that stops a command
+prints one `error: <message>` line on stderr and exits with status 1, and
+only `main` turns exceptions into that line (`prepare` also reports each
+clip it cannot read on such a line, goes on, and exits 1).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .audio import (
     window_utterances,
 )
 from .corpus import Manifest, ManifestEntry, split, synth_corpus
-from .model import ModelConfig, embed_batch, load_checkpoint
+from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
 # stay importable from this module, where perfbench/spans.py patches them
 from .scoring import (  # noqa: F401
@@ -123,7 +127,7 @@ _SCHEMAS = {
         "len": (1.0, _positive(float, "len")),
     },
     "train": {
-        "model": ("hvector", _choice({"hvector", "xvector", "xvector_attn"})),
+        "model": ("hvector", _choice(MODES)),
         "preset": ("desk", _choice({"desk", "full"})),
         "lr": (1e-4, float),
         "beta1": (0.95, float),
@@ -160,11 +164,12 @@ def _apply_pair(cfg: dict, schema: dict, key: str, raw: str, origin: str):
         raise CliError(f"{origin}: bad value for {key}: {exc}") from exc
 
 
-def resolve_config(command: str, config_path, set_args, flag_overrides: dict) -> dict:
+def resolve_config(command: str, args) -> dict:
+    """Defaults, then --config, then --set, then flags; each value through its key's parser."""
     schema = _SCHEMAS[command]
     cfg = {key: default for key, (default, _) in schema.items()}
-    if config_path is not None:
-        path = Path(config_path)
+    if args.config is not None:
+        path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file {path} not found")
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -175,14 +180,15 @@ def resolve_config(command: str, config_path, set_args, flag_overrides: dict) ->
                 raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             _apply_pair(cfg, schema, key.strip(), raw.strip(), f"{path}:{lineno}")
-    for item in set_args or []:
+    for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         _apply_pair(cfg, schema, key.strip(), raw.strip(), "--set")
-    for key, value in flag_overrides.items():
-        if value is not None:
-            cfg[key] = value
+    for key in schema:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            _apply_pair(cfg, schema, key, raw, f"--{key}")
     return cfg
 
 
@@ -219,10 +225,7 @@ def _guard_outputs(paths, force: bool):
 
 def _load_manifest(path, hint: str) -> Manifest:
     _require_input(path, "manifest", hint)
-    try:
-        manifest = Manifest.load(path, check_paths=False)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    manifest = Manifest.load(path, check_paths=False)
     if not manifest.entries:
         raise CliError(f"manifest {path} lists no utterances")
     return manifest
@@ -233,10 +236,7 @@ def _load_feature_set(manifest: Manifest) -> list:
     for e in manifest.entries:
         if not Path(e.path).exists():
             raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
-        try:
-            feats.append(load_features(e.path, e.utterance_id, e.speaker_id))
-        except (ValueError, OSError) as exc:
-            raise CliError(str(exc)) from exc
+        feats.append(load_features(e.path, e.utterance_id, e.speaker_id))
     return feats
 
 
@@ -245,34 +245,22 @@ def _load_ckpt(path):
         return load_checkpoint(path)
     except FileNotFoundError as exc:
         raise CliError(f"{exc}; run `hvector train` first") from exc
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _load_embedding_csv(path) -> list:
     _require_input(path, "embedding CSV", "run `hvector embed` first")
-    try:
-        return load_embeddings(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return load_embeddings(path)
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config("synth", args.config, args.set, {
-        "speakers": args.speakers, "utts": args.utts,
-        "dur": args.dur, "seed": args.seed,
-    })
+    cfg = resolve_config("synth", args)
     echo_config("synth", cfg, {"out": args.out})
     out_dir = Path(args.out)
     _guard_outputs([out_dir], args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        manifest = synth_corpus(cfg["speakers"], cfg["utts"], cfg["dur"],
-                                cfg["seed"], out_dir)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    manifest = synth_corpus(cfg["speakers"], cfg["utts"], cfg["dur"],
+                            cfg["seed"], out_dir)
     print(f"wrote {len(manifest)} utterances for {len(manifest.speakers())} "
           f"speakers under {out_dir}")
     print(f"manifest: {out_dir / 'manifest.tsv'}")
@@ -280,7 +268,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    cfg = resolve_config("prepare", args.config, args.set, {"len": args.len})
+    cfg = resolve_config("prepare", args)
     echo_config("prepare", cfg, {"manifest": args.manifest, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector synth` first")
     out_dir = Path(args.out)
@@ -322,9 +310,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config("train", args.config, args.set, {
-        "model": args.model, "epochs": args.epochs, "seed": args.seed,
-    })
+    cfg = resolve_config("train", args)
     echo_config("train", cfg, {"manifest": args.manifest, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     out_dir = Path(args.out)
@@ -337,33 +323,26 @@ def cmd_train(args) -> int:
         p.unlink(missing_ok=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
     train_feats = _load_feature_set(train_man)
     dev_feats = _load_feature_set(dev_man)
 
     n_speakers = len(manifest.speakers())
     frames_per_fragment = train_feats[0].fragments.shape[1]
-    try:
-        if cfg["preset"] == "desk":
-            model_cfg = ModelConfig.desk(n_speakers, cfg["model"],
-                                         frames_per_fragment)
-        else:
-            model_cfg = ModelConfig(n_speakers=n_speakers, mode=cfg["model"],
-                                    frames_per_fragment=frames_per_fragment)
-        model_cfg = dataclasses.replace(model_cfg, dropout=cfg["dropout"])
-        train_cfg = TrainConfig(
-            lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"],
-            eps=cfg["eps"], batch_size=cfg["batch_size"],
-            epochs=cfg["epochs"], seed=cfg["seed"],
-            stop_at_dev_acc=cfg["stop_at_dev_acc"],
-        )
-        _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
-                              checkpoint_path=ckpt_path, log_path=log_path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if cfg["preset"] == "desk":
+        model_cfg = ModelConfig.desk(n_speakers, cfg["model"], frames_per_fragment)
+    else:
+        model_cfg = ModelConfig(n_speakers=n_speakers, mode=cfg["model"],
+                                frames_per_fragment=frames_per_fragment)
+    model_cfg = dataclasses.replace(model_cfg, dropout=cfg["dropout"])
+    train_cfg = TrainConfig(
+        lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"],
+        eps=cfg["eps"], batch_size=cfg["batch_size"],
+        epochs=cfg["epochs"], seed=cfg["seed"],
+        stop_at_dev_acc=cfg["stop_at_dev_acc"],
+    )
+    _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
+                          checkpoint_path=ckpt_path, log_path=log_path)
     print(f"best_dev_acc={max(h.dev_acc for h in history):.4f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"log: {log_path}")
@@ -371,7 +350,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg = resolve_config("embed", args.config, args.set, {})
+    cfg = resolve_config("embed", args)
     echo_config("embed", cfg, {"manifest": args.manifest,
                                "ckpt": args.ckpt, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
@@ -381,10 +360,7 @@ def cmd_embed(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     feats = _load_feature_set(manifest)
-    try:
-        vectors = embed_batch(feats, params, model_cfg, cfg["batch_size"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    vectors = embed_batch(feats, params, model_cfg, cfg["batch_size"])
     records = [EmbeddingRecord(u.utterance_id, u.speaker_id, vectors[i])
                for i, u in enumerate(feats)]
     save_embeddings(out_path, records)
@@ -393,7 +369,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score_id(args) -> int:
-    cfg = resolve_config("score-id", args.config, args.set, {})
+    cfg = resolve_config("score-id", args)
     echo_config("score-id", cfg, {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     params, model_cfg = _load_ckpt(args.ckpt)
@@ -402,10 +378,7 @@ def cmd_score_id(args) -> int:
     except FileNotFoundError as exc:
         raise CliError(f"{exc}; run `hvector train` first") from exc
     feats = _load_feature_set(manifest)
-    try:
-        indices = predict(feats, params, model_cfg, cfg["batch_size"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    indices = predict(feats, params, model_cfg, cfg["batch_size"])
     predicted = [speakers[i] for i in indices]
     acc = accuracy(predicted, [u.speaker_id for u in feats])
     print(f"accuracy={acc:.4f}")
@@ -413,7 +386,7 @@ def cmd_score_id(args) -> int:
 
 
 def cmd_score_ver(args) -> int:
-    cfg = resolve_config("score-ver", args.config, args.set, {})
+    cfg = resolve_config("score-ver", args)
     plda_train_path = args.plda_train if args.plda_train is not None else args.enrol
     echo_config("score-ver", cfg, {
         "enrol": args.enrol, "eval": args.eval,
@@ -428,27 +401,24 @@ def cmd_score_ver(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one (K, N) score matrix: K enrolment models by N test vectors
-    try:
-        speakers, models = enrolment_models(enrol, length_norm=cfg["length_norm"])
-        tests = embedding_matrix(eval_records, length_norm=cfg["length_norm"])
-        if models.shape[1] != tests.shape[1]:
-            raise ValueError(f"embedding dims differ: {args.enrol} has "
-                             f"{models.shape[1]}, {args.eval} has {tests.shape[1]}")
-        if cfg["backend"] == "plda":
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                model = plda_fit(_load_embedding_csv(plda_train_path),
-                                 reduced_dim=cfg["lda_dim"])
-            # each distinct message once, as Python's default filter would
-            for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {message}", file=sys.stderr)
-            scores = plda_score(model, models[:, None], tests[None])
-        else:
-            scores = cosine_score(models[:, None], tests[None])
-        targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
-        eer, threshold = eer_operating_point(scores.ravel(), targets.ravel())
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise CliError(str(exc)) from exc
+    speakers, models = enrolment_models(enrol, length_norm=cfg["length_norm"])
+    tests = embedding_matrix(eval_records, length_norm=cfg["length_norm"])
+    if models.shape[1] != tests.shape[1]:
+        raise CliError(f"embedding dims differ: {args.enrol} has "
+                       f"{models.shape[1]}, {args.eval} has {tests.shape[1]}")
+    if cfg["backend"] == "plda":
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = plda_fit(_load_embedding_csv(plda_train_path),
+                             reduced_dim=cfg["lda_dim"])
+        # each distinct message once, as Python's default filter would
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+        scores = plda_score(model, models[:, None], tests[None])
+    else:
+        scores = cosine_score(models[:, None], tests[None])
+    targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
+    eer, threshold = eer_operating_point(scores.ravel(), targets.ravel())
     save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
                       scores, targets)
     save_eer_report(report_path, eer, threshold)
@@ -478,30 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic-speaker corpus")
     p.add_argument("--out", required=True, help="corpus directory")
-    p.add_argument("--speakers", type=int, default=None)
-    p.add_argument("--utts", type=int, default=None,
-                   help="utterances per speaker")
-    p.add_argument("--dur", type=float, default=None,
-                   help="clip duration in seconds")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--speakers")
+    p.add_argument("--utts", help="utterances per speaker")
+    p.add_argument("--dur", help="clip duration in seconds")
+    p.add_argument("--seed")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("prepare", help="featurize a corpus manifest")
     p.add_argument("--manifest", required=True, help="corpus manifest.tsv")
     p.add_argument("--out", required=True, help="feature directory")
-    p.add_argument("--len", type=float, default=None, dest="len",
-                   help="window length in seconds")
+    p.add_argument("--len", help="window length in seconds")
     _add_common(p)
     p.set_defaults(func=cmd_prepare)
 
     p = subs.add_parser("train", help="train a speaker classifier")
     p.add_argument("--manifest", required=True, help="feature manifest.tsv")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--model", default=None,
-                   choices=["hvector", "xvector", "xvector_attn"])
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--model", help=f"one of {', '.join(MODES)}")
+    p.add_argument("--epochs")
+    p.add_argument("--seed")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -534,7 +500,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError) as exc:   # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

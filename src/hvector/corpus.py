@@ -7,6 +7,7 @@ identities, which the verification protocol relies on.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,9 +64,15 @@ class Manifest:
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
                 utt, spk, p, n_frames = parts
-                if check_paths and not Path(p).exists():
+                # os.path.exists: False, not OSError, for a name too long to stat
+                if check_paths and not os.path.exists(p):
                     raise FileNotFoundError(f"{path}:{lineno}: missing file {p}")
-                entries.append(ManifestEntry(utt, spk, p, int(n_frames)))
+                try:
+                    n_frames = int(n_frames)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: n_frames {n_frames!r} "
+                                     "is not an integer") from None
+                entries.append(ManifestEntry(utt, spk, p, n_frames))
         return cls(entries, split)
 
 

@@ -14,7 +14,7 @@ its activation and batchnorm, before dropout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         values = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -103,12 +103,14 @@ class ModelConfig:
             if key not in known:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             raw = raw.strip()
-            if key == "mode":
-                values[key] = raw
-            elif key == "dropout":
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
+            cast = str if key == "mode" else float if key == "dropout" else int
+            try:
+                values[key] = cast(raw)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from None
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in values:
+                raise ValueError(f"missing config key {f.name!r}")
         return cls(**values)
 
 
@@ -397,16 +399,19 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         raise FileNotFoundError(
             f"checkpoint needs both {path.name} and {cfg_path.name} in {path.parent}"
         )
-    cfg = ModelConfig.from_text(cfg_path.read_text(encoding="utf-8"))
+    try:
+        cfg = ModelConfig.from_text(cfg_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{cfg_path}: {exc}") from None
     arrays = hv.load_archive(path)
 
     def stored(key, shape, _):
         what = "buffer" if key.startswith(_BUFFER) else "tensor"
         name = key.removeprefix(_BUFFER)
         if key not in arrays:
-            raise ValueError(f"checkpoint is missing {what} {name}")
+            raise ValueError(f"{path}: checkpoint is missing {what} {name}")
         if arrays[key].shape != shape:
-            raise ValueError(f"checkpoint {what} {name} has shape "
+            raise ValueError(f"{path}: checkpoint {what} {name} has shape "
                              f"{arrays[key].shape}, expected {shape}")
         return arrays[key]
 

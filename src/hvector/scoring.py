@@ -396,22 +396,25 @@ def save_embeddings(path, records):
 def load_embeddings(path) -> list[EmbeddingRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["utterance_id", "speaker_id"]:
-            raise ValueError(f"{path} is not an embedding CSV")
-        dim = len(header) - 2
-        out, lines = [], []
-        for row in reader:
-            if len(row) != dim + 2:
-                raise ValueError(f"{path} line {reader.line_num}: row for "
-                                 f"{row[0] if row else '?'} has {len(row) - 2} "
-                                 f"values, expected {dim}")
-            try:
-                vec = np.array([float(x) for x in row[2:]])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            out.append(EmbeddingRecord(row[0], row[1], vec))
-            lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            if not header or header[:2] != ["utterance_id", "speaker_id"]:
+                raise ValueError(f"{path} is not an embedding CSV")
+            dim = len(header) - 2
+            out, lines = [], []
+            for row in reader:
+                if len(row) != dim + 2:
+                    raise ValueError(f"{path} line {reader.line_num}: row for "
+                                     f"{row[0] if row else '?'} has {len(row) - 2} "
+                                     f"values, expected {dim}")
+                try:
+                    vec = np.array([float(x) for x in row[2:]])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                out.append(EmbeddingRecord(row[0], row[1], vec))
+                lines.append(reader.line_num)
+        except csv.Error as exc:    # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not out:
         raise ValueError(f"{path} contains no embeddings")
     finite = np.isfinite(embedding_matrix(out)).all(axis=1)

@@ -17,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hvector
 from hvector.cli import load_features, main
 from hvector.corpus import Manifest
+from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
     EmbeddingRecord,
     compute_eer,
@@ -531,3 +534,189 @@ def test_import_leaves_scipy_signal_unloaded():
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# --- one error boundary -------------------------------------------------------
+
+def _tiny_checkpoint(run_dir):
+    """A loadable 3-speaker checkpoint (model.hvt/.cfg/.spk) under run_dir."""
+    run_dir.mkdir()
+    cfg = ModelConfig.tiny()
+    ckpt = run_dir / "model.hvt"
+    save_checkpoint(ckpt, build_params(cfg), cfg)
+    ckpt.with_suffix(".spk").write_text("a\nb\nc\n")
+    return ckpt
+
+
+def _boundary_inputs(tmp_path):
+    """Paths the boundary cases combine: a manifest, an embedding CSV, a plain file."""
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"a-u0\ta\t{tmp_path / 'a-u0.hvt'}\t98\n")
+    emb = tmp_path / "emb.csv"
+    save_embeddings(emb, [EmbeddingRecord(f"{s}-u{j}", s, np.eye(3)[j])
+                          for s in "ab" for j in range(2)])
+    regular = tmp_path / "file"
+    regular.write_text("not a directory\n")
+    return {"dir": tmp_path, "manifest": manifest, "emb": emb, "file": regular}
+
+
+def _case_spk_is_dir(p):
+    ckpt = _tiny_checkpoint(p["dir"] / "run")
+    ckpt.with_suffix(".spk").unlink()
+    ckpt.with_suffix(".spk").mkdir()
+    return ("score-id", "--manifest", p["manifest"], "--ckpt", ckpt), \
+        str(ckpt.with_suffix(".spk"))
+
+
+def _case_cfg_is_empty(p):
+    ckpt = _tiny_checkpoint(p["dir"] / "run")
+    ckpt.with_suffix(".cfg").write_text("")
+    return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
+            "--out", p["dir"] / "e.csv"), \
+        f"{ckpt.with_suffix('.cfg')}: missing config key 'n_speakers'"
+
+
+def _case_bad_n_frames(p):
+    p["manifest"].write_text("a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\tmany\n")
+    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
+        f"{p['manifest']}:2: n_frames 'many' is not an integer"
+
+
+# name -> inputs -> (argv, text the one error line must contain)
+_BOUNDARY_CASES = {
+    "manifest is a directory": lambda p: (
+        ("train", "--manifest", p["dir"], "--out", p["dir"] / "run"),
+        f"Is a directory: '{p['dir']}'"),
+    "--config is a directory": lambda p: (
+        ("synth", "--out", p["dir"] / "c", "--config", p["dir"]),
+        f"Is a directory: '{p['dir']}'"),
+    "synth --force --out is a file": lambda p: (
+        ("synth", "--out", p["file"], "--force", "--speakers", "2", "--utts", "1"),
+        str(p["file"])),
+    "prepare --out under a file": lambda p: (
+        ("prepare", "--manifest", p["manifest"], "--out", p["file"] / "feats"),
+        str(p["file"])),
+    "train --out is a file": lambda p: (
+        ("train", "--manifest", p["manifest"], "--out", p["file"]), str(p["file"])),
+    "embed --out under a file": lambda p: (
+        ("embed", "--manifest", p["manifest"], "--ckpt", _tiny_checkpoint(p["dir"] / "run"),
+         "--out", p["file"] / "e.csv"), str(p["file"])),
+    "score-ver --out under a file": lambda p: (
+        ("score-ver", "--enrol", p["emb"], "--eval", p["emb"],
+         "--out", p["file"] / "ver"), str(p["file"])),
+    "--enrol is a directory": lambda p: (
+        ("score-ver", "--enrol", p["dir"], "--eval", p["emb"], "--out", p["dir"] / "ver"),
+        f"Is a directory: '{p['dir']}'"),
+    "model.spk is a directory": _case_spk_is_dir,
+    "model.cfg is empty": _case_cfg_is_empty,
+    "manifest n_frames is not an integer": _case_bad_n_frames,
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+def test_bad_input_is_one_error_line(tmp_path, case):
+    argv, expected = _BOUNDARY_CASES[case](_boundary_inputs(tmp_path))
+    code, _, err = run_cli(*map(str, argv))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert expected in err
+
+
+# command, the other arguments it needs, key, bad value
+_FLAG_CASES = [
+    ("synth", ["--out", "c"], "dur", "-1"),
+    ("synth", ["--out", "c"], "speakers", "abc"),
+    ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "-1"),
+    ("train", ["--manifest", "m.tsv", "--out", "r"], "epochs", "0"),
+    ("train", ["--manifest", "m.tsv", "--out", "r"], "model", "foo"),
+]
+
+
+@pytest.mark.parametrize("command,rest,key,value", _FLAG_CASES,
+                         ids=[f"--{c[2]} {c[3]}" for c in _FLAG_CASES])
+def test_flag_is_parsed_like_its_set_twin(tmp_path, monkeypatch, command, rest,
+                                         key, value):
+    monkeypatch.chdir(tmp_path)
+    results = [run_cli(command, *rest, *extra)
+               for extra in ([f"--{key}", value], ["--set", f"{key}={value}"])]
+    for code, _, err in results:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    flag_err, set_err = results[0][2], results[1][2]
+    assert flag_err.startswith(f"error: --{key}: bad value for {key}: ")
+    assert flag_err == set_err.replace("error: --set:", f"error: --{key}:", 1)
+
+
+def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
+    out_dir = tmp_path / "c"
+    code, _, err = run_cli("synth", "--out", str(out_dir), "--speakers", "1",
+                           "--utts", "2", "--dur", "0.5")
+    assert code == 1 and "at least 2 speakers" in err
+    assert not out_dir.exists()
+    code, _, err = run_cli("synth", "--out", str(out_dir), "--speakers", "2",
+                           "--utts", "2", "--dur", "0.5")
+    assert code == 0, err
+
+
+# --- loaders behind the boundary: arbitrary text in, ValueError/OSError out ----
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _tiny_checkpoint(root / "run")
+    return root
+
+
+def _fuzzed_lines(separator, fields):
+    """Arbitrary text, or lines of `separator`-joined fields drawn from `fields`."""
+    return st.one_of(
+        st.text(),
+        st.lists(st.lists(st.one_of(fields, st.text()), max_size=6)
+                 .map(separator.join), max_size=6).map("\n".join),
+    )
+
+
+def _returns_or_names(load, path):
+    """`load()` returns, or raises ValueError/OSError whose message holds `path`."""
+    try:
+        load()
+    except (ValueError, OSError) as exc:
+        assert str(path) in str(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_fuzzed_lines("\t", st.sampled_from(["a", "s1", "12", "-3", "x.hvt", ""])),
+       check_paths=st.booleans())
+@example(text="u\ts\tx.hvt\tmany\n", check_paths=False)
+@example(text="u\ts\t" + "a" * 300 + "\t1\n", check_paths=True)   # name too long
+def test_manifest_loader_fails_cleanly(fuzz_dir, text, check_paths):
+    path = fuzz_dir / "manifest.tsv"
+    path.write_text(text, encoding="utf-8")
+    _returns_or_names(lambda: Manifest.load(path, check_paths=check_paths), path)
+
+
+_CFG_LINES = ModelConfig.tiny().to_text().splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_fuzzed_lines("=", st.sampled_from(
+    ["n_speakers", "mode", "dropout", "gru_hidden", "3", "0", "xvector", "0.5", "-1"]))
+    | st.lists(st.sampled_from(_CFG_LINES)).map("\n".join))
+@example(text="n_speakers=3\n")     # loads, but the stored shapes disagree
+def test_checkpoint_loader_fails_cleanly(fuzz_dir, text):
+    ckpt = fuzz_dir / "run" / "model.hvt"
+    ckpt.with_suffix(".cfg").write_text(text, encoding="utf-8")
+    # the message names model.cfg, or model.hvt when the config and the
+    # stored shapes disagree
+    _returns_or_names(lambda: load_checkpoint(ckpt), fuzz_dir / "run" / "model.")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_fuzzed_lines(",", st.sampled_from(
+    ["utterance_id", "speaker_id", "e0", "1.5", "nan", "-2", '"']))
+    | st.text().map(lambda t: "utterance_id,speaker_id,e0\n" + t))
+@example(text="utterance_id,speaker_id,e0\nu,s," + "9" * 200_000 + "\n")
+def test_embedding_loader_fails_cleanly(fuzz_dir, text):
+    path = fuzz_dir / "emb.csv"
+    path.write_text(text, encoding="utf-8")
+    _returns_or_names(lambda: load_embeddings(path), path)
