@@ -33,7 +33,7 @@ from .audio import (
     vad_filter,
     window_utterances,
 )
-from .corpus import Manifest, ManifestEntry, split, synth_corpus
+from .corpus import Manifest, ManifestEntry, open_text, split, synth_corpus
 from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
 # stay importable from this module, where perfbench/spans.py patches them
@@ -172,7 +172,9 @@ def resolve_config(command: str, args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file {path} not found")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        with open_text(path) as fh:
+            text = fh.read()
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -319,8 +321,6 @@ def cmd_train(args) -> int:
     outputs = [ckpt_path, ckpt_path.with_suffix(".cfg"),
                ckpt_path.with_suffix(".spk"), log_path]
     _guard_outputs(outputs, args.force)
-    for p in outputs:
-        p.unlink(missing_ok=True)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
@@ -341,6 +341,9 @@ def cmd_train(args) -> int:
         epochs=cfg["epochs"], seed=cfg["seed"],
         stop_at_dev_acc=cfg["stop_at_dev_acc"],
     )
+    # only now that the inputs and settings are valid may the old run go
+    for p in outputs:
+        p.unlink(missing_ok=True)
     _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
                           checkpoint_path=ckpt_path, log_path=log_path)
     print(f"best_dev_acc={max(h.dev_acc for h in history):.4f}")

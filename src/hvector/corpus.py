@@ -8,6 +8,7 @@ identities, which the verification protocol relies on.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +19,30 @@ from .audio import SAMPLE_RATE, AudioClip, save_wav
 __all__ = [
     "ManifestEntry", "Manifest", "SynthSpeakerSpec",
     "make_speaker_spec", "synth_utterance", "synth_corpus",
-    "split", "make_verification_split",
+    "split", "make_verification_split", "open_text",
 ]
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """open() a UTF-8 text file for reading; bytes in it that do not decode
+    raise a ValueError that names the file and the line they are on."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+            return
+        except UnicodeDecodeError as exc:
+            error = exc
+    # the reader decodes in chunks, so find the byte's offset in the file
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = exc
+    line = raw.count(b"\n", 0, error.start) + 1
+    raise ValueError(f"{path}:{line}: not UTF-8 text ({error.reason} "
+                     f"at byte {error.start})") from None
 
 
 @dataclass
@@ -55,7 +78,7 @@ class Manifest:
     @classmethod
     def load(cls, path, split: str = "all", check_paths: bool = True) -> "Manifest":
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:

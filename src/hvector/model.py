@@ -132,13 +132,22 @@ class ModelParams:
         return {k: self.tensors[f"{prefix}.{k}"]
                 for k in ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")}
 
-    def clone(self) -> "ModelParams":
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in: that of its parameters."""
+        return next(iter(self.tensors.values())).dtype
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every tensor and buffer cast to ``dtype``."""
         out = ModelParams()
         for name, t in self.tensors.items():
-            out.tensors[name] = Tensor(t.data.copy(), requires_grad=True)
+            out.tensors[name] = Tensor(t.data.astype(dtype), requires_grad=True)
         for name, b in self.buffers.items():
-            out.buffers[name] = b.copy()
+            out.buffers[name] = b.astype(dtype)
         return out
+
+    def clone(self) -> "ModelParams":
+        return self.astype(self.dtype)
 
 
 def _uniform(fan_in):
@@ -341,7 +350,11 @@ def _baseline_forward(frags, n_frames, params, cfg, training, rng, trace):
 def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
                   cfg: ModelConfig, training: bool = False, rng=None,
                   trace: dict | None = None):
-    """Logits (B, K) and embeddings (B, fc1_dim) for stacked fragments."""
+    """Logits (B, K) and embeddings (B, fc1_dim) for stacked fragments.
+
+    The fragments are cast to the parameters' dtype, which every layer then
+    computes in.
+    """
     if frags.ndim != 4:
         raise ValueError(f"expected (B, N, M, F) fragments, got shape {frags.shape}")
     if frags.shape[1] != cfg.n_fragments or frags.shape[3] != cfg.feat_dim:
@@ -349,6 +362,7 @@ def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
             f"fragments {frags.shape} do not match config "
             f"(n_fragments={cfg.n_fragments}, feat_dim={cfg.feat_dim})"
         )
+    frags = frags.astype(params.dtype, copy=False)
     if cfg.mode == "hvector":
         return _hvector_forward(frags, params, cfg, training, rng, trace)
     return _baseline_forward(frags, n_frames, params, cfg, training, rng, trace)
@@ -375,7 +389,10 @@ def batches(features: list, order, batch_size: int):
 
 def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
                 batch_size: int = 64) -> np.ndarray:
-    """Inference-mode embeddings for a list of UtteranceFeatures, in input order."""
+    """Inference-mode embeddings for a list of UtteranceFeatures, in input order.
+
+    They are float64 whatever the parameters' dtype, as the back end expects.
+    """
     out = np.zeros((len(features), cfg.fc1_dim))
     for idx, frags, n_frames in batches(features, range(len(features)), batch_size):
         _, emb = forward_batch(frags, n_frames, params, cfg, training=False)
@@ -404,6 +421,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     except ValueError as exc:
         raise ValueError(f"{cfg_path}: {exc}") from None
     arrays = hv.load_archive(path)
+    dtypes = sorted({a.dtype.name for a in arrays.values()})
+    if len(dtypes) > 1:
+        raise ValueError(f"{path}: checkpoint arrays mix dtypes {', '.join(dtypes)}")
 
     def stored(key, shape, _):
         what = "buffer" if key.startswith(_BUFFER) else "tensor"

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from .corpus import open_text
+
 __all__ = [
     "EmbeddingRecord", "Trial", "PldaModel",
     "accuracy", "compute_eer", "eer_operating_point",
@@ -394,7 +396,7 @@ def save_embeddings(path, records):
 
 
 def load_embeddings(path) -> list[EmbeddingRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -467,7 +469,7 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
 def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
     """Scores and target flags from a trials CSV."""
     scores, targets = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _TRIALS_HEADER:

@@ -8,8 +8,10 @@ elementwise/reduction ops.  Gradients are recorded on an
 explicit tape (:class:`Graph`) whose insertion order is already a
 topological order; :func:`backward` replays the tape once in reverse.
 
-Everything runs on float64 by default so finite-difference checks are
-meaningful; float32 can be requested per tensor for speed.
+A tensor keeps the dtype of a float32 or float64 array and holds anything
+else as float64, and every op computes in the dtype of its inputs, so the
+dtype of a model's parameters is the dtype it computes in: float64 where
+finite-difference checks need it, float32 for training speed.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
 VAR_FLOOR = 1e-12  # variance floor used by the pooling ops before sqrt
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 __all__ = [
     "Tensor", "Graph", "record", "backward", "grad_check",
@@ -40,10 +42,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+        data = np.asarray(data)
+        if data.dtype not in _FLOAT_DTYPES:
+            data = data.astype(np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self.node = None
@@ -112,7 +117,7 @@ def _wrap(x) -> Tensor:
 def _make(out_data, inputs, bwd) -> Tensor:
     """Create the output tensor of an op and register it on the active tape."""
     requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
+    out = Tensor(out_data, requires_grad=requires)
     if requires and _ACTIVE is not None:
         node = _Node(out, bwd, _ACTIVE)
         out.node = node
@@ -464,7 +469,7 @@ def stats_pool(seq) -> Tensor:
     # Delegate to the weighted form with exactly-uniform weights; softmax of a
     # zero score vector produces these same weights bit for bit, which keeps
     # attention-with-zero-scores and plain pooling byte-identical.
-    uniform = Tensor(np.full(seq.shape[:-1], 1.0 / t, dtype=seq.data.dtype))
+    uniform = Tensor(np.ones(seq.shape[:-1], dtype=seq.data.dtype) / t)
     return weighted_stats_pool(seq, uniform)
 
 
@@ -528,7 +533,7 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
     if rng is None:
         raise ValueError("dropout in training mode needs a random generator")
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, Tensor(mask, dtype=x.data.dtype))
+    return mul(x, Tensor(mask))
 
 
 def batchnorm(x, gamma, beta, running_mean, running_var,
@@ -727,13 +732,18 @@ def grad_check(f, theta: Tensor, h: float = 1e-5) -> float:
 # binary serialisation
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"HVT1"
+# Each array's magic names its element type.  float32 arrays are stored as
+# float32; anything else as float64 under the original HVT1 magic, so float64
+# files keep their bytes.
+_MAGIC_DTYPE = {b"HVT1": np.dtype("<f8"), b"HVF4": np.dtype("<f4")}
 _ARCHIVE_MAGIC = b"HVTA"
 
 
 def _write_array(fh, arr: np.ndarray):
-    arr = np.asarray(arr, dtype="<f8")
-    fh.write(_MAGIC)
+    arr = np.asarray(arr)
+    magic = b"HVF4" if arr.dtype == np.float32 else b"HVT1"
+    arr = arr.astype(_MAGIC_DTYPE[magic], copy=False)
+    fh.write(magic)
     fh.write(struct.pack("<q", arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<q", dim))
@@ -754,8 +764,10 @@ def _bytes_left(fh) -> int:
 
 def _read_array(fh) -> np.ndarray:
     magic = _read_exact(fh, 4)
-    if magic != _MAGIC:
-        raise ValueError(f"{fh.name}: bad tensor magic {magic!r}, expected {_MAGIC!r}")
+    if magic not in _MAGIC_DTYPE:
+        raise ValueError(f"{fh.name}: bad tensor magic {magic!r}, expected "
+                         f"{' or '.join(map(repr, _MAGIC_DTYPE))}")
+    dtype = _MAGIC_DTYPE[magic]
     rank, = struct.unpack("<q", _read_exact(fh, 8))
     if rank < 0 or rank > 32:
         raise ValueError(f"{fh.name}: implausible tensor rank {rank}")
@@ -764,17 +776,17 @@ def _read_array(fh) -> np.ndarray:
         raise ValueError(f"{fh.name}: negative dimension in tensor shape {shape}")
     # Check the header against the file before allocating, so a corrupt
     # shape cannot ask for more memory than the file could hold.
-    nbytes = 8 * math.prod(shape)
+    nbytes = dtype.itemsize * math.prod(shape)
     left = _bytes_left(fh)
     if nbytes > left:
         raise ValueError(f"{fh.name}: truncated tensor file: shape {shape} needs "
                          f"{nbytes} bytes, {left} left")
-    data = np.frombuffer(_read_exact(fh, nbytes), dtype="<f8")
+    data = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
     return data.reshape(shape).copy()
 
 
 def save_archive(path, arrays: dict):
-    """Write a keyed archive of named tensors."""
+    """Write a keyed archive of named tensors, float32 or float64 each."""
     with open(path, "wb") as fh:
         fh.write(_ARCHIVE_MAGIC)
         fh.write(struct.pack("<q", len(arrays)))

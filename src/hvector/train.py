@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as hv
+from .corpus import open_text
 from .model import (
     ModelConfig, ModelParams, batches, build_params, forward_batch, save_checkpoint,
 )
@@ -49,25 +50,26 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 class AdamState:
-    """Step counter and per-parameter moment estimates."""
+    """Step counter and per-parameter moment estimates, in each parameter's dtype."""
 
     def __init__(self, params: ModelParams):
         self.step = 0
-        self.m = {name: np.zeros(t.shape) for name, t in params.tensors.items()}
-        self.v = {name: np.zeros(t.shape) for name, t in params.tensors.items()}
+        self.m = {name: np.zeros_like(t.data) for name, t in params.tensors.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.tensors.items()}
 
 
 def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
+    """One Adam update; a non-finite gradient raises before anything changes."""
+    grads = [(name, p, p.grad) for name, p in params.tensors.items()
+             if p.grad is not None]
+    for name, _, g in grads:
+        if not np.all(np.isfinite(g)):
+            raise RuntimeError(f"non-finite gradient in parameter {name!r} "
+                               f"at step {state.step + 1}")
     state.step += 1
     m_corr = 1.0 - cfg.beta1 ** state.step
     v_corr = 1.0 - cfg.beta2 ** state.step
-    for name, p in params.tensors.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter {name!r} "
-                               f"at step {state.step}")
+    for name, p, g in grads:
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
@@ -121,7 +123,7 @@ def classify_accuracy(features, labels, params, cfg, batch_size: int = 64) -> fl
 
 def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
           checkpoint_path=None, log_path=None):
-    """Fit a model; returns (best parameters, per-epoch stats, speaker list).
+    """Fit a float32 model; returns (best parameters, per-epoch stats, speaker list).
 
     "Best" means highest dev accuracy, ties broken by the earlier epoch. The
     shuffle order and dropout masks come from named streams off cfg.seed, so
@@ -138,7 +140,9 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
     y_train = _labels_for(train_feats, index, "train")
     y_dev = _labels_for(dev_feats, index, "dev")
 
-    params = build_params(model_cfg, seed=cfg.seed)
+    # Drawn in float64, so the initial weights are those of build_params;
+    # training then computes and stores float32.
+    params = build_params(model_cfg, seed=cfg.seed).astype(np.float32)
     state = AdamState(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
@@ -204,4 +208,5 @@ def load_speakers(checkpoint_path) -> list[str]:
     path = _speaker_list_path(checkpoint_path)
     if not path.exists():
         raise FileNotFoundError(f"no speaker list at {path}")
-    return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    with open_text(path) as fh:
+        return [line for line in fh.read().splitlines() if line]

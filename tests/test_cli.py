@@ -235,6 +235,28 @@ class TestTrain:
         assert (tmp_path / "run2" / "train.log").read_bytes() == \
             pipeline["log"].read_bytes()
 
+    def test_failed_force_rerun_keeps_the_old_run(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        old = {name: f"old {name}\n".encode()
+               for name in ("model.hvt", "model.cfg", "model.spk", "train.log")}
+        for name, content in old.items():
+            (run / name).write_bytes(content)
+        manifest = tmp_path / "m.tsv"     # speaker b has one utterance: split fails
+        manifest.write_text("a-0\ta\ta0.hvt\t98\na-1\ta\ta1.hvt\t98\nb-0\tb\tb0.hvt\t98\n")
+        code, _, err = run_cli("train", "--manifest", str(manifest), "--out", str(run),
+                               "--force")
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "speaker b has 1 utterance(s)" in err
+        for name, content in old.items():
+            assert (run / name).read_bytes() == content, name
+
+    def test_model_checkpoint_is_float32(self, pipeline):
+        params, _ = load_checkpoint(pipeline["ckpt"])
+        assert params.dtype == np.float32
+        assert all(b.dtype == np.float32 for b in params.buffers.values())
+
     def test_missing_manifest_hint(self, tmp_path):
         code, _, err = run_cli("train", "--manifest", str(tmp_path / "no.tsv"),
                                "--out", str(tmp_path / "run"))
@@ -576,6 +598,25 @@ def _case_cfg_is_empty(p):
         f"{ckpt.with_suffix('.cfg')}: missing config key 'n_speakers'"
 
 
+def _case_undecodable_manifest(p):
+    p["manifest"].write_bytes(b"a-u0\ta\tx.hvt\t98\na-u1\ta\t\xff.hvt\t98\n")
+    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
+        f"{p['manifest']}:2: not UTF-8 text"
+
+
+def _case_undecodable_enrol_csv(p):
+    p["emb"].write_bytes(p["emb"].read_bytes().replace(b"a-u1", b"a-\xff1"))
+    return ("score-ver", "--enrol", p["emb"], "--eval", p["emb"],
+            "--out", p["dir"] / "ver"), f"{p['emb']}:3: not UTF-8 text"
+
+
+def _case_undecodable_config(p):
+    config = p["dir"] / "synth.cfg"
+    config.write_bytes(b"# settings\nseed=\xff\n")
+    return ("synth", "--out", p["dir"] / "c", "--config", config), \
+        f"{config}:2: not UTF-8 text"
+
+
 def _case_bad_n_frames(p):
     p["manifest"].write_text("a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\tmany\n")
     return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
@@ -610,6 +651,9 @@ _BOUNDARY_CASES = {
     "model.spk is a directory": _case_spk_is_dir,
     "model.cfg is empty": _case_cfg_is_empty,
     "manifest n_frames is not an integer": _case_bad_n_frames,
+    "manifest is not UTF-8": _case_undecodable_manifest,
+    "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
+    "--config is not UTF-8": _case_undecodable_config,
 }
 
 

@@ -1,4 +1,6 @@
 """Synthetic corpus generation, manifests, and splits."""
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ class TestManifest:
         path.write_text("u0\ts0\n")
         with pytest.raises(ValueError, match="4 tab-separated"):
             corpus.Manifest.load(path)
+
+    def test_undecodable_byte_names_its_line_past_the_first_chunk(self, tmp_path):
+        # text files are decoded in chunks of a few KiB; the line is the file's
+        lines = [f"u{i}\ts\tx.hvt\t98\n".encode() for i in range(3000)]
+        lines[2499] = b"u2499\ts\t\xe9.hvt\t98\n"
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2500: not UTF-8 text"):
+            corpus.Manifest.load(path, check_paths=False)
 
 
 def _fake_manifest(n_speakers, utts_per_speaker):

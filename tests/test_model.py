@@ -486,6 +486,50 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="buffer fc1_bn.var"):
             load_checkpoint(path)
 
+    def test_float32_roundtrip_keeps_the_dtype(self, tmp_path):
+        cfg = ModelConfig.tiny(n_speakers=3)
+        p = build_params(cfg, seed=35).astype(np.float32)
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, p, cfg)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        for name, t in p.tensors.items():
+            assert loaded[name].dtype == np.float32
+            assert np.array_equal(loaded[name].data, t.data)
+        for name, b in p.buffers.items():
+            assert loaded.buffers[name].dtype == np.float32
+            assert np.array_equal(loaded.buffers[name], b)
+
+    def test_mixed_dtypes_rejected(self, tmp_path):
+        cfg = ModelConfig.tiny()
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, build_params(cfg, seed=36).astype(np.float32), cfg)
+        arrays = hv.load_archive(path)
+        arrays["fc2.w"] = arrays["fc2.w"].astype(np.float64)
+        hv.save_archive(path, arrays)
+        with pytest.raises(ValueError, match="mix dtypes float32, float64"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode", ["hvector", "xvector"])
+    def test_float64_checkpoint_embeds_in_float64(self, tmp_path, mode):
+        cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
+        p = build_params(cfg, seed=37)
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, p, cfg)
+        # written in the float64 format every earlier checkpoint has
+        raw = path.read_bytes()
+        assert raw.count(b"HVT1") == len(p.tensors) + len(p.buffers)
+        assert b"HVF4" not in raw
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        rng = np.random.default_rng(38)
+        frags = random_frags(rng, cfg, batch=4)
+        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment,
+                                   f"u{i}", "s") for i, f in enumerate(frags)]
+        _, want = forward_batch(frags, full_frames(cfg, 4), p, cfg, training=False)
+        assert want.dtype == np.float64
+        assert np.array_equal(embed_batch(feats, loaded, cfg), want.data)
+
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         cfg = ModelConfig.tiny()
         p = build_params(cfg, seed=34)

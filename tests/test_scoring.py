@@ -729,6 +729,11 @@ class TestFileFormats:
         assert np.array_equal(got_targets, np.array([bool(i % 2) for i in range(7)]))
         with pytest.raises(ValueError, match="scores"):
             save_trials(path, trials, scores[:3])
+        raw = path.read_bytes().split(b"\n")
+        raw[4] = raw[4].replace(b"u3", b"u\xff")
+        path.write_bytes(b"\n".join(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: not UTF-8 text"):
+            load_trials(path)
 
     def test_eer_report_format(self, tmp_path):
         path = tmp_path / "eer.txt"

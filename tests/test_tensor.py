@@ -556,6 +556,37 @@ class TestSerialisation:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="negative"):
             hv.load_archive(path)
+        # a float32 array is sized by its 4-byte elements
+        hv.save_archive(path, {"a": np.ones((1, 5), dtype=np.float32)})
+        raw = bytearray(path.read_bytes())
+        assert len(raw) == 69
+        raw[dims:dims + 16] = struct.pack("<qq", 2**20, 2**22)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="needs 17592186044416 bytes"):
+            hv.load_archive(path)
+
+    def test_float64_layout_is_unchanged(self, tmp_path):
+        arr = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "f8.hvt"
+        hv.save_archive(path, {"x": arr, "n": 2})
+        array_bytes = [b"HVT1" + struct.pack("<q", a.ndim)
+                       + b"".join(struct.pack("<q", n) for n in a.shape)
+                       + a.astype("<f8").tobytes() for a in (arr, np.array(2.0))]
+        assert path.read_bytes() == (b"HVTA" + struct.pack("<q", 2)
+                                     + struct.pack("<q", 1) + b"x" + array_bytes[0]
+                                     + struct.pack("<q", 1) + b"n" + array_bytes[1])
+
+    def test_float32_roundtrip_keeps_the_dtype(self, tmp_path):
+        rng = np.random.default_rng(23)
+        arrays = {"w": rng.normal(size=(3, 4)).astype(np.float32), "s": np.float32(1.5),
+                  "d": rng.normal(size=2)}
+        path = tmp_path / "f4.hvt"
+        hv.save_archive(path, arrays)
+        got = hv.load_archive(path)
+        for k, want in arrays.items():
+            assert got[k].dtype == np.asarray(want).dtype, k
+            assert np.array_equal(got[k], want), k
+        assert path.read_bytes().count(b"HVF4") == 2
 
     def test_archive_roundtrip(self, tmp_path):
         rng = np.random.default_rng(22)

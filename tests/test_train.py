@@ -8,6 +8,7 @@ from hvector import tensor as hv
 from hvector.audio import UtteranceFeatures, load_wav, mfcc_frames, split_fragments
 from hvector.corpus import split, synth_corpus
 from hvector.model import (
+    MODES,
     ModelConfig,
     build_params,
     embed_batch,
@@ -125,6 +126,29 @@ class TestAdam:
         with pytest.raises(RuntimeError, match="theta"):
             adam_step(params, AdamState(params), TrainConfig())
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        cfg = ModelConfig.tiny(n_speakers=2)
+        params = build_params(cfg, seed=0)
+        state = AdamState(params)
+        rng = np.random.default_rng(12)
+        for t in params.tensors.values():
+            t.grad = rng.standard_normal(t.shape)
+        adam_step(params, state, TrainConfig(lr=1e-3))   # moments and step now non-zero
+        for t in params.tensors.values():
+            t.grad = rng.standard_normal(t.shape)
+        last = list(params.tensors)[-1]
+        params[last].grad.reshape(-1)[-1] = np.nan
+        before = ({n: t.data.copy() for n, t in params.tensors.items()},
+                  {n: m.copy() for n, m in state.m.items()},
+                  {n: v.copy() for n, v in state.v.items()})
+        with pytest.raises(RuntimeError, match=f"{last}.*step 2"):
+            adam_step(params, state, TrainConfig(lr=1e-3))
+        assert state.step == 1
+        after = ({n: t.data for n, t in params.tensors.items()}, state.m, state.v)
+        for old, new in zip(before, after):
+            for name in old:
+                assert np.array_equal(old[name], new[name]), name
+
     def test_missing_gradient_is_skipped(self):
         params, theta = _single_param_setup(np.array([4.0]))
         theta.grad = None
@@ -207,6 +231,35 @@ def test_finished_step_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_step_computes_in_the_parameters_dtype(mode, dtype):
+    # numpy 2 upcasts float32 mixed with any float64 array, 0-d ones included,
+    # so one stray float64 constant would show up on the tape
+    cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
+    params = build_params(cfg, seed=0).astype(dtype)
+    rng = np.random.default_rng(13)
+    frags = rng.standard_normal((4, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+    n_frames = np.full(4, cfg.n_fragments * cfg.frames_per_fragment)
+    with hv.record() as graph:
+        logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+                                  rng=np.random.default_rng(14))
+        loss = cross_entropy(logits, np.arange(4) % 3)
+    assert {node.out.dtype for node in graph.nodes} == {np.dtype(dtype)}
+    # the features are cast before the first layer, not mixed into it
+    same, _ = forward_batch(frags.astype(dtype), n_frames, params, cfg, training=True,
+                            rng=np.random.default_rng(14))
+    assert np.array_equal(same.data, logits.data)
+    hv.backward(loss)
+    assert {t.grad.dtype for t in params.tensors.values()} == {np.dtype(dtype)}
+    state = AdamState(params)
+    adam_step(params, state, TrainConfig(lr=1e-3))
+    kept = [t.data for t in params.tensors.values()] + list(params.buffers.values())
+    kept += list(state.m.values()) + list(state.v.values())
+    assert {a.dtype for a in kept} == {np.dtype(dtype)}
+    assert embed_batch(toy_features(rng, cfg, 2), params, cfg).dtype == np.float64
+
+
 class TestTrainLoop:
     def test_two_synthetic_speakers_reach_95_percent(self, tmp_path):
         manifest = synth_corpus(2, 20, 1.0, seed=11, out_dir=tmp_path)
@@ -229,9 +282,11 @@ class TestTrainLoop:
         feats = toy_features(rng, cfg, 6)
         tcfg = TrainConfig(lr=0.0, epochs=2, seed=5, batch_size=4)
         params, history, _ = train(feats[:8], feats[8:], cfg, tcfg)
-        fresh = build_params(cfg, seed=5)
+        # train draws the float64 build_params weights and computes in float32
+        fresh = build_params(cfg, seed=5).astype(np.float32)
         assert len(history) == 2
         for name, t in fresh.tensors.items():
+            assert params[name].dtype == np.float32
             assert np.array_equal(params[name].data, t.data), name
 
     def test_same_seed_reproduces_the_loss_trajectory(self):
