@@ -6,6 +6,7 @@ frame, and utterances are cut into 10 ordered fragments for the models.
 """
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass, field
 
@@ -69,16 +70,26 @@ def load_wav(path, channel: int | None = None) -> AudioClip:
     is rejected.
     """
     try:
-        with wave.open(str(path), "rb") as fh:
+        with open(path, "rb") as raw_fh, wave.open(raw_fh) as fh:
             n_channels = fh.getnchannels()
             sampwidth = fh.getsampwidth()
             rate = fh.getframerate()
             n = fh.getnframes()
+            # a corrupt frame count must not ask for gigabytes: check it
+            # against the bytes after the header before reading
+            left = os.fstat(raw_fh.fileno()).st_size - raw_fh.tell()
+            if n * n_channels * sampwidth > left:
+                raise OSError(f"{path}: truncated WAV payload ({left} bytes for {n} frames)")
             raw = fh.readframes(n)
     except wave.Error as exc:
         raise ValueError(f"{path}: unsupported WAV encoding ({exc})") from exc
+    except (EOFError, RuntimeError):
+        # how the wave module reports a header or chunk that runs past the end
+        raise ValueError(f"{path}: truncated WAV header") from None
     if sampwidth != 2:
         raise ValueError(f"{path}: only 16-bit PCM is supported, got {8 * sampwidth}-bit")
+    if rate <= 0:
+        raise ValueError(f"{path}: sample rate {rate} Hz")
     if len(raw) != n * n_channels * 2:
         raise IOError(f"{path}: truncated WAV payload ({len(raw)} bytes for {n} frames)")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -2,11 +2,20 @@
 
 A synthetic speaker is a pitch plus three vocal-tract resonances; an
 utterance is a jittered glottal pulse train run through those resonators
-with a little noise on top.  Different master seeds give disjoint speaker
-identities, which the verification protocol relies on.
+in cascade (Klatt, "Software for a cascade/parallel formant synthesizer",
+JASA 1980) with a little noise on top.  Different master seeds give
+disjoint speaker identities, which the verification protocol relies on.
+
+Synthesis needs numpy alone: the pulse train is one cumulative sum of
+jittered periods, and the cascade is applied as one frequency response.
+Each utterance draws from its own seeded generator in a fixed order
+(pulse jitters, formant jitters, gain, noise), so a corpus is a function
+of its arguments.
 """
 from __future__ import annotations
 
+import functools
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,6 +108,9 @@ class Manifest:
         return cls(entries, split)
 
 
+MIN_BANDWIDTH_HZ = 10.0
+
+
 @dataclass
 class SynthSpeakerSpec:
     """Generative parameters of one synthetic speaker."""
@@ -115,6 +127,11 @@ class SynthSpeakerSpec:
             raise ValueError(f"pitch {self.pitch_hz} Hz outside [60, 300]")
         if any(f >= SAMPLE_RATE / 2 for f in self.formants_hz):
             raise ValueError(f"formants {self.formants_hz} must stay below Nyquist")
+        # synthesis pads its FFT by ~46 / (pi * bw / SAMPLE_RATE) samples,
+        # ~12,000 at 10 Hz; a bandwidth <= 0 would make a resonator diverge
+        if not all(MIN_BANDWIDTH_HZ <= b <= SAMPLE_RATE / 2 for b in self.bandwidths_hz):
+            raise ValueError(f"bandwidths_hz {self.bandwidths_hz} must lie in "
+                             f"[{MIN_BANDWIDTH_HZ:g}, {SAMPLE_RATE / 2:g}] Hz")
 
 
 def make_speaker_spec(master_seed: int, index: int, speaker_id: str) -> SynthSpeakerSpec:
@@ -133,29 +150,88 @@ def make_speaker_spec(master_seed: int, index: int, speaker_id: str) -> SynthSpe
     )
 
 
+def _fast_fft_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT is fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _pulse_train(rng, n: int, pitch_hz: float) -> np.ndarray:
+    """n samples of glottal pulses at pitch_hz with 3% jitter per period.
+
+    Pulse k + 1 follows pulse k by period * (1 + u_k), u_k ~ U(-0.03, 0.03),
+    until a position reaches n: one draw per pulse.  More draws than can be
+    needed are made, the pulses counted, and the generator rewound to draw
+    exactly that many, so the draws after these are the ones a draw per
+    pulse leaves.
+    """
+    period = SAMPLE_RATE / pitch_hz
+    state = rng.bit_generator.state
+    bound = int(n / (0.97 * period)) + 2
+    positions = np.cumsum(np.concatenate(
+        ([0.0], period * (1.0 + rng.uniform(-0.03, 0.03, bound)))))
+    count = int(np.searchsorted(positions, n))
+    rng.bit_generator.state = state
+    rng.uniform(-0.03, 0.03, count)
+    pulses = np.zeros(n)
+    pulses[positions[:count].astype(np.intp)] = 1.0
+    return pulses
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_delay(size: int) -> np.ndarray:
+    """z^-1 = e^(-2 pi i k / size) at each bin k of a real FFT of that size.
+
+    Cached: a corpus asks for few sizes, and the complex exp costs as much
+    as the FFT itself.
+    """
+    z = np.exp(-2j * np.pi / size * np.arange(size // 2 + 1))
+    z.flags.writeable = False
+    return z
+
+
+def _resonate(x: np.ndarray, poles) -> np.ndarray:
+    """x through the resonators (1 - r) / ((1 - p z^-1)(1 - conj(p) z^-1)),
+    p = r e^(i theta), one per (r, theta) in poles, in cascade.
+
+    The cascade is applied as one frequency response.  Each pole's factor is
+    evaluated on its own at every FFT bin, which stays accurate when poles
+    lie close together.  The FFT runs so far past len(x) that the slowest
+    pole has decayed below e^-46 < 1e-20 there, which keeps the circular
+    wrap-around below rounding.
+    """
+    n = len(x)
+    size = _fast_fft_len(n + math.ceil(-46.0 / math.log(max(r for r, _ in poles))))
+    z = _unit_delay(size)
+    gain, den = 1.0, np.ones_like(z)
+    for r, theta in poles:
+        p = r * np.exp(1j * theta)
+        gain *= 1.0 - r
+        den *= (1.0 - p * z) * (1.0 - p.conjugate() * z)
+    return np.fft.irfft(np.fft.rfft(x, size) * (gain / den), size)[:n]
+
+
 def synth_utterance(spec: SynthSpeakerSpec, duration_s: float,
                     master_seed: int, speaker_index: int, utt_index: int) -> AudioClip:
     """Render one utterance: jittered pulse train through formant resonators."""
-    # Imported here: scipy.signal takes about a second to import, and only
-    # synthesis needs it.
-    from scipy.signal import lfilter
-
     rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, speaker_index, utt_index])
     )
     n = int(round(duration_s * SAMPLE_RATE))
-    pulses = np.zeros(n)
-    pos = 0.0
-    while pos < n:
-        pulses[int(pos)] = 1.0
-        period = SAMPLE_RATE / spec.pitch_hz
-        pos += period * (1.0 + rng.uniform(-0.03, 0.03))
-    x = pulses
-    for f, bw in zip(spec.formants_hz, spec.bandwidths_hz):
-        f_u = f * (1.0 + rng.uniform(-0.02, 0.02))
-        r = np.exp(-np.pi * bw / SAMPLE_RATE)
-        theta = 2.0 * np.pi * f_u / SAMPLE_RATE
-        x = lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(theta), r * r], x)
+    if n < 1:
+        raise ValueError(f"duration {duration_s} s holds no samples")
+    pulses = _pulse_train(rng, n, spec.pitch_hz)
+    poles = [(np.exp(-np.pi * bw / SAMPLE_RATE),
+              2.0 * np.pi * (f * (1.0 + rng.uniform(-0.02, 0.02))) / SAMPLE_RATE)
+             for f, bw in zip(spec.formants_hz, spec.bandwidths_hz)]
+    x = _resonate(pulses, poles)
     x = x / np.max(np.abs(x)) * 0.5 * rng.uniform(0.7, 1.0)
     x = x + rng.normal(0.0, spec.noise_level, n)
     return AudioClip(np.clip(x, -0.99, 0.99))

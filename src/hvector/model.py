@@ -405,8 +405,11 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
     path = Path(path)
     arrays = {name: t.data for name, t in params.tensors.items()}
     arrays.update({_BUFFER + name: b for name, b in params.buffers.items()})
-    hv.save_archive(path, arrays)
-    path.with_suffix(".cfg").write_text(cfg.to_text(), encoding="utf-8")
+    # each file is replaced whole; the .cfg only once the .hvt is in place,
+    # so a failed write leaves the previous pair as it was
+    with hv.atomic_write(path.with_suffix(".cfg"), "w", encoding="utf-8") as fh:
+        fh.write(cfg.to_text())
+        hv.save_archive(path, arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:

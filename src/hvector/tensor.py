@@ -15,6 +15,7 @@ finite-difference checks need it, float32 for training speed.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -33,7 +34,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "relu", "sigmoid", "tanh",
     "concat", "reshape", "slice_axis", "mean", "tsum",
     "dropout", "batchnorm",
-    "save_archive", "load_archive",
+    "save_archive", "load_archive", "atomic_write",
 ]
 
 
@@ -785,9 +786,29 @@ def _read_array(fh) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """open() for writing a file that is replaced whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which replaces
+    `path` on success and is removed if the write fails.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_archive(path, arrays: dict):
     """Write a keyed archive of named tensors, float32 or float64 each."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_ARCHIVE_MAGIC)
         fh.write(struct.pack("<q", len(arrays)))
         for name, arr in arrays.items():

@@ -200,8 +200,9 @@ def _speaker_list_path(checkpoint_path):
 
 def save_speakers(checkpoint_path, speakers):
     """Record the label order next to a checkpoint (one speaker id per line)."""
-    _speaker_list_path(checkpoint_path).write_text(
-        "".join(f"{s}\n" for s in speakers), encoding="utf-8")
+    with hv.atomic_write(_speaker_list_path(checkpoint_path), "w",
+                         encoding="utf-8") as fh:
+        fh.write("".join(f"{s}\n" for s in speakers))
 
 
 def load_speakers(checkpoint_path) -> list[str]:

@@ -1,9 +1,12 @@
 """Audio front end: WAV I/O, VAD, windowing, MFCC, fragmenting."""
+import io
 import wave
 
 import numpy as np
 import pytest
 import scipy.fftpack
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvector import audio
 from hvector.audio import AudioClip
@@ -70,6 +73,50 @@ class TestWavIO:
         path.write_bytes(raw[:-100])
         with pytest.raises((IOError, ValueError, wave.Error)):
             audio.load_wav(path)
+
+
+def pcm_wav_bytes(n_channels, n_frames=400, rate=8000):
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as fh:
+        fh.setnchannels(n_channels)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(np.arange(n_frames * n_channels, dtype="<i2").tobytes())
+    return buf.getvalue()
+
+
+_WAVS = {1: pcm_wav_bytes(1), 2: pcm_wav_bytes(2)}
+_WAV_LEN = len(_WAVS[1])   # 44-byte header: sizes at 4, 16 and 40, rate at 24
+
+
+@pytest.fixture(scope="module")
+def wav_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav_fuzz") / "clip.wav"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_channels=st.sampled_from([1, 2]), channel=st.sampled_from([None, 0]),
+       cut=st.integers(0, 2 * _WAV_LEN),
+       flips=st.lists(st.tuples(st.integers(0, 47), st.integers(1, 255)), max_size=4))
+@example(n_channels=1, channel=None, cut=0, flips=[])             # empty file
+@example(n_channels=1, channel=None, cut=30, flips=[])            # cut inside fmt
+@example(n_channels=1, channel=None, cut=_WAV_LEN, flips=[(18, 0x80)])  # fmt runs past the end
+@example(n_channels=1, channel=None, cut=_WAV_LEN, flips=[(43, 0x80)])  # data claims 2 GB
+@example(n_channels=1, channel=None, cut=_WAV_LEN, flips=[(24, 0x40), (25, 0x1F)])  # rate 0
+def test_load_wav_fails_cleanly(wav_path, n_channels, channel, cut, flips):
+    """A truncated or byte-flipped WAV loads, or raises ValueError/OSError
+    naming the file: never EOFError, RuntimeError or a bare message."""
+    raw = bytearray(_WAVS[n_channels][:cut])
+    for offset, mask in flips:
+        if offset < len(raw):
+            raw[offset] ^= mask
+    wav_path.write_bytes(bytes(raw))
+    try:
+        clip = audio.load_wav(wav_path, channel=channel)
+    except (ValueError, OSError) as exc:
+        assert str(wav_path) in str(exc), str(exc)
+    else:
+        assert isinstance(clip, AudioClip)
 
 
 class TestVad:

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hvector
+from hvector.audio import AudioClip, save_wav
 from hvector.cli import load_features, main
 from hvector.corpus import Manifest
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
@@ -548,14 +549,20 @@ class TestScoreVer:
         assert peak < 28 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    """Only `synth` needs scipy.signal, which is slow to import."""
+def test_import_leaves_scipy_signal_unloaded(tmp_path):
+    """No command needs scipy.signal, which takes about a second to import:
+    not loading the CLI, and not `synth`, which filters in numpy alone."""
     src = str(Path(hvector.__file__).resolve().parent.parent)
-    probe = "import sys, hvector.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    synth = (f"main(['synth', '--out', {str(tmp_path / 'c')!r}, '--speakers', '2', "
+             "'--utts', '1', '--dur', '0.2'])")
+    for probe in ("import sys, hvector.cli; print('scipy.signal' in sys.modules)",
+                  f"import sys; from hvector.cli import main; {synth}; "
+                  "print('scipy.signal' in sys.modules)"):
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "False"
+    assert len(Manifest.load(tmp_path / "c" / "manifest.tsv")) == 2
 
 
 # --- one error boundary -------------------------------------------------------
@@ -623,6 +630,15 @@ def _case_bad_n_frames(p):
         f"{p['manifest']}:2: n_frames 'many' is not an integer"
 
 
+def _case_empty_wav(p):
+    good, empty = p["dir"] / "good.wav", p["dir"] / "empty.wav"
+    save_wav(good, AudioClip(0.3 * np.sin(np.arange(8000) / 3.0)))
+    empty.write_bytes(b"")
+    p["manifest"].write_text(f"a-u0\ta\t{good}\t0\na-u1\ta\t{empty}\t0\n")
+    return ("prepare", "--manifest", p["manifest"], "--out", p["dir"] / "feats"), \
+        f"error: a-u1: {empty}: truncated WAV header"
+
+
 # name -> inputs -> (argv, text the one error line must contain)
 _BOUNDARY_CASES = {
     "manifest is a directory": lambda p: (
@@ -654,6 +670,7 @@ _BOUNDARY_CASES = {
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
     "--config is not UTF-8": _case_undecodable_config,
+    "a manifest's WAV is empty": _case_empty_wav,
 }
 
 

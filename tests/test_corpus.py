@@ -1,10 +1,33 @@
 """Synthetic corpus generation, manifests, and splits."""
+import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from hvector import audio, corpus
+
+
+def pulse_train_loop(rng, n, pitch_hz):
+    """Reference for `corpus._pulse_train`: one scalar jitter draw per pulse."""
+    pulses = np.zeros(n)
+    pos = 0.0
+    while pos < n:
+        pulses[int(pos)] = 1.0
+        period = audio.SAMPLE_RATE / pitch_hz
+        pos += period * (1.0 + rng.uniform(-0.03, 0.03))
+    return pulses
+
+
+def resonate_lfilter(x, poles):
+    """Reference for `corpus._resonate`: the two-pole recursions in cascade."""
+    for r, theta in poles:
+        x = lfilter([1.0 - r], [1.0, -2.0 * r * np.cos(theta), r * r], x)
+    return x
 
 
 class TestSynth:
@@ -34,6 +57,62 @@ class TestSynth:
             spec = corpus.make_speaker_spec(3, i, f"x{i}")
             assert 60 <= spec.pitch_hz <= 300
             assert all(f < 4000 for f in spec.formants_hz)
+
+    def test_wav_bytes_are_pinned(self, tmp_path):
+        # digest of the WAV files as the per-pulse loop and scipy's lfilter
+        # wrote them, before synthesis moved to numpy alone
+        manifest = corpus.synth_corpus(2, 3, 0.5, seed=7, out_dir=tmp_path)
+        digest = hashlib.sha256()
+        for e in manifest.entries:
+            digest.update(Path(e.path).read_bytes())
+        assert digest.hexdigest() == (
+            "1706cbf8020e5776e1a3847b938345123a74769e0795cf8d8d66ee4c7513800e")
+
+    @settings(max_examples=150, deadline=None)
+    @given(pitch_hz=st.floats(60.0, 300.0), duration_s=st.floats(0.1, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pulse_train_matches_per_pulse_loop(self, pitch_hz, duration_s, seed):
+        n = int(round(duration_s * audio.SAMPLE_RATE))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(corpus._pulse_train(fast, n, pitch_hz),
+                              pulse_train_loop(slow, n, pitch_hz))
+        # the generator is left where the loop leaves it, so the formant,
+        # gain and noise draws that follow are unchanged
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(800, 32_000),
+           formants=st.lists(st.floats(250.0, 3750.0), min_size=3, max_size=3),
+           bandwidths=st.lists(st.floats(corpus.MIN_BANDWIDTH_HZ, 4000.0),
+                               min_size=3, max_size=3))
+    @example(seed=0, n=8000, formants=[1000.0, 1005.0, 1010.0], bandwidths=[10.0] * 3)
+    @example(seed=1, n=8000, formants=[3740.0, 3745.0, 3750.0], bandwidths=[10.0] * 3)
+    def test_resonators_match_lfilter_cascade(self, seed, n, formants, bandwidths):
+        # formants span past make_speaker_spec's jittered 294-3468 Hz.  Close
+        # to 0 Hz or Nyquist, narrow coincident resonators make the recursion
+        # the less accurate of the two (20 Hz x3 at 10 Hz: lfilter 1.8e-12,
+        # the FFT 3e-14, against an extended-precision recursion), so the
+        # oracle stops short of there.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * (rng.random(n) < 0.1)
+        x[0] = 1.0
+        poles = [(np.exp(-np.pi * bw / audio.SAMPLE_RATE), 2.0 * np.pi * f / audio.SAMPLE_RATE)
+                 for f, bw in zip(formants, bandwidths)]
+        want = resonate_lfilter(x, poles)
+        got = corpus._resonate(x, poles)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bandwidths", [(60.0, 0.0, 90.0), (60.0, -5.0, 90.0),
+                                            (9.9, 80.0, 90.0), (60.0, 80.0, float("nan"))])
+    def test_bad_bandwidth_rejected(self, bandwidths):
+        with pytest.raises(ValueError, match="bandwidths_hz"):
+            corpus.SynthSpeakerSpec("x", 120.0, (500.0, 1500.0, 2500.0), bandwidths,
+                                    0.02, 0)
+
+    def test_empty_duration_rejected(self):
+        spec = corpus.make_speaker_spec(0, 0, "x")
+        with pytest.raises(ValueError, match="no samples"):
+            corpus.synth_utterance(spec, 0.0, 0, 0, 0)
 
     def test_too_few_speakers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hvector.model import (
     segment_encode,
 )
 from hvector.tensor import Tensor
+from hvector.train import save_speakers
 
 
 def desk_cfg(mode="hvector", n_speakers=5):
@@ -559,3 +562,46 @@ class TestCheckpoint:
             h.update(name.encode())
             h.update(b.tobytes())
         assert h.hexdigest()[:16] == digest
+
+
+class _TornFile:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("torn", [".hvt", ".cfg", ".spk"])
+def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch, torn):
+    cfg = ModelConfig.tiny()
+    ckpt = tmp_path / "model.hvt"
+    save_checkpoint(ckpt, build_params(cfg, seed=1), cfg)
+    save_speakers(ckpt, ["a", "b", "c"])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def torn_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _TornFile(fh) if Path(file).name.startswith(f".model{torn}.") else fh
+
+    monkeypatch.setattr(hv, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        # what `train` writes, in its order, for a different model
+        save_checkpoint(ckpt, build_params(cfg, seed=2), dataclasses.replace(cfg, dropout=0.5))
+        save_speakers(ckpt, ["c", "b", "a"])
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)   # no temporary file is left behind
+    # the .spk is written after the checkpoint pair, which is then already new
+    kept = ["model.spk"] if torn == ".spk" else sorted(before)
+    for name in kept:
+        assert after[name] == before[name], name

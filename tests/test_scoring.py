@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hvector.scoring import (
@@ -568,12 +568,17 @@ class TestPlda:
     @given(seed=st.integers(0, 2**32 - 1),
            counts=st.lists(st.integers(1, 6), min_size=2, max_size=8)
            .filter(lambda c: max(c) >= 2),
-           d=st.integers(2, 5), use_lda=st.booleans())
-    def test_fit_matches_per_speaker_oracle(self, seed, counts, d, use_lda):
+           d=st.integers(2, 5), use_lda=st.booleans(), max_iter=st.integers(1, 5))
+    @example(seed=673371, counts=[2, 4], d=4, use_lda=False, max_iter=2)
+    def test_fit_matches_per_speaker_oracle(self, seed, counts, d, use_lda, max_iter):
         # Uneven counts: EM inverts one matrix per distinct count.  With fewer
         # within-speaker contrasts than dimensions the within scatter is
         # singular up to rounding, and even the oracle's fit then changes
         # with the order of the records, so such draws are left out.
+        # Both fits run exactly max_iter EM steps (tol=-inf never stops them
+        # early): a slowly converging fit, like the pinned 2-speaker draw,
+        # piles up the two implementations' rounding over 50 steps (2.9e-9
+        # there), and a stop decided by rounding could differ between them.
         assume(sum(counts) - len(counts) >= d)
         rng = np.random.default_rng(seed)
         recs = [EmbeddingRecord(f"s{k}-u{j}", f"s{k}", y + rng.standard_normal(d))
@@ -582,10 +587,21 @@ class TestPlda:
         recs = [recs[i] for i in rng.permutation(len(recs))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            model = plda_fit(recs, use_lda=use_lda)
-            expected = plda_fit_oracle(recs, use_lda)
+            model = plda_fit(recs, use_lda=use_lda, max_iter=max_iter, tol=-np.inf)
+            expected = plda_fit_oracle(recs, use_lda, max_iter=max_iter, tol=-np.inf)
         # the data are O(1), so mu (0 when every count is equal) is held to
         # the data scale, the rest to their own norms
+        for got, want in zip((model.mu, model.phi_b, model.phi_w, model.lda), expected):
+            assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
+
+    @pytest.mark.parametrize("use_lda", [False, True])
+    def test_default_stopping_matches_oracle(self, use_lda):
+        # the property test above runs a fixed number of steps; here both
+        # fits stop by the default likelihood rule, on a well-posed corpus
+        # with uneven counts
+        recs = [r for i, r in enumerate(sample_two_cov(seed=2)[0]) if i % 7]
+        model = plda_fit(recs, use_lda=use_lda)
+        expected = plda_fit_oracle(recs, use_lda)
         for got, want in zip((model.mu, model.phi_b, model.phi_w, model.lda), expected):
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
 
