@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, AudioClip, save_wav
+from .tensor import atomic_write
 
 __all__ = [
     "ManifestEntry", "Manifest", "SynthSpeakerSpec",
@@ -80,7 +81,7 @@ class Manifest:
         return out
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for e in self.entries:
                 fh.write(f"{e.utterance_id}\t{e.speaker_id}\t{e.path}\t{e.n_frames}\n")
 

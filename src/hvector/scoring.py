@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .corpus import open_text
+from .tensor import atomic_write
 
 __all__ = [
     "EmbeddingRecord", "Trial", "PldaModel",
@@ -199,10 +200,16 @@ class PldaModel:
         return (x - self.mean) @ self.lda
 
 
-def _lda_projection(sw, sb, reduced_dim):
-    try:
-        evals, evecs = scipy.linalg.eigh(sb, sw)
-    except scipy.linalg.LinAlgError:
+def _lda_projection(sw, sb, reduced_dim, singular):
+    """Top `reduced_dim` generalized eigenvectors of (sb, sw).  `singular`
+    says the data leave sw rank-deficient: it is then ridged up front, not
+    only when rounding happens to make eigh fail on it."""
+    if not singular:
+        try:
+            evals, evecs = scipy.linalg.eigh(sb, sw)
+        except scipy.linalg.LinAlgError:
+            singular = True
+    if singular:
         warnings.warn("within-class scatter is singular; regularizing with 1e-6*I")
         try:
             evals, evecs = scipy.linalg.eigh(sb, sw + 1e-6 * np.eye(len(sw)))
@@ -285,7 +292,9 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
                 f"got reduced_dim {reduced_dim}"
             )
         between = (means.T * counts) @ means
-        lda = _lda_projection(within / n_total, between / n_total, reduced_dim)
+        # n_total - K within-speaker contrasts span at most that many dimensions
+        lda = _lda_projection(within / n_total, between / n_total, reduced_dim,
+                              singular=n_total - len(speakers) < dim)
     else:
         lda = np.eye(dim)
 
@@ -383,7 +392,7 @@ def save_embeddings(path, records):
     if not records:
         raise ValueError("no embeddings to save")
     dim = len(records[0].vector)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["utterance_id", "speaker_id"]
                         + [f"e{i}" for i in range(dim)])
@@ -434,7 +443,7 @@ def save_trials(path, trials, scores):
     scores = np.asarray(scores, dtype=np.float64)
     if len(trials) != len(scores):
         raise ValueError(f"{len(trials)} trials but {len(scores)} scores")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRIALS_HEADER)
         for tr, s in zip(trials, scores):
@@ -458,7 +467,7 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
         raise ValueError(f"{len(speakers)} x {len(test_utterances)} trials but "
                          f"scores {scores.shape} and targets {targets.shape}")
     tests = [_csv_field(u) + "," for u in test_utterances]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_TRIALS_HEADER) + "\n")
         for spk, row, hits in zip(speakers, scores, targets):
             enrol = _csv_field(spk) + ","
@@ -481,6 +490,6 @@ def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_eer_report(path, eer: float, threshold: float):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(f"EER={eer:.4f}\n")
         fh.write(f"threshold={threshold!r}\n")

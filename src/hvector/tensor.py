@@ -8,6 +8,12 @@ elementwise/reduction ops.  Gradients are recorded on an
 explicit tape (:class:`Graph`) whose insertion order is already a
 topological order; :func:`backward` replays the tape once in reverse.
 
+Every forward and backward product of :func:`matmul` and :func:`conv1d` is
+one 2-D GEMM over all leading rows: the models multiply (batch x segments x
+frames, k) stacks by one weight matrix, and numpy's ``@`` on a stacked left
+operand makes one small BLAS call per leading index, each repacking the
+whole weight.
+
 A tensor keeps the dtype of a float32 or float64 array and holds anything
 else as float64, and every op computes in the dtype of its inputs, so the
 dtype of a model's parameters is the dtype it computes in: float64 where
@@ -334,26 +340,35 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
 
     def bwd(g):
+        g2 = g.reshape(-1, n)
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            if a.ndim == 2:
-                _accumulate(b, a.data.T @ g)
-            else:
-                axes = list(range(a.ndim - 1))
-                _accumulate(b, np.tensordot(a.data, g, axes=(axes, axes)))
+            _accumulate(b, a2.T @ g2)
 
     return _make(out, (a, b), bwd)
+
+
+def _im2col(xp, width: int, t: int):
+    """(B, T + width - 1, C) padded rows to (B*T, width*C) windows: xp[b, s:s+width]."""
+    if width > 1:
+        xp = np.concatenate([xp[:, d:d + t] for d in range(width)], axis=-1)
+    return xp.reshape(-1, xp.shape[-1])
 
 
 def conv1d(x, kernel, bias) -> Tensor:
     """Same-padded 1-D convolution over the time axis.
 
     x is (T, C_in) or (batch, T, C_in); kernel is (width, C_in, C_out) with
-    odd width; bias is (C_out,).  Output keeps the time length.
+    odd width; bias is (C_out,).  Output keeps the time length.  The
+    product is one (B*T, width*C_in) @ (width*C_in, C_out) GEMM over the
+    unfolded windows.  The tape keeps only the padded input, from which
+    the backward pass unfolds the windows again.
     """
     x, kernel, bias = _wrap(x), _wrap(kernel), _wrap(bias)
     squeeze = x.ndim == 2
@@ -373,25 +388,24 @@ def conv1d(x, kernel, bias) -> Tensor:
         )
     batch, t, _ = xd.shape
     pad = w // 2
-    xp = np.zeros((batch, t + 2 * pad, cin), dtype=xd.dtype)
-    xp[:, pad:pad + t] = xd
-    out = np.broadcast_to(bias.data, (batch, t, cout)).copy()
-    for d in range(w):
-        out += xp[:, d:d + t] @ kernel.data[d]
+    xp = xd
+    if pad:
+        xp = np.zeros((batch, t + 2 * pad, cin), dtype=xd.dtype)
+        xp[:, pad:pad + t] = xd
+    k2 = kernel.data.reshape(w * cin, cout)
+    out = (_im2col(xp, w, t) @ k2 + bias.data).reshape(batch, t, cout)
 
     def bwd(g):
-        gb = g[None] if g.ndim == 2 else g
+        g2 = g.reshape(-1, cout)
         if bias.requires_grad:
-            _accumulate(bias, gb.sum(axis=(0, 1)))
+            _accumulate(bias, g2.sum(axis=0))
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for d in range(w):
-                gk[d] = np.tensordot(xp[:, d:d + t], gb, axes=([0, 1], [0, 1]))
-            _accumulate(kernel, gk)
+            _accumulate(kernel, (_im2col(xp, w, t).T @ g2).reshape(w, cin, cout))
         if x.requires_grad:
+            gcols = (g2 @ k2.T).reshape(batch, t, w, cin)
             gxp = np.zeros_like(xp)
             for d in range(w):
-                gxp[:, d:d + t] += gb @ kernel.data[d].T
+                gxp[:, d:d + t] += gcols[:, :, d]
             gx = gxp[:, pad:pad + t]
             _accumulate(x, gx[0] if squeeze else gx)
 
@@ -826,10 +840,19 @@ def load_archive(path) -> dict:
             raise ValueError(f"{path}: bad archive magic {magic!r}, "
                              f"expected {_ARCHIVE_MAGIC!r}")
         count, = struct.unpack("<q", _read_exact(fh, 8))
+        if count < 0:
+            raise ValueError(f"{path}: negative tensor count {count}")
         for _ in range(count):
             n, = struct.unpack("<q", _read_exact(fh, 8))
             if not 0 <= n <= _bytes_left(fh):
                 raise ValueError(f"{path}: implausible tensor name length {n}")
-            name = _read_exact(fh, n).decode("utf-8")
+            raw = _read_exact(fh, n)
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: tensor name {raw!r} is not UTF-8") from None
             out[name] = _read_array(fh)
+        if _bytes_left(fh):
+            raise ValueError(f"{path}: {_bytes_left(fh)} bytes after the last of "
+                             f"{count} tensors")
     return out

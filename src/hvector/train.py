@@ -188,8 +188,10 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
         if log_file:
             log_file.close()
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, best_params, model_cfg)
+        # the speaker list first: a failed write then never leaves a new
+        # checkpoint pair beside the previous run's label order
         save_speakers(checkpoint_path, speakers)
+        save_checkpoint(checkpoint_path, best_params, model_cfg)
     return best_params, history, speakers
 
 

@@ -5,6 +5,7 @@ the files each stage writes.  A module-scoped fixture runs one small
 synth -> prepare -> train pipeline that the embed/score tests reuse.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import hvector
 from hvector.audio import AudioClip, save_wav
-from hvector.cli import load_features, main
+from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
 from hvector.corpus import Manifest
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
@@ -781,3 +782,26 @@ def test_embedding_loader_fails_cleanly(fuzz_dir, text):
     path = fuzz_dir / "emb.csv"
     path.write_text(text, encoding="utf-8")
     _returns_or_names(lambda: load_embeddings(path), path)
+
+
+_SET_WORDS = st.sampled_from(["lr", "epochs", "preset", "backend", "lda_dim", "len",
+                              "length_norm", "stop_at_dev_acc", "none", "full",
+                              "true", "1e-3", "-2", "0", "1" * 5000, "nan", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(_SCHEMAS)),
+       text=_fuzzed_lines("=", _SET_WORDS).map(str.encode) | st.binary(),
+       sets=st.lists(_fuzzed_lines("=", _SET_WORDS), max_size=3))
+@example(command="train", text=b"epochs=1\n\xff=2\n", sets=[])
+@example(command="train", text=b"", sets=["epochs=" + "9" * 5000])
+def test_resolve_config_fails_cleanly(fuzz_dir, command, text, sets):
+    """Any --config file and --set pairs resolve, or give a CliError or
+    ValueError that names the file and line, or --set."""
+    path = fuzz_dir / "settings.cfg"
+    path.write_bytes(text)
+    args = argparse.Namespace(config=str(path), set=sets)
+    try:
+        resolve_config(command, args)
+    except (CliError, ValueError) as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: |--set", str(exc)), str(exc)

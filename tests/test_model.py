@@ -7,6 +7,7 @@ import pytest
 
 from hvector import tensor as hv
 from hvector.audio import UtteranceFeatures
+from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
     ModelConfig,
     batches,
@@ -19,6 +20,9 @@ from hvector.model import (
     save_checkpoint,
     segment_attention,
     segment_encode,
+)
+from hvector.scoring import (
+    EmbeddingRecord, save_eer_report, save_embeddings, save_score_matrix,
 )
 from hvector.tensor import Tensor
 from hvector.train import save_speakers
@@ -582,6 +586,15 @@ class _TornFile:
         raise OSError("no space left on device")
 
 
+def _tear(monkeypatch, prefix):
+    """Make the temporary file of the next atomic write to `prefix`* tear."""
+    def torn_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _TornFile(fh) if Path(file).name.startswith(prefix) else fh
+
+    monkeypatch.setattr(hv, "open", torn_open, raising=False)
+
+
 @pytest.mark.parametrize("torn", [".hvt", ".cfg", ".spk"])
 def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch, torn):
     cfg = ModelConfig.tiny()
@@ -590,18 +603,39 @@ def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch,
     save_speakers(ckpt, ["a", "b", "c"])
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def torn_open(file, *args, **kwargs):
-        fh = open(file, *args, **kwargs)
-        return _TornFile(fh) if Path(file).name.startswith(f".model{torn}.") else fh
-
-    monkeypatch.setattr(hv, "open", torn_open, raising=False)
+    _tear(monkeypatch, f".model{torn}.")
     with pytest.raises(OSError, match="no space"):
         # what `train` writes, in its order, for a different model
-        save_checkpoint(ckpt, build_params(cfg, seed=2), dataclasses.replace(cfg, dropout=0.5))
         save_speakers(ckpt, ["c", "b", "a"])
+        save_checkpoint(ckpt, build_params(cfg, seed=2), dataclasses.replace(cfg, dropout=0.5))
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(after) == sorted(before)   # no temporary file is left behind
-    # the .spk is written after the checkpoint pair, which is then already new
-    kept = ["model.spk"] if torn == ".spk" else sorted(before)
+    # the .spk is written before the checkpoint pair, so the pair is never
+    # newer than the speaker list beside it
+    kept = sorted(before) if torn == ".spk" else ["model.cfg", "model.hvt"]
     for name in kept:
         assert after[name] == before[name], name
+
+
+_OUTPUT_WRITERS = {
+    "embeddings.csv": lambda p, v: save_embeddings(
+        p, [EmbeddingRecord("u", "s", np.full(3, v))]),
+    "trials.csv": lambda p, v: save_score_matrix(
+        p, ["s"], ["u", "w"], np.full((1, 2), v), np.array([[True, False]])),
+    "eer.txt": lambda p, v: save_eer_report(p, v / 10.0, v),
+    "manifest.tsv": lambda p, v: Manifest(
+        [ManifestEntry(f"u{i}", "s", f"f{i}.hvt", 98) for i in range(int(v))]).save(p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUTPUT_WRITERS))
+def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    write = _OUTPUT_WRITERS[name]
+    path = tmp_path / name
+    write(path, 1.0)
+    before = path.read_bytes()
+    _tear(monkeypatch, f".{name}.")
+    with pytest.raises(OSError, match="no space"):
+        write(path, 2.0)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert path.read_bytes() == before

@@ -519,6 +519,17 @@ def log_normal(x, cov):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@st.composite
+def _rank_deficient_shape(draw):
+    """(counts, d) for 2-8 speakers, one with a repeat, and fewer than d
+    within-speaker contrasts: sum(counts) - len(counts) < d."""
+    d = draw(st.integers(2, 5))
+    counts = [1] * draw(st.integers(2, 8))
+    for k in draw(st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=d - 1)):
+        counts[k] += 1
+    return counts, d
+
+
 class TestPlda:
     def test_recovers_generating_covariances(self):
         recs, truth, latents, noises, rng = sample_two_cov(seed=42)
@@ -604,6 +615,34 @@ class TestPlda:
         expected = plda_fit_oracle(recs, use_lda)
         for got, want in zip((model.mu, model.phi_b, model.phi_w, model.lda), expected):
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=_rank_deficient_shape(),
+           max_iter=st.integers(1, 5))
+    @example(seed=1640569929, shape=([1, 3], 3), max_iter=1)
+    def test_rank_deficient_lda_ignores_record_order(self, seed, shape, max_iter):
+        # Fewer within-speaker contrasts than dimensions: the within scatter
+        # is singular, so the LDA is ridged up front and the fit depends on
+        # the data, not on the rounding of a sum taken in record order (the
+        # pinned draw moved by 4e12 relative when that rounding decided).
+        # Over 3,000 draws the two orders differed by at most 8e-9.  EM runs
+        # exactly max_iter steps: more steps on a singular scatter magnify
+        # rounding on their own, whatever the projection.
+        counts, d = shape
+        rng = np.random.default_rng(seed)
+        recs = [EmbeddingRecord(f"s{k}-u{j}", f"s{k}", y + rng.standard_normal(d))
+                for k, n in enumerate(counts)
+                for y in [2.0 * rng.standard_normal(d)] for j in range(n)]
+        fits = []
+        for order in (recs, recs[::-1]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fits.append(plda_fit(order, max_iter=max_iter, tol=-np.inf))
+            assert any("within-class scatter is singular" in str(w.message)
+                       for w in caught)
+        for field in ("mu", "phi_b", "phi_w", "lda"):
+            got, want = (getattr(f, field) for f in fits)
+            assert np.linalg.norm(got - want) <= 1e-7 * max(np.linalg.norm(want), 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hvector.tensor as hv
@@ -110,6 +110,98 @@ class TestConv1d:
         assert grad_check(lambda t: hv.tsum(hv.conv1d(t, k, b)), x) < 1e-6
         assert grad_check(lambda t: hv.tsum(hv.conv1d(x, t, b)), k) < 1e-6
         assert grad_check(lambda t: hv.tsum(hv.conv1d(x, k, t)), b) < 1e-6
+
+    @pytest.mark.parametrize("w", [1, 3, 5])
+    def test_batched_gradients(self, w):
+        rng = np.random.default_rng(5 + w)
+        x = _t(rng.normal(size=(3, 6, 2)))
+        k = _t(rng.normal(size=(w, 2, 3)))
+        b = _t(rng.normal(size=3))
+        probe = Tensor(rng.normal(size=(3, 6, 3)))
+
+        def f(x, k, b):
+            return hv.tsum(hv.mul(hv.conv1d(x, k, b), probe))
+
+        assert grad_check(lambda t: f(t, k, b), x) < 1e-6
+        assert grad_check(lambda t: f(x, t, b), k) < 1e-6
+        assert grad_check(lambda t: f(x, k, t), b) < 1e-6
+
+
+# The former stacked matmul and per-tap conv1d, kept as oracles for the
+# one-GEMM ops: each returns the output and the gradients of sum(out * g).
+
+def _stacked_matmul_ref(a, b, g):
+    axes = list(range(a.ndim - 1))
+    return a @ b, g @ b.T, np.tensordot(a, g, axes=(axes, axes))
+
+
+def _per_tap_conv1d_ref(x, k, bias, g):
+    squeeze = x.ndim == 2
+    x, g = (x[None], g[None]) if squeeze else (x, g)
+    batch, t, cin = x.shape
+    w = k.shape[0]
+    pad = w // 2
+    xp = np.zeros((batch, t + 2 * pad, cin), dtype=x.dtype)
+    xp[:, pad:pad + t] = x
+    out = np.broadcast_to(bias, (batch, t, k.shape[2])).copy()
+    gk = np.empty_like(k)
+    gxp = np.zeros_like(xp)
+    for d in range(w):
+        out += xp[:, d:d + t] @ k[d]
+        gk[d] = np.tensordot(xp[:, d:d + t], g, axes=([0, 1], [0, 1]))
+        gxp[:, d:d + t] += g @ k[d].T
+    gx = gxp[:, pad:pad + t]
+    return (out[0], gx[0]) if squeeze else (out, gx), gk, g.sum(axis=(0, 1))
+
+
+def _out_and_grads(op, inputs, probe):
+    """op(*inputs) and the gradient of sum(op(*inputs) * probe) for each input."""
+    ts = [Tensor(v, requires_grad=True) for v in inputs]
+    with record():
+        out = op(*ts)
+        loss = hv.tsum(hv.mul(out, Tensor(probe)))
+    backward(loss)
+    return [out.data] + [t.grad for t in ts]
+
+
+_ORACLE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+class TestOneGemmOracles:
+    @settings(deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           k=st.integers(1, 8), n=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matmul_matches_stacked(self, lead, k, n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(*lead, k)).astype(dtype)
+        b = rng.normal(size=(k, n)).astype(dtype)
+        g = rng.normal(size=(*lead, n)).astype(dtype)
+        got = _out_and_grads(hv.matmul, (a, b), g)
+        want = _stacked_matmul_ref(a, b, g)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.dtype == dtype
+            assert _rel_err(x, y) <= _ORACLE_TOL[dtype]
+
+    @settings(deadline=None)
+    @given(batch=st.integers(0, 4), t=st.integers(1, 9), cin=st.integers(1, 5),
+           cout=st.integers(1, 5), w=st.sampled_from([1, 3, 5]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_conv1d_matches_per_tap(self, batch, t, cin, cout, w, dtype, seed):
+        """batch 0 stands for the 2-D (T, C_in) input."""
+        rng = np.random.default_rng(seed)
+        lead = (batch,) if batch else ()
+        x = rng.normal(size=(*lead, t, cin)).astype(dtype)
+        k = rng.normal(size=(w, cin, cout)).astype(dtype)
+        bias = rng.normal(size=cout).astype(dtype)
+        g = rng.normal(size=(*lead, t, cout)).astype(dtype)
+        got = _out_and_grads(hv.conv1d, (x, k, bias), g)
+        (out, gx), gk, gb = _per_tap_conv1d_ref(x, k, bias, g)
+        for x, y in zip(got, (out, gx, gk, gb)):
+            assert x.shape == y.shape and x.dtype == dtype
+            assert _rel_err(x, y) <= _ORACLE_TOL[dtype]
 
 
 def _gru_params(d, h, rng=None, zero=False):
@@ -597,3 +689,44 @@ class TestSerialisation:
         assert sorted(got) == sorted(arrays)
         for k in arrays:
             np.testing.assert_array_equal(got[k], arrays[k])
+
+
+_FUZZ_ARRAYS = {"frame_conv.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                "bn.mean": np.array([0.5, -1.0, 2.0]), "é": np.float64(3.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.none() | st.integers(0, 200), flip=st.tuples(st.integers(0, 200),
+                                                           st.integers(1, 255)))
+@example(cut=None, flip=(20, 0x99))     # the first name's "f" becomes 0xff
+@example(cut=None, flip=(11, 0x80))     # a negative tensor count
+def test_archive_loader_fails_cleanly(tmp_path_factory, cut, flip):
+    """A truncated or byte-flipped archive loads, or raises a ValueError or
+    OSError whose message names the file."""
+    path = tmp_path_factory.mktemp("fuzz") / "a.hvt"
+    hv.save_archive(path, _FUZZ_ARRAYS)
+    raw = bytearray(path.read_bytes())
+    pos, mask = flip
+    if cut is None:
+        raw[pos % len(raw)] ^= mask
+    else:
+        del raw[cut % len(raw):]
+    path.write_bytes(bytes(raw))
+    try:
+        hv.load_archive(path)
+    except (ValueError, OSError) as exc:
+        assert str(path) in str(exc), str(exc)
+
+
+def test_undecodable_tensor_name_names_the_file(tmp_path):
+    path = tmp_path / "a.hvt"
+    hv.save_archive(path, _FUZZ_ARRAYS)
+    raw = bytearray(path.read_bytes())
+    raw[20] = 0xff
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{path}: tensor name .* is not UTF-8"):
+        hv.load_archive(path)
+    hv.save_archive(path, _FUZZ_ARRAYS)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match=f"{path}: 1 bytes after the last of 3 tensors"):
+        hv.load_archive(path)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +349,25 @@ class TestTrainLoop:
         labels = np.array([speakers.index(u.speaker_id) for u in dev])
         best = max(h.dev_acc for h in history)
         assert classify_accuracy(dev, labels, loaded, cfg2) == best
+
+    def test_failed_speaker_list_write_keeps_the_previous_checkpoint(
+            self, tmp_path, monkeypatch):
+        cfg = ModelConfig.tiny(n_speakers=2)
+        feats = toy_features(np.random.default_rng(8), cfg, 4, spread=2.0)
+        ckpt = tmp_path / "model.hvt"
+        train(feats, feats, cfg, TrainConfig(epochs=1, seed=1), checkpoint_path=ckpt)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(file, *args, **kwargs):
+            if Path(file).name.startswith(".model.spk."):
+                raise OSError("no space left on device")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(hv, "open", full_disk, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            train(feats, feats, cfg, TrainConfig(epochs=1, seed=2), checkpoint_path=ckpt)
+        # the speaker list is written first, so no new pair was written
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_early_stop_honours_threshold(self):
         cfg = ModelConfig.tiny(n_speakers=2)
