@@ -380,6 +380,10 @@ def cmd_score_id(args) -> int:
         speakers = load_speakers(args.ckpt)
     except FileNotFoundError as exc:
         raise CliError(f"{exc}; run `hvector train` first") from exc
+    if len(speakers) != model_cfg.n_speakers:
+        raise CliError(
+            f"{Path(args.ckpt).with_suffix('.spk')} lists {len(speakers)} speakers "
+            f"but {args.ckpt} has {model_cfg.n_speakers} outputs; rerun `hvector train`")
     feats = _load_feature_set(manifest)
     indices = predict(feats, params, model_cfg, cfg["batch_size"])
     predicted = [speakers[i] for i in indices]

@@ -403,10 +403,13 @@ def conv1d(x, kernel, bias) -> Tensor:
             _accumulate(kernel, (_im2col(xp, w, t).T @ g2).reshape(w, cin, cout))
         if x.requires_grad:
             gcols = (g2 @ k2.T).reshape(batch, t, w, cin)
-            gxp = np.zeros_like(xp)
-            for d in range(w):
-                gxp[:, d:d + t] += gcols[:, :, d]
-            gx = gxp[:, pad:pad + t]
+            if pad:
+                gxp = np.zeros_like(xp)
+                for d in range(w):
+                    gxp[:, d:d + t] += gcols[:, :, d]
+                gx = gxp[:, pad:pad + t]
+            else:
+                gx = gcols.reshape(batch, t, cin)
             _accumulate(x, gx[0] if squeeze else gx)
 
     return _make(out[0] if squeeze else out, (x, kernel, bias), bwd)

@@ -10,6 +10,7 @@ import contextlib
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -373,6 +374,19 @@ class TestScoreId:
                                "--ckpt", str(tmp_path / "none.hvt"))
         assert code == 1
         assert "hvector train" in err
+
+    def test_speaker_count_mismatch_is_a_one_line_error(self, pipeline, tmp_path):
+        # a torn checkpoint write can leave a new speaker list beside the old pair
+        ckpt = tmp_path / "model.hvt"
+        for suffix in (".hvt", ".cfg", ".spk"):
+            shutil.copy(pipeline["ckpt"].with_suffix(suffix), ckpt.with_suffix(suffix))
+        with open(ckpt.with_suffix(".spk"), "a", encoding="utf-8") as fh:
+            fh.write("extra\n")
+        code, _, err = run_cli("score-id", "--manifest",
+                               str(pipeline["feats_manifest"]), "--ckpt", str(ckpt))
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "model.spk lists 4 speakers" in err and "3 outputs" in err
 
 
 def _clustered_embedding_csvs(tmp_path):

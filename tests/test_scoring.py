@@ -518,7 +518,6 @@ def log_normal(x, cov):
     return -0.5 * (len(x) * np.log(2.0 * np.pi) + logdet + x @ np.linalg.solve(cov, x))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @st.composite
 def _rank_deficient_shape(draw):
     """(counts, d) for 2-8 speakers, one with a repeat, and fewer than d
@@ -530,6 +529,7 @@ def _rank_deficient_shape(draw):
     return counts, d
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPlda:
     def test_recovers_generating_covariances(self):
         recs, truth, latents, noises, rng = sample_two_cov(seed=42)
