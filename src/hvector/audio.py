@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import atomic_write
+
 SAMPLE_RATE = 8000
 FRAME_LEN = 200   # 25 ms
 FRAME_HOP = 80    # 10 ms
@@ -108,7 +110,7 @@ def load_wav(path, channel: int | None = None) -> AudioClip:
 
 def save_wav(path, clip: AudioClip):
     pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    with atomic_write(path) as raw_fh, wave.open(raw_fh, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(clip.sample_rate)

@@ -54,7 +54,7 @@ from .scoring import (  # noqa: F401
     save_trials,
     score_trials,
 )
-from .train import TrainConfig, load_speakers, predict, train
+from .train import TrainConfig, predict, train
 
 __all__ = ["main", "save_features", "load_features"]
 
@@ -66,18 +66,18 @@ class CliError(Exception):
 # --- feature archives -------------------------------------------------------
 
 def save_features(path, utt: UtteranceFeatures):
-    hv.save_archive(path, {
-        "fragments": utt.fragments,
-        "n_frames": np.array(float(utt.n_frames)),
-    })
+    hv.save_archive(path, {"fragments": utt.fragments, "n_frames": float(utt.n_frames)})
 
 
 def load_features(path, utterance_id: str = "", speaker_id: str = "") -> UtteranceFeatures:
     arrays = hv.load_archive(path)
-    if "fragments" not in arrays or "n_frames" not in arrays:
-        raise ValueError(f"{path}: not a feature archive")
-    return UtteranceFeatures(arrays["fragments"], int(arrays["n_frames"]),
-                             utterance_id, speaker_id)
+    frags, n_frames = arrays.get("fragments"), arrays.get("n_frames")
+    if not (getattr(frags, "ndim", 0) == 3 and getattr(n_frames, "shape", None) == ()
+            and 1 <= n_frames <= frags.shape[0] * frags.shape[1]
+            and float(n_frames).is_integer()):
+        raise ValueError(f"{path}: not a feature archive: needs a 3-D fragments "
+                         "array and an integer n_frames in [1, fragments x frames]")
+    return UtteranceFeatures(frags, int(n_frames), utterance_id, speaker_id)
 
 
 # --- config resolution ------------------------------------------------------
@@ -318,8 +318,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     ckpt_path = out_dir / "model.hvt"
     log_path = out_dir / "train.log"
-    outputs = [ckpt_path, ckpt_path.with_suffix(".cfg"),
-               ckpt_path.with_suffix(".spk"), log_path]
+    outputs = [ckpt_path, log_path]
     _guard_outputs(outputs, args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -376,17 +375,9 @@ def cmd_score_id(args) -> int:
     echo_config("score-id", cfg, {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     params, model_cfg = _load_ckpt(args.ckpt)
-    try:
-        speakers = load_speakers(args.ckpt)
-    except FileNotFoundError as exc:
-        raise CliError(f"{exc}; run `hvector train` first") from exc
-    if len(speakers) != model_cfg.n_speakers:
-        raise CliError(
-            f"{Path(args.ckpt).with_suffix('.spk')} lists {len(speakers)} speakers "
-            f"but {args.ckpt} has {model_cfg.n_speakers} outputs; rerun `hvector train`")
     feats = _load_feature_set(manifest)
     indices = predict(feats, params, model_cfg, cfg["batch_size"])
-    predicted = [speakers[i] for i in indices]
+    predicted = [params.speakers[i] for i in indices]
     acc = accuracy(predicted, [u.speaker_id for u in feats])
     print(f"accuracy={acc:.4f}")
     return 0

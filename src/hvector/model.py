@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as hv
+from .corpus import open_text
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -115,11 +116,12 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named trainable tensors plus non-trainable buffers (batchnorm stats)."""
+    """Trainable tensors, batchnorm buffers and each output class's speaker id."""
 
     def __init__(self):
         self.tensors: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
+        self.speakers: list[str] | None = None
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -144,6 +146,7 @@ class ModelParams:
             out.tensors[name] = Tensor(t.data.astype(dtype), requires_grad=True)
         for name, b in self.buffers.items():
             out.buffers[name] = b.astype(dtype)
+        out.speakers = None if self.speakers is None else list(self.speakers)
         return out
 
     def clone(self) -> "ModelParams":
@@ -400,30 +403,44 @@ def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
     return out
 
 
+_TEXT_RECORDS = {"config": ".cfg", "speakers": ".spk"}
+
+
+def _check_speakers(path, speakers, cfg: ModelConfig):
+    if len(speakers or ()) != cfg.n_speakers:
+        raise ValueError(f"{path}: {len(speakers or ())} speaker ids for "
+                         f"{cfg.n_speakers} model outputs")
+
+
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
-    """Write a named-tensor archive plus a sibling .cfg text file."""
-    path = Path(path)
-    arrays = {name: t.data for name, t in params.tensors.items()}
-    arrays.update({_BUFFER + name: b for name, b in params.buffers.items()})
-    # each file is replaced whole; the .cfg only once the .hvt is in place,
-    # so a failed write leaves the previous pair as it was
-    with hv.atomic_write(path.with_suffix(".cfg"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
-        hv.save_archive(path, arrays)
+    """Write the config, the speaker list and the weights as one archive."""
+    _check_speakers(path, params.speakers, cfg)
+    records = {"config": cfg.to_text(), "speakers": "".join(f"{s}\n" for s in params.speakers)}
+    records.update((name, t.data) for name, t in params.tensors.items())
+    records.update((_BUFFER + name, b) for name, b in params.buffers.items())
+    hv.save_archive(path, records)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    """Parameters, speaker list included, and config from one archive; one
+    without a config record is read with the .cfg and .spk beside it."""
     path = Path(path)
-    cfg_path = path.with_suffix(".cfg")
-    if not path.exists() or not cfg_path.exists():
-        raise FileNotFoundError(
-            f"checkpoint needs both {path.name} and {cfg_path.name} in {path.parent}"
-        )
-    try:
-        cfg = ModelConfig.from_text(cfg_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{cfg_path}: {exc}") from None
     arrays = hv.load_archive(path)
+    sources = dict.fromkeys(_TEXT_RECORDS, path)
+    if "config" not in arrays:
+        for key, suffix in _TEXT_RECORDS.items():
+            sources[key] = path.with_suffix(suffix)
+            with open_text(sources[key]) as fh:
+                arrays[key] = fh.read()
+    text = {key: arrays.pop(key, None) for key in _TEXT_RECORDS}
+    for key, value in [*text.items(), *arrays.items()]:
+        if isinstance(value, str) != (key in text):
+            raise ValueError(f"{path}: checkpoint record {key} should be "
+                             f"{'text' if key in text else 'an array'}")
+    try:
+        cfg = ModelConfig.from_text(text["config"])
+    except ValueError as exc:
+        raise ValueError(f"{sources['config']}: {exc}") from None
     dtypes = sorted({a.dtype.name for a in arrays.values()})
     if len(dtypes) > 1:
         raise ValueError(f"{path}: checkpoint arrays mix dtypes {', '.join(dtypes)}")
@@ -439,4 +456,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         return arrays[key]
 
     params = _assemble(cfg, stored)
+    params.speakers = text["speakers"].removesuffix("\n").split("\n")
+    _check_speakers(sources["speakers"], params.speakers, cfg)
     return params, cfg

@@ -752,13 +752,23 @@ def grad_check(f, theta: Tensor, h: float = 1e-5) -> float:
 
 # Each array's magic names its element type.  float32 arrays are stored as
 # float32; anything else as float64 under the original HVT1 magic, so float64
-# files keep their bytes.
+# files keep their bytes.  A str value is a UTF-8 text record under HVS1.
 _MAGIC_DTYPE = {b"HVT1": np.dtype("<f8"), b"HVF4": np.dtype("<f4")}
+_TEXT_MAGIC = b"HVS1"
 _ARCHIVE_MAGIC = b"HVTA"
 
 
-def _write_array(fh, arr: np.ndarray):
-    arr = np.asarray(arr)
+def _write_text(fh, text: str):
+    raw = text.encode("utf-8")
+    fh.write(struct.pack("<q", len(raw)))
+    fh.write(raw)
+
+
+def _write_value(fh, value):
+    if isinstance(value, str):
+        fh.write(_TEXT_MAGIC)
+        return _write_text(fh, value)
+    arr = np.asarray(value)
     magic = b"HVF4" if arr.dtype == np.float32 else b"HVT1"
     arr = arr.astype(_MAGIC_DTYPE[magic], copy=False)
     fh.write(magic)
@@ -780,11 +790,24 @@ def _bytes_left(fh) -> int:
     return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
-def _read_array(fh) -> np.ndarray:
+def _read_text(fh, what: str) -> str:
+    n, = struct.unpack("<q", _read_exact(fh, 8))
+    if not 0 <= n <= _bytes_left(fh):
+        raise ValueError(f"{fh.name}: implausible {what} length {n}")
+    raw = _read_exact(fh, n)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{fh.name}: {what} {raw[:40]!r} is not UTF-8") from None
+
+
+def _read_value(fh, name: str):
     magic = _read_exact(fh, 4)
+    if magic == _TEXT_MAGIC:
+        return _read_text(fh, f"text record {name!r}")
     if magic not in _MAGIC_DTYPE:
         raise ValueError(f"{fh.name}: bad tensor magic {magic!r}, expected "
-                         f"{' or '.join(map(repr, _MAGIC_DTYPE))}")
+                         f"{' or '.join(map(repr, [*_MAGIC_DTYPE, _TEXT_MAGIC]))}")
     dtype = _MAGIC_DTYPE[magic]
     rank, = struct.unpack("<q", _read_exact(fh, 8))
     if rank < 0 or rank > 32:
@@ -823,16 +846,15 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def save_archive(path, arrays: dict):
-    """Write a keyed archive of named tensors, float32 or float64 each."""
+def save_archive(path, records: dict):
+    """Write a keyed archive of arrays (float32 or float64 each) and str values
+    (UTF-8 text records), replaced whole or not at all."""
     with atomic_write(path) as fh:
         fh.write(_ARCHIVE_MAGIC)
-        fh.write(struct.pack("<q", len(arrays)))
-        for name, arr in arrays.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<q", len(raw)))
-            fh.write(raw)
-            _write_array(fh, np.asarray(arr))
+        fh.write(struct.pack("<q", len(records)))
+        for name, value in records.items():
+            _write_text(fh, name)
+            _write_value(fh, value)
 
 
 def load_archive(path) -> dict:
@@ -846,15 +868,8 @@ def load_archive(path) -> dict:
         if count < 0:
             raise ValueError(f"{path}: negative tensor count {count}")
         for _ in range(count):
-            n, = struct.unpack("<q", _read_exact(fh, 8))
-            if not 0 <= n <= _bytes_left(fh):
-                raise ValueError(f"{path}: implausible tensor name length {n}")
-            raw = _read_exact(fh, n)
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: tensor name {raw!r} is not UTF-8") from None
-            out[name] = _read_array(fh)
+            name = _read_text(fh, "tensor name")
+            out[name] = _read_value(fh, name)
         if _bytes_left(fh):
             raise ValueError(f"{path}: {_bytes_left(fh)} bytes after the last of "
                              f"{count} tensors")

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as hv
-from .corpus import open_text
 from .model import (
     ModelConfig, ModelParams, batches, build_params, forward_batch, save_checkpoint,
 )
@@ -16,7 +15,6 @@ from .tensor import Tensor
 __all__ = [
     "TrainConfig", "AdamState", "EpochStats",
     "cross_entropy", "adam_step", "train", "predict", "classify_accuracy",
-    "save_speakers", "load_speakers",
 ]
 
 
@@ -92,11 +90,6 @@ class EpochStats:
                 f"\t{self.dev_acc:.4f}")
 
 
-def _label_map(features):
-    speakers = sorted({u.speaker_id for u in features})
-    return speakers, {s: i for i, s in enumerate(speakers)}
-
-
 def _labels_for(features, index, role):
     labels = np.empty(len(features), dtype=np.int64)
     for i, u in enumerate(features):
@@ -133,7 +126,8 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
         raise ValueError("training set is empty")
     if not dev_feats:
         raise ValueError("dev set is empty")
-    speakers, index = _label_map(train_feats)
+    speakers = sorted({u.speaker_id for u in train_feats})
+    index = {s: i for i, s in enumerate(speakers)}
     if model_cfg.n_speakers != len(speakers):
         raise ValueError(f"model expects {model_cfg.n_speakers} speakers but the "
                          f"training set has {len(speakers)}")
@@ -143,6 +137,7 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
     # Drawn in float64, so the initial weights are those of build_params;
     # training then computes and stores float32.
     params = build_params(model_cfg, seed=cfg.seed).astype(np.float32)
+    params.speakers = speakers
     state = AdamState(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 202]))
@@ -188,28 +183,6 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
         if log_file:
             log_file.close()
     if checkpoint_path is not None:
-        # the speaker list first: a failed write then never leaves a new
-        # checkpoint pair beside the previous run's label order
-        save_speakers(checkpoint_path, speakers)
         save_checkpoint(checkpoint_path, best_params, model_cfg)
     return best_params, history, speakers
 
-
-def _speaker_list_path(checkpoint_path):
-    from pathlib import Path
-    return Path(checkpoint_path).with_suffix(".spk")
-
-
-def save_speakers(checkpoint_path, speakers):
-    """Record the label order next to a checkpoint (one speaker id per line)."""
-    with hv.atomic_write(_speaker_list_path(checkpoint_path), "w",
-                         encoding="utf-8") as fh:
-        fh.write("".join(f"{s}\n" for s in speakers))
-
-
-def load_speakers(checkpoint_path) -> list[str]:
-    path = _speaker_list_path(checkpoint_path)
-    if not path.exists():
-        raise FileNotFoundError(f"no speaker list at {path}")
-    with open_text(path) as fh:
-        return [line for line in fh.read().splitlines() if line]

@@ -1,5 +1,6 @@
 """Audio front end: WAV I/O, VAD, windowing, MFCC, fragmenting."""
 import io
+import struct
 import wave
 
 import numpy as np
@@ -27,6 +28,17 @@ class TestWavIO:
         assert clip.sample_rate == 8000
         # int16 quantisation costs at most half a step
         np.testing.assert_allclose(clip.samples, x, atol=1.0 / 32767)
+
+    def test_file_is_a_plain_16_bit_mono_wav(self, tmp_path):
+        samples = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2e-5])
+        path = tmp_path / "a.wav"
+        audio.save_wav(path, AudioClip(samples))
+        pcm = struct.pack("<6h", 0, 16384, -16384, 32767, -32768, 1)
+        header = (b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVEfmt "
+                  + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+                  + b"data" + struct.pack("<I", len(pcm)))
+        assert path.read_bytes() == header + pcm
+        assert [p.name for p in tmp_path.iterdir()] == ["a.wav"]
 
     def test_full_scale_sample_values(self, tmp_path):
         path = tmp_path / "fs.wav"

@@ -7,6 +7,7 @@ synth -> prepare -> train pipeline that the embed/score tests reuse.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hvector
+from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav
 from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
 from hvector.corpus import Manifest
@@ -39,6 +41,7 @@ from hvector.scoring import (
     save_trials,
     score_trials,
 )
+from hvector.train import predict
 
 
 def run_cli(*argv):
@@ -209,9 +212,8 @@ class TestPrepare:
 
 class TestTrain:
     def test_outputs_and_log_format(self, pipeline):
-        assert pipeline["ckpt"].exists()
-        assert pipeline["ckpt"].with_suffix(".cfg").exists()
-        assert pipeline["ckpt"].with_suffix(".spk").exists()
+        # the config and the speaker list live inside model.hvt
+        assert sorted(p.name for p in pipeline["run"].iterdir()) == ["model.hvt", "train.log"]
         lines = pipeline["log"].read_text().splitlines()
         assert len(lines) == 3
         for line in lines:
@@ -347,9 +349,6 @@ class TestEmbed:
     def test_truncated_checkpoint_is_a_one_line_error(self, pipeline, tmp_path):
         ckpt = tmp_path / "model.hvt"
         ckpt.write_bytes(pipeline["ckpt"].read_bytes()[:-16])
-        for suffix in (".cfg", ".spk"):
-            ckpt.with_suffix(suffix).write_bytes(
-                pipeline["ckpt"].with_suffix(suffix).read_bytes())
         code, _, err = run_cli("embed", "--manifest",
                                str(pipeline["feats_manifest"]),
                                "--ckpt", str(ckpt), "--out", str(tmp_path / "emb.csv"))
@@ -376,17 +375,63 @@ class TestScoreId:
         assert "hvector train" in err
 
     def test_speaker_count_mismatch_is_a_one_line_error(self, pipeline, tmp_path):
-        # a torn checkpoint write can leave a new speaker list beside the old pair
         ckpt = tmp_path / "model.hvt"
-        for suffix in (".hvt", ".cfg", ".spk"):
-            shutil.copy(pipeline["ckpt"].with_suffix(suffix), ckpt.with_suffix(suffix))
-        with open(ckpt.with_suffix(".spk"), "a", encoding="utf-8") as fh:
-            fh.write("extra\n")
+        records = hv.load_archive(pipeline["ckpt"])
+        hv.save_archive(ckpt, {**records, "speakers": records["speakers"] + "extra\n"})
         code, _, err = run_cli("score-id", "--manifest",
                                str(pipeline["feats_manifest"]), "--ckpt", str(ckpt))
         assert code == 1
-        assert err.count("\n") == 1
-        assert "model.spk lists 4 speakers" in err and "3 outputs" in err
+        assert err == f"error: {ckpt}: 4 speaker ids for 3 model outputs\n"
+
+    def test_stale_sidecars_do_not_change_the_labels(self, pipeline, tmp_path):
+        params, cfg = load_checkpoint(pipeline["ckpt"])
+        # label each utterance with the speaker the model predicts for it, so
+        # that accuracy is 1 with the checkpoint's labels and 0 with any
+        # derangement of them
+        manifest = Manifest.load(pipeline["feats_manifest"], check_paths=False)
+        feats = [load_features(e.path) for e in manifest.entries]
+        predicted = [params.speakers[i] for i in predict(feats, params, cfg)]
+        relabelled = tmp_path / "predicted.tsv"
+        Manifest([dataclasses.replace(e, speaker_id=s)
+                  for e, s in zip(manifest.entries, predicted)]).save(relabelled)
+
+        def accuracy(ckpt):
+            code, out, err = run_cli("score-id", "--manifest", str(relabelled),
+                                     "--ckpt", str(ckpt))
+            assert code == 0, err
+            return re.search(r"^accuracy=(.*)$", out, re.MULTILINE).group(1)
+
+        assert accuracy(pipeline["ckpt"]) == "1.0000"
+        # a .cfg/.spk left by an earlier run, with the labels rotated
+        rotated = params.speakers[1:] + params.speakers[:1]
+        ckpt = tmp_path / "model.hvt"
+        shutil.copy(pipeline["ckpt"], ckpt)
+        ckpt.with_suffix(".cfg").write_text(dataclasses.replace(cfg, dropout=0.5).to_text())
+        ckpt.with_suffix(".spk").write_text("".join(f"{s}\n" for s in rotated))
+        assert accuracy(ckpt) == "1.0000"
+        # the same sidecars beside a weights-only archive are read, and do count
+        params.speakers = rotated
+        legacy = tmp_path / "old" / "model.hvt"
+        _save_legacy_checkpoint(legacy, params, cfg)
+        assert accuracy(legacy) == "0.0000"
+
+    def test_older_float64_triple_gives_the_same_outputs(self, pipeline, tmp_path):
+        params, cfg = load_checkpoint(pipeline["ckpt"])
+        params = params.astype(np.float64)
+        new, legacy = tmp_path / "new" / "model.hvt", tmp_path / "old" / "model.hvt"
+        new.parent.mkdir()
+        save_checkpoint(new, params, cfg)
+        _save_legacy_checkpoint(legacy, params, cfg)
+        outputs = []
+        for ckpt in (new, legacy):
+            emb = ckpt.parent / "emb.csv"
+            manifest = str(pipeline["feats_manifest"])
+            assert run_cli("embed", "--manifest", manifest, "--ckpt", str(ckpt),
+                           "--out", str(emb))[0] == 0
+            code, out, err = run_cli("score-id", "--manifest", manifest, "--ckpt", str(ckpt))
+            assert code == 0, err
+            outputs.append((emb.read_bytes(), out.replace(str(ckpt), "CKPT")))
+        assert outputs[0] == outputs[1]
 
 
 def _clustered_embedding_csvs(tmp_path):
@@ -582,13 +627,31 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
 
 # --- one error boundary -------------------------------------------------------
 
-def _tiny_checkpoint(run_dir):
-    """A loadable 3-speaker checkpoint (model.hvt/.cfg/.spk) under run_dir."""
-    run_dir.mkdir()
+def _save_legacy_checkpoint(path, params, cfg):
+    """The older layout: a weights-only archive, with the config and the
+    speaker list in model.cfg and model.spk beside it."""
+    path.parent.mkdir(exist_ok=True)
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    arrays.update({"buffer." + name: b for name, b in params.buffers.items()})
+    hv.save_archive(path, arrays)
+    path.with_suffix(".cfg").write_text(cfg.to_text(), encoding="utf-8")
+    path.with_suffix(".spk").write_text("".join(f"{s}\n" for s in params.speakers),
+                                        encoding="utf-8")
+
+
+def _tiny_params():
     cfg = ModelConfig.tiny()
+    params = build_params(cfg)
+    params.speakers = ["a", "b", "c"]
+    return params, cfg
+
+
+def _tiny_checkpoint(run_dir, legacy=False):
+    """A loadable 3-speaker checkpoint under run_dir: one model.hvt, or the
+    older weights-only model.hvt with model.cfg and model.spk."""
+    run_dir.mkdir()
     ckpt = run_dir / "model.hvt"
-    save_checkpoint(ckpt, build_params(cfg), cfg)
-    ckpt.with_suffix(".spk").write_text("a\nb\nc\n")
+    (_save_legacy_checkpoint if legacy else save_checkpoint)(ckpt, *_tiny_params())
     return ckpt
 
 
@@ -605,7 +668,7 @@ def _boundary_inputs(tmp_path):
 
 
 def _case_spk_is_dir(p):
-    ckpt = _tiny_checkpoint(p["dir"] / "run")
+    ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
     ckpt.with_suffix(".spk").unlink()
     ckpt.with_suffix(".spk").mkdir()
     return ("score-id", "--manifest", p["manifest"], "--ckpt", ckpt), \
@@ -613,11 +676,20 @@ def _case_spk_is_dir(p):
 
 
 def _case_cfg_is_empty(p):
-    ckpt = _tiny_checkpoint(p["dir"] / "run")
+    ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
     ckpt.with_suffix(".cfg").write_text("")
     return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
             "--out", p["dir"] / "e.csv"), \
         f"{ckpt.with_suffix('.cfg')}: missing config key 'n_speakers'"
+
+
+def _case_checkpoint_record(key, value, message):
+    def case(p):
+        ckpt = _tiny_checkpoint(p["dir"] / "run")
+        hv.save_archive(ckpt, {**hv.load_archive(ckpt), key: value})
+        return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
+                "--out", p["dir"] / "e.csv"), f"{ckpt}: {message}"
+    return case
 
 
 def _case_undecodable_manifest(p):
@@ -681,6 +753,10 @@ _BOUNDARY_CASES = {
         f"Is a directory: '{p['dir']}'"),
     "model.spk is a directory": _case_spk_is_dir,
     "model.cfg is empty": _case_cfg_is_empty,
+    "checkpoint text record under a tensor key": _case_checkpoint_record(
+        "out.w", "1 2 3", "checkpoint record out.w should be an array"),
+    "checkpoint config record is an array": _case_checkpoint_record(
+        "config", np.ones(3), "checkpoint record config should be text"),
     "manifest n_frames is not an integer": _case_bad_n_frames,
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
@@ -734,6 +810,48 @@ def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
     assert code == 0, err
 
 
+_FRAGMENTS = np.zeros((10, 10, 20))
+# name -> feature archive records, each refused with one error naming the file
+_BAD_FEATURE_ARCHIVES = {
+    "n_frames is not a scalar": {"fragments": _FRAGMENTS, "n_frames": np.array([98.0, 1.0])},
+    "n_frames is negative": {"fragments": _FRAGMENTS, "n_frames": -5.0},
+    "n_frames is zero": {"fragments": _FRAGMENTS, "n_frames": 0.0},
+    "n_frames exceeds the frames": {"fragments": _FRAGMENTS, "n_frames": 101.0},
+    "n_frames is fractional": {"fragments": _FRAGMENTS, "n_frames": 97.5},
+    "n_frames is nan": {"fragments": _FRAGMENTS, "n_frames": np.nan},
+    "n_frames is inf": {"fragments": _FRAGMENTS, "n_frames": np.inf},
+    "n_frames is text": {"fragments": _FRAGMENTS, "n_frames": "98"},
+    "n_frames is missing": {"fragments": _FRAGMENTS},
+    "fragments are 2-D": {"fragments": _FRAGMENTS[0], "n_frames": 10.0},
+    "fragments are text": {"fragments": "0 0 0", "n_frames": 98.0},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FEATURE_ARCHIVES))
+def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
+    feats = tmp_path / "u.hvt"
+    hv.save_archive(feats, _BAD_FEATURE_ARCHIVES[case])
+    message = (f"{feats}: not a feature archive: needs a 3-D fragments array "
+               "and an integer n_frames in [1, fragments x frames]")
+    with pytest.raises(ValueError) as info:
+        load_features(feats)
+    assert str(info.value) == message
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"u\ta\t{feats}\t98\n")
+    code, _, err = run_cli("embed", "--manifest", str(manifest), "--ckpt",
+                           str(_tiny_checkpoint(tmp_path / "run")),
+                           "--out", str(tmp_path / "e.csv"))
+    assert (code, err) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n_frames", [1, 57, 100])
+def test_feature_archive_n_frames_range_is_inclusive(tmp_path, n_frames):
+    feats = tmp_path / "u.hvt"
+    hv.save_archive(feats, {"fragments": _FRAGMENTS, "n_frames": float(n_frames)})
+    utt = load_features(feats)
+    assert utt.n_frames == n_frames and type(utt.n_frames) is int
+
+
 # --- loaders behind the boundary: arbitrary text in, ValueError/OSError out ----
 
 @pytest.fixture(scope="module")
@@ -772,6 +890,10 @@ def test_manifest_loader_fails_cleanly(fuzz_dir, text, check_paths):
 
 
 _CFG_LINES = ModelConfig.tiny().to_text().splitlines()
+_TINY_PARAMS = _tiny_params()[0]
+_TINY_RECORDS = {"speakers": "a\nb\nc\n",
+                 **{name: t.data for name, t in _TINY_PARAMS.tensors.items()},
+                 **{"buffer." + name: b for name, b in _TINY_PARAMS.buffers.items()}}
 
 
 @settings(max_examples=200, deadline=None)
@@ -781,10 +903,8 @@ _CFG_LINES = ModelConfig.tiny().to_text().splitlines()
 @example(text="n_speakers=3\n")     # loads, but the stored shapes disagree
 def test_checkpoint_loader_fails_cleanly(fuzz_dir, text):
     ckpt = fuzz_dir / "run" / "model.hvt"
-    ckpt.with_suffix(".cfg").write_text(text, encoding="utf-8")
-    # the message names model.cfg, or model.hvt when the config and the
-    # stored shapes disagree
-    _returns_or_names(lambda: load_checkpoint(ckpt), fuzz_dir / "run" / "model.")
+    hv.save_archive(ckpt, {**_TINY_RECORDS, "config": text})
+    _returns_or_names(lambda: load_checkpoint(ckpt), ckpt)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hvector import tensor as hv
-from hvector.audio import UtteranceFeatures
+from hvector.audio import AudioClip, UtteranceFeatures, save_wav
 from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
     ModelConfig,
@@ -25,7 +26,24 @@ from hvector.scoring import (
     EmbeddingRecord, save_eer_report, save_embeddings, save_score_matrix,
 )
 from hvector.tensor import Tensor
-from hvector.train import save_speakers
+from hvector.train import predict
+
+
+def labelled(params, cfg):
+    """`params` with a speaker id per output class, as `train` sets them."""
+    params.speakers = [f"spk{i}" for i in range(cfg.n_speakers)]
+    return params
+
+
+def save_legacy_checkpoint(path, params, cfg):
+    """The older layout: a weights-only archive, with the config and the
+    speaker list in model.cfg and model.spk beside it."""
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    arrays.update({"buffer." + name: b for name, b in params.buffers.items()})
+    hv.save_archive(path, arrays)
+    Path(path).with_suffix(".cfg").write_text(cfg.to_text(), encoding="utf-8")
+    Path(path).with_suffix(".spk").write_text(
+        "".join(f"{s}\n" for s in params.speakers), encoding="utf-8")
 
 
 def desk_cfg(mode="hvector", n_speakers=5):
@@ -444,12 +462,13 @@ class TestTrainingMode:
 class TestCheckpoint:
     def test_roundtrip_is_exact(self, tmp_path):
         cfg = ModelConfig.tiny(n_speakers=6, mode="xvector_attn")
-        p = build_params(cfg, seed=30)
+        p = labelled(build_params(cfg, seed=30), cfg)
         p.buffers["bn1.mean"][...] = 0.25
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
         loaded, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
+        assert loaded.speakers == p.speakers
         assert set(loaded.tensors) == set(p.tensors)
         for name, t in p.tensors.items():
             assert np.array_equal(loaded[name].data, t.data)
@@ -457,17 +476,18 @@ class TestCheckpoint:
             assert np.array_equal(loaded.buffers[name], b)
 
     def test_missing_config_file(self, tmp_path):
+        # an archive without a config record needs the .cfg beside it
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=31)
+        p = labelled(build_params(cfg, seed=31), cfg)
         path = tmp_path / "model.hvt"
-        save_checkpoint(path, p, cfg)
+        save_legacy_checkpoint(path, p, cfg)
         (tmp_path / "model.cfg").unlink()
         with pytest.raises(FileNotFoundError, match="model.cfg"):
             load_checkpoint(path)
 
     def test_missing_tensor_detected(self, tmp_path):
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=32)
+        p = labelled(build_params(cfg, seed=32), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
         arrays = hv.load_archive(path)
@@ -478,7 +498,7 @@ class TestCheckpoint:
 
     def test_shape_mismatch_detected(self, tmp_path):
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=33)
+        p = labelled(build_params(cfg, seed=33), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
         arrays = hv.load_archive(path)
@@ -495,7 +515,7 @@ class TestCheckpoint:
 
     def test_float32_roundtrip_keeps_the_dtype(self, tmp_path):
         cfg = ModelConfig.tiny(n_speakers=3)
-        p = build_params(cfg, seed=35).astype(np.float32)
+        p = labelled(build_params(cfg, seed=35).astype(np.float32), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
         loaded, _ = load_checkpoint(path)
@@ -510,7 +530,7 @@ class TestCheckpoint:
     def test_mixed_dtypes_rejected(self, tmp_path):
         cfg = ModelConfig.tiny()
         path = tmp_path / "model.hvt"
-        save_checkpoint(path, build_params(cfg, seed=36).astype(np.float32), cfg)
+        save_checkpoint(path, labelled(build_params(cfg, seed=36).astype(np.float32), cfg), cfg)
         arrays = hv.load_archive(path)
         arrays["fc2.w"] = arrays["fc2.w"].astype(np.float64)
         hv.save_archive(path, arrays)
@@ -520,7 +540,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("mode", ["hvector", "xvector"])
     def test_float64_checkpoint_embeds_in_float64(self, tmp_path, mode):
         cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
-        p = build_params(cfg, seed=37)
+        p = labelled(build_params(cfg, seed=37), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
         # written in the float64 format every earlier checkpoint has
@@ -539,7 +559,7 @@ class TestCheckpoint:
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=34)
+        p = labelled(build_params(cfg, seed=34), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
 
@@ -548,6 +568,92 @@ class TestCheckpoint:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded["out.w"].data, p["out.w"].data)
+
+    def test_one_file_holds_config_and_speakers(self, tmp_path):
+        cfg = ModelConfig.tiny()
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, labelled(build_params(cfg, seed=40), cfg), cfg)
+        assert [f.name for f in tmp_path.iterdir()] == ["model.hvt"]
+        records = hv.load_archive(path)
+        assert records["config"] == cfg.to_text()
+        assert records["speakers"] == "spk0\nspk1\nspk2\n"
+
+    def test_stale_sidecars_are_ignored(self, tmp_path):
+        cfg = ModelConfig.tiny()
+        p = labelled(build_params(cfg, seed=41), cfg)
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, p, cfg)
+        (tmp_path / "model.cfg").write_text(ModelConfig.tiny(n_speakers=2).to_text())
+        (tmp_path / "model.spk").write_text("spk2\nspk1\nspk0\n")
+        loaded, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert loaded.speakers == p.speakers
+
+    def test_astype_and_clone_copy_the_speakers(self):
+        cfg = ModelConfig.tiny()
+        p = labelled(build_params(cfg, seed=42), cfg)
+        for copy in (p.clone(), p.astype(np.float32)):
+            assert copy.speakers == p.speakers and copy.speakers is not p.speakers
+        assert build_params(cfg).clone().speakers is None
+
+    def test_speaker_count_must_match_the_outputs(self, tmp_path):
+        cfg = ModelConfig.tiny(n_speakers=3)
+        p = build_params(cfg, seed=43)
+        path = tmp_path / "model.hvt"
+        with pytest.raises(ValueError, match="0 speaker ids for 3 model outputs"):
+            save_checkpoint(path, p, cfg)
+        p.speakers = ["a", "b"]
+        with pytest.raises(ValueError, match="2 speaker ids for 3 model outputs"):
+            save_checkpoint(path, p, cfg)
+        assert not path.exists()
+        p.speakers = ["a", "b", "c"]
+        save_checkpoint(path, p, cfg)
+        records = hv.load_archive(path)
+        hv.save_archive(path, {**records, "speakers": "a\nb\nc\nd\n"})
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: 4 speaker ids for 3 model outputs"
+        # in the older layout the message names the .spk
+        save_legacy_checkpoint(path, p, cfg)
+        path.with_suffix(".spk").write_text("a\nb\n")
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path.with_suffix('.spk')}: 2 speaker ids for 3 model outputs"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fc2.w", "text", "checkpoint record fc2.w should be an array"),
+        ("config", np.ones(2), "checkpoint record config should be text"),
+        ("speakers", np.ones(2), "checkpoint record speakers should be text"),
+        ("speakers", None, "checkpoint record speakers should be text"),
+    ], ids=["text under a tensor key", "config as an array", "speakers as an array",
+            "no speakers"])
+    def test_text_and_arrays_keep_their_places(self, tmp_path, key, value, message):
+        cfg = ModelConfig.tiny()
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, labelled(build_params(cfg, seed=44), cfg), cfg)
+        records = hv.load_archive(path)
+        records[key] = value
+        hv.save_archive(path, {k: v for k, v in records.items() if v is not None})
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("mode", ["hvector", "xvector"])
+    def test_older_float64_triple_loads(self, tmp_path, mode):
+        cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
+        p = labelled(build_params(cfg, seed=45), cfg)
+        path = tmp_path / "model.hvt"
+        save_legacy_checkpoint(path, p, cfg)
+        loaded, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert loaded.dtype == np.float64
+        assert loaded.speakers == p.speakers
+        frags = random_frags(np.random.default_rng(46), cfg, batch=6)
+        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment,
+                                   f"u{i}", "s") for i, f in enumerate(frags)]
+        assert np.array_equal(embed_batch(feats, loaded, cfg2), embed_batch(feats, p, cfg))
+        assert [loaded.speakers[i] for i in predict(feats, loaded, cfg2)] == \
+            [p.speakers[i] for i in predict(feats, p, cfg)]
 
     @pytest.mark.parametrize("mode, digest", [
         ("hvector", "bfff17818940d17d"),
@@ -569,10 +675,15 @@ class TestCheckpoint:
 
 
 class _TornFile:
-    """Writes half of what it is given, then fails like a full disk."""
+    """Passes `intact` writes through, writes half of the next, then fails
+    like a full disk."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, intact=0):
         self.fh = fh
+        self.intact = intact
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
     def __enter__(self):
         return self
@@ -581,40 +692,46 @@ class _TornFile:
         self.fh.close()
 
     def write(self, data):
+        if self.intact > 0:
+            self.intact -= 1
+            return self.fh.write(data)
         self.fh.write(data[:len(data) // 2])
         self.fh.flush()
         raise OSError("no space left on device")
 
 
-def _tear(monkeypatch, prefix):
+def _tear(monkeypatch, prefix, intact=0):
     """Make the temporary file of the next atomic write to `prefix`* tear."""
     def torn_open(file, *args, **kwargs):
         fh = open(file, *args, **kwargs)
-        return _TornFile(fh) if Path(file).name.startswith(prefix) else fh
+        return _TornFile(fh, intact) if Path(file).name.startswith(prefix) else fh
 
     monkeypatch.setattr(hv, "open", torn_open, raising=False)
 
 
-@pytest.mark.parametrize("torn", [".hvt", ".cfg", ".spk"])
-def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch, torn):
+def test_torn_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     cfg = ModelConfig.tiny()
     ckpt = tmp_path / "model.hvt"
-    save_checkpoint(ckpt, build_params(cfg, seed=1), cfg)
-    save_speakers(ckpt, ["a", "b", "c"])
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-    _tear(monkeypatch, f".model{torn}.")
-    with pytest.raises(OSError, match="no space"):
-        # what `train` writes, in its order, for a different model
-        save_speakers(ckpt, ["c", "b", "a"])
-        save_checkpoint(ckpt, build_params(cfg, seed=2), dataclasses.replace(cfg, dropout=0.5))
-    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert sorted(after) == sorted(before)   # no temporary file is left behind
-    # the .spk is written before the checkpoint pair, so the pair is never
-    # newer than the speaker list beside it
-    kept = sorted(before) if torn == ".spk" else ["model.cfg", "model.hvt"]
-    for name in kept:
-        assert after[name] == before[name], name
+    save_checkpoint(ckpt, labelled(build_params(cfg, seed=1), cfg), cfg)
+    before = ckpt.read_bytes()
+    # a different model, config and label order
+    new = build_params(cfg, seed=2)
+    new.speakers = ["spk2", "spk1", "spk0"]
+    new_cfg = dataclasses.replace(cfg, dropout=0.5)
+    for intact in itertools.count():
+        _tear(monkeypatch, ".model.hvt.", intact)
+        try:
+            save_checkpoint(ckpt, new, new_cfg)
+            break          # every write got through
+        except OSError as exc:
+            assert "no space" in str(exc)
+        # no temporary file is left behind, and the old file is whole
+        assert [p.name for p in tmp_path.iterdir()] == ["model.hvt"], intact
+        assert ckpt.read_bytes() == before, intact
+    # a tear was tried inside every record: name, magic and payload each
+    assert intact > 3 * (2 + len(new.tensors) + len(new.buffers))
+    loaded, cfg2 = load_checkpoint(ckpt)
+    assert (loaded.speakers, cfg2) == (new.speakers, new_cfg)
 
 
 _OUTPUT_WRITERS = {
@@ -623,6 +740,7 @@ _OUTPUT_WRITERS = {
     "trials.csv": lambda p, v: save_score_matrix(
         p, ["s"], ["u", "w"], np.full((1, 2), v), np.array([[True, False]])),
     "eer.txt": lambda p, v: save_eer_report(p, v / 10.0, v),
+    "clip.wav": lambda p, v: save_wav(p, AudioClip(np.full(400, v / 4.0))),
     "manifest.tsv": lambda p, v: Manifest(
         [ManifestEntry(f"u{i}", "s", f"f{i}.hvt", 98) for i in range(int(v))]).save(p),
 }

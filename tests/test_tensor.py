@@ -693,6 +693,8 @@ class TestSerialisation:
 
 _FUZZ_ARRAYS = {"frame_conv.w": np.arange(6, dtype=np.float32).reshape(2, 3),
                 "bn.mean": np.array([0.5, -1.0, 2.0]), "é": np.float64(3.0)}
+# the arrays, then text records: flips and cuts past the arrays land in text
+_FUZZ_RECORDS = {**_FUZZ_ARRAYS, "config": "mode=hvector\nn=3\n", "speakers": "é\nb\n"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -700,11 +702,14 @@ _FUZZ_ARRAYS = {"frame_conv.w": np.arange(6, dtype=np.float32).reshape(2, 3),
                                                            st.integers(1, 255)))
 @example(cut=None, flip=(20, 0x99))     # the first name's "f" becomes 0xff
 @example(cut=None, flip=(11, 0x80))     # a negative tensor count
+@example(cut=None, flip=(198, 0x80))    # the config text's length turns negative
+@example(cut=None, flip=(199, 0x80))    # its "m" becomes 0xed, not UTF-8
+@example(cut=205, flip=(0, 1))          # cut inside the config text
 def test_archive_loader_fails_cleanly(tmp_path_factory, cut, flip):
     """A truncated or byte-flipped archive loads, or raises a ValueError or
     OSError whose message names the file."""
     path = tmp_path_factory.mktemp("fuzz") / "a.hvt"
-    hv.save_archive(path, _FUZZ_ARRAYS)
+    hv.save_archive(path, _FUZZ_RECORDS)
     raw = bytearray(path.read_bytes())
     pos, mask = flip
     if cut is None:
@@ -730,3 +735,59 @@ def test_undecodable_tensor_name_names_the_file(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match=f"{path}: 1 bytes after the last of 3 tensors"):
         hv.load_archive(path)
+
+
+class TestTextRecords:
+    def test_roundtrip_keeps_str_and_array_bytes(self, tmp_path):
+        path = tmp_path / "t.hvt"
+        hv.save_archive(path, _FUZZ_RECORDS)
+        got = hv.load_archive(path)
+        assert list(got) == list(_FUZZ_RECORDS)
+        for key, want in _FUZZ_RECORDS.items():
+            if isinstance(want, str):
+                assert got[key] == want and isinstance(got[key], str)
+            else:
+                assert got[key].dtype == np.asarray(want).dtype
+                assert np.array_equal(got[key], want)
+        config = "mode=hvector\nn=3\n".encode()
+        assert path.read_bytes().endswith(
+            struct.pack("<q", 6) + b"config" + b"HVS1" + struct.pack("<q", len(config))
+            + config + struct.pack("<q", 8) + b"speakers" + b"HVS1" + struct.pack("<q", 5)
+            + "é\nb\n".encode())
+        # the arrays before them are written exactly as an arrays-only archive
+        arrays_only = tmp_path / "a.hvt"
+        hv.save_archive(arrays_only, _FUZZ_ARRAYS)
+        assert path.read_bytes()[12:].startswith(arrays_only.read_bytes()[12:])
+
+    def _text_archive(self, path, text):
+        hv.save_archive(path, {"t": text})
+        return bytearray(path.read_bytes())
+
+    def test_bad_utf8(self, tmp_path):
+        path = tmp_path / "t.hvt"
+        raw = self._text_archive(path, "abc")
+        raw[-2] = 0xff
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            hv.load_archive(path)
+        assert str(info.value) == f"{path}: text record 't' b'a\\xffc' is not UTF-8"
+
+    @pytest.mark.parametrize("length", [-1, 4, 2**62])
+    def test_implausible_length(self, tmp_path, length):
+        path = tmp_path / "t.hvt"
+        raw = self._text_archive(path, "abc")
+        raw[-11:-3] = struct.pack("<q", length)    # the record's length field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            hv.load_archive(path)
+        assert str(info.value) == f"{path}: implausible text record 't' length {length}"
+
+    @pytest.mark.parametrize("keep", range(1, 15))
+    def test_truncated_record(self, tmp_path, keep):
+        path = tmp_path / "t.hvt"
+        raw = self._text_archive(path, "abc")
+        path.write_bytes(bytes(raw[:len(raw) - keep]))
+        with pytest.raises((ValueError, OSError)) as info:
+            hv.load_archive(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message, message

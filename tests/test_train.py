@@ -23,7 +23,6 @@ from hvector.train import (
     adam_step,
     classify_accuracy,
     cross_entropy,
-    load_speakers,
     predict,
     train,
 )
@@ -344,8 +343,10 @@ class TestTrainLoop:
         assert lines[0] == history[0].line()
 
         assert speakers == ["a", "b"]
-        assert load_speakers(ckpt) == speakers
+        assert params.speakers == speakers
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.hvt", "train.log"]
         loaded, cfg2 = load_checkpoint(ckpt)
+        assert loaded.speakers == speakers
         labels = np.array([speakers.index(u.speaker_id) for u in dev])
         best = max(h.dev_acc for h in history)
         assert classify_accuracy(dev, labels, loaded, cfg2) == best
@@ -358,15 +359,34 @@ class TestTrainLoop:
         train(feats, feats, cfg, TrainConfig(epochs=1, seed=1), checkpoint_path=ckpt)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
+        class FullDisk:
+            """Fails the write of the speaker list, inside the checkpoint."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if data == b"a\nb\n":
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
         def full_disk(file, *args, **kwargs):
-            if Path(file).name.startswith(".model.spk."):
-                raise OSError("no space left on device")
-            return open(file, *args, **kwargs)
+            fh = open(file, *args, **kwargs)
+            return FullDisk(fh) if Path(file).name.startswith(".model.hvt.") else fh
 
         monkeypatch.setattr(hv, "open", full_disk, raising=False)
         with pytest.raises(OSError, match="no space"):
             train(feats, feats, cfg, TrainConfig(epochs=1, seed=2), checkpoint_path=ckpt)
-        # the speaker list is written first, so no new pair was written
+        # the speaker list is part of the one checkpoint file, which stays whole
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_early_stop_honours_threshold(self):
