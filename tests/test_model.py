@@ -675,12 +675,12 @@ class TestCheckpoint:
 
 
 class _TornFile:
-    """Passes `intact` writes through, writes half of the next, then fails
-    like a full disk."""
+    """Passes writes through until `tears(chunk)` holds, writes half of that
+    chunk, then fails like a full disk."""
 
-    def __init__(self, fh, intact=0):
+    def __init__(self, fh, tears):
         self.fh = fh
-        self.intact = intact
+        self.tears = tears
 
     def __getattr__(self, name):
         return getattr(self.fh, name)
@@ -692,21 +692,55 @@ class _TornFile:
         self.fh.close()
 
     def write(self, data):
-        if self.intact > 0:
-            self.intact -= 1
+        if not self.tears(data):
             return self.fh.write(data)
         self.fh.write(data[:len(data) // 2])
         self.fh.flush()
         raise OSError("no space left on device")
 
 
-def _tear(monkeypatch, prefix, intact=0):
-    """Make the temporary file of the next atomic write to `prefix`* tear."""
+def _tear(monkeypatch, prefix, intact=0, at=None):
+    """Make the temporary file of the next atomic write to `prefix`* tear:
+    after `intact` writes, or, given `at`, at the write of that chunk."""
     def torn_open(file, *args, **kwargs):
         fh = open(file, *args, **kwargs)
-        return _TornFile(fh, intact) if Path(file).name.startswith(prefix) else fh
+        if not Path(file).name.startswith(prefix):
+            return fh
+        writes = itertools.count()
+        return _TornFile(fh, lambda data: data == at if at is not None
+                         else next(writes) >= intact)
 
     monkeypatch.setattr(hv, "open", torn_open, raising=False)
+
+
+def _new_model(cfg):
+    """A different model, config and label order from `labelled(seed=1)`."""
+    new = build_params(cfg, seed=2)
+    new.speakers = ["spk2", "spk1", "spk0"]
+    return new, dataclasses.replace(cfg, dropout=0.5)
+
+
+@pytest.mark.parametrize("torn", [".hvt", ".cfg", ".spk"])
+def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch, torn):
+    """The config, the speaker list and the weights, once model.cfg, model.spk
+    and model.hvt, are records of one file: a tear inside any of them leaves
+    the previous checkpoint whole, and no temporary file behind."""
+    cfg = ModelConfig.tiny()
+    ckpt = tmp_path / "model.hvt"
+    save_checkpoint(ckpt, labelled(build_params(cfg, seed=1), cfg), cfg)
+    before = ckpt.read_bytes()
+    new, new_cfg = _new_model(cfg)
+    payload = {
+        ".cfg": new_cfg.to_text(),
+        ".spk": "".join(f"{s}\n" for s in new.speakers),
+        ".hvt": next(iter(new.tensors.values())).data,
+    }[torn]
+    at = payload.encode() if isinstance(payload, str) else payload.tobytes()
+    _tear(monkeypatch, ".model.hvt.", at=at)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(ckpt, new, new_cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.hvt"]
+    assert ckpt.read_bytes() == before
 
 
 def test_torn_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -714,10 +748,7 @@ def test_torn_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     ckpt = tmp_path / "model.hvt"
     save_checkpoint(ckpt, labelled(build_params(cfg, seed=1), cfg), cfg)
     before = ckpt.read_bytes()
-    # a different model, config and label order
-    new = build_params(cfg, seed=2)
-    new.speakers = ["spk2", "spk1", "spk0"]
-    new_cfg = dataclasses.replace(cfg, dropout=0.5)
+    new, new_cfg = _new_model(cfg)
     for intact in itertools.count():
         _tear(monkeypatch, ".model.hvt.", intact)
         try:
