@@ -25,8 +25,12 @@ import numpy as np
 
 from . import tensor as hv
 from .audio import (
+    FRAME_HOP,
+    FRAME_LEN,
+    N_FRAGMENTS,
     SAMPLE_RATE,
     UtteranceFeatures,
+    frame_count,
     load_wav,
     mfcc_frames,
     split_fragments,
@@ -106,6 +110,17 @@ def _positive(cast, what: str):
     return parse
 
 
+def _window_length(raw):
+    """Seconds per `prepare` window: enough samples for N_FRAGMENTS frames."""
+    value = float(raw)
+    if not (np.isfinite(value * SAMPLE_RATE)
+            and frame_count(round(value * SAMPLE_RATE)) >= N_FRAGMENTS):
+        shortest = (FRAME_LEN + (N_FRAGMENTS - 1) * FRAME_HOP) / SAMPLE_RATE
+        raise ValueError(f"len must be finite and at least {shortest:g} s, the "
+                         f"span of {N_FRAGMENTS} frames; got {value}")
+    return value
+
+
 def _choice(options):
     def parse(raw):
         raw = str(raw).strip()
@@ -124,7 +139,7 @@ _SCHEMAS = {
         "seed": (0, int),
     },
     "prepare": {
-        "len": (1.0, _positive(float, "len")),
+        "len": (1.0, _window_length),
     },
     "train": {
         "model": ("hvector", _choice(MODES)),

@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import open_text
 from .tensor import atomic_write
@@ -201,22 +201,28 @@ class PldaModel:
 
 
 def _lda_projection(sw, sb, reduced_dim, singular):
-    """Top `reduced_dim` generalized eigenvectors of (sb, sw).  `singular`
+    """Top `reduced_dim` generalized eigenvectors of (sb, sw), scaled so that
+    vᵀ sw v = 1.  With sw = L Lᵀ, sb v = λ sw v becomes the symmetric
+    problem (L⁻¹ sb L⁻ᵀ) u = λ u with v = L⁻ᵀ u: the Cholesky reduction of
+    LAPACK's sygvd (Golub & Van Loan, Matrix Computations, §8.7).  `singular`
     says the data leave sw rank-deficient: it is then ridged up front, not
-    only when rounding happens to make eigh fail on it."""
+    only when rounding happens to make the Cholesky fail on it."""
     if not singular:
         try:
-            evals, evecs = scipy.linalg.eigh(sb, sw)
-        except scipy.linalg.LinAlgError:
+            chol = np.linalg.cholesky(sw)
+        except np.linalg.LinAlgError:
             singular = True
     if singular:
         warnings.warn("within-class scatter is singular; regularizing with 1e-6*I")
         try:
-            evals, evecs = scipy.linalg.eigh(sb, sw + 1e-6 * np.eye(len(sw)))
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(sw + 1e-6 * np.eye(len(sw)))
+        except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "within-class scatter is singular even after regularization"
             ) from exc
+    # L⁻¹ (L⁻¹ sb)ᵀ = L⁻¹ sb L⁻ᵀ, since sb is symmetric
+    evals, evecs = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, sb).T))
+    evecs = np.linalg.solve(chol.T, evecs)
     order = np.argsort(evals)[::-1][:reduced_dim]
     w = evecs[:, order]
     # deterministic sign: largest-magnitude component of each column positive
@@ -476,16 +482,29 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
 
 
 def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and target flags from a trials CSV."""
+    """Scores and target flags from a trials CSV; a malformed row is one
+    ValueError naming the file and line."""
     scores, targets = [], []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TRIALS_HEADER:
-            raise ValueError(f"{path} is not a trials CSV")
-        for row in reader:
-            scores.append(float(row[2]))
-            targets.append(bool(int(row[3])))
+        try:
+            if next(reader, None) != _TRIALS_HEADER:
+                raise ValueError(f"{path} is not a trials CSV")
+            for row in reader:
+                try:
+                    if len(row) != len(_TRIALS_HEADER):
+                        raise ValueError(f"{len(row)} fields, expected {len(_TRIALS_HEADER)}")
+                    score = float(row[2])
+                    if not math.isfinite(score):
+                        raise ValueError(f"score must be finite, got {row[2]!r}")
+                    if row[3] not in ("0", "1"):
+                        raise ValueError(f"target must be 0 or 1, got {row[3]!r}")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                scores.append(score)
+                targets.append(row[3] == "1")
+        except csv.Error as exc:    # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return np.array(scores), np.array(targets, dtype=bool)
 
 

@@ -177,6 +177,31 @@ class TestPrepare:
         assert len(manifest) == 4  # the good clips were still converted
         assert "(1 failed, 0 too short)" in out
 
+    @pytest.mark.parametrize("length", ["0.1", "0.02", "0.0001"])
+    def test_window_shorter_than_ten_frames_is_refused(self, tmp_path, length):
+        # 10 frames span 200 + 9 * 80 = 920 samples, 0.115 s at 8 kHz
+        corpus = tmp_path / "corpus"
+        feats = tmp_path / "feats"
+        assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
+                       "--utts", "2", "--dur", "0.5", "--seed", "4")[0] == 0
+        code, _, err = run_cli("prepare", "--manifest", str(corpus / "manifest.tsv"),
+                               "--out", str(feats), "--len", length)
+        assert code == 1
+        assert err == (f"error: --len: bad value for len: len must be finite and at "
+                       f"least 0.115 s, the span of 10 frames; got {length}\n")
+        assert not feats.exists()
+
+    def test_shortest_window_prepares(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        feats = tmp_path / "feats"
+        assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
+                       "--utts", "2", "--dur", "0.5", "--seed", "4")[0] == 0
+        code, out, err = run_cli("prepare", "--manifest", str(corpus / "manifest.tsv"),
+                                 "--out", str(feats), "--len", "0.115")
+        assert code == 0, err
+        entries = Manifest.load(feats / "manifest.tsv").entries
+        assert entries and all(e.n_frames == 10 for e in entries)
+
     def test_empty_manifest_is_an_error(self, tmp_path):
         empty = tmp_path / "manifest.tsv"
         empty.write_text("")
@@ -609,20 +634,51 @@ class TestScoreVer:
         assert peak < 28 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
 
 
+_SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
 def test_import_leaves_scipy_signal_unloaded(tmp_path):
-    """No command needs scipy.signal, which takes about a second to import:
-    not loading the CLI, and not `synth`, which filters in numpy alone."""
+    """No command needs scipy, whose import took most of the CLI's start-up:
+    not loading the CLI, and not `synth`, which filters in numpy alone.
+    Any `scipy` module counts, `scipy.signal` among them."""
     src = str(Path(hvector.__file__).resolve().parent.parent)
     synth = (f"main(['synth', '--out', {str(tmp_path / 'c')!r}, '--speakers', '2', "
              "'--utts', '1', '--dur', '0.2'])")
-    for probe in ("import sys, hvector.cli; print('scipy.signal' in sys.modules)",
+    for probe in (f"import sys, hvector.cli; print({_SCIPY_LOADED})",
                   f"import sys; from hvector.cli import main; {synth}; "
-                  "print('scipy.signal' in sys.modules)"):
+                  f"print({_SCIPY_LOADED})"):
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "False"
     assert len(Manifest.load(tmp_path / "c" / "manifest.tsv")) == 2
+
+
+def test_walkthrough_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable, the
+    README walkthrough runs from synth to score-ver, PLDA's LDA included."""
+    src = str(Path(hvector.__file__).resolve().parent.parent)
+    steps = [
+        ["synth", "--out", "c", "--speakers", "3", "--utts", "4", "--dur", "1"],
+        ["prepare", "--manifest", "c/manifest.tsv", "--out", "f"],
+        ["train", "--manifest", "f/manifest.tsv", "--out", "r", "--epochs", "1"],
+        ["embed", "--manifest", "f/manifest.tsv", "--ckpt", "r/model.hvt", "--out", "e.csv"],
+        ["score-id", "--manifest", "f/manifest.tsv", "--ckpt", "r/model.hvt"],
+        ["score-ver", "--enrol", "e.csv", "--eval", "e.csv", "--out", "plda",
+         "--set", "backend=plda"],
+        ["score-ver", "--enrol", "e.csv", "--eval", "e.csv", "--out", "cosine",
+         "--set", "backend=cosine"],
+    ]
+    probe = ("import sys; sys.modules['scipy'] = None\n"
+             "from hvector.cli import main\n"
+             f"for argv in {steps!r}:\n"
+             "    assert main(argv) == 0, argv\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.returncode == 0, done.stderr
+    for backend in ("plda", "cosine"):
+        scores, _ = load_trials(tmp_path / backend / "trials.csv")
+        assert len(scores) == 3 * 12 and np.isfinite(scores).all()
 
 
 # --- one error boundary -------------------------------------------------------
@@ -779,6 +835,7 @@ _FLAG_CASES = [
     ("synth", ["--out", "c"], "dur", "-1"),
     ("synth", ["--out", "c"], "speakers", "abc"),
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "-1"),
+    ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "inf"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "epochs", "0"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "model", "foo"),
 ]
@@ -916,6 +973,26 @@ def test_embedding_loader_fails_cleanly(fuzz_dir, text):
     path = fuzz_dir / "emb.csv"
     path.write_text(text, encoding="utf-8")
     _returns_or_names(lambda: load_embeddings(path), path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_fuzzed_lines(",", st.sampled_from(
+    ["enrol_speaker", "test_utterance", "score", "target", "0", "1", "7", "1.5",
+     "nan", "x", '"']))
+    | st.text().map(lambda t: "enrol_speaker,test_utterance,score,target\n" + t))
+@example(text="enrol_speaker,test_utterance,score,target\ns,u\n")
+@example(text="enrol_speaker,test_utterance,score,target\ns,u," + "9" * 200_000 + ",1\n")
+def test_trials_loader_fails_cleanly(fuzz_dir, text):
+    """A trials CSV loads as finite scores and 0/1 targets, or names the file."""
+    path = fuzz_dir / "trials.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        scores, targets = load_trials(path)
+    except ValueError as exc:
+        assert str(path) in str(exc), str(exc)
+        return
+    assert scores.dtype == np.float64 and targets.dtype == bool
+    assert len(scores) == len(targets) and np.isfinite(scores).all()
 
 
 _SET_WORDS = st.sampled_from(["lr", "epochs", "preset", "backend", "lda_dim", "len",

@@ -13,6 +13,7 @@ from hvector.scoring import (
     EmbeddingRecord,
     PldaModel,
     Trial,
+    _lda_projection,
     accuracy,
     compute_eer,
     cosine_score,
@@ -529,6 +530,40 @@ def _rank_deficient_shape(draw):
     return counts, d
 
 
+class TestLdaProjection:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 40))
+    def test_cholesky_reduction_matches_scipy(self, seed, d):
+        # sw = B Bᵀ and sb = B Λ Bᵀ, whose eigenvectors are the columns of
+        # B⁻ᵀ: B has condition number at most 4, and the eigenvalues are at
+        # least 0.25 apart, so each eigenvector is well determined
+        rng = np.random.default_rng(seed)
+        q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        b = (q1 * rng.uniform(0.5, 2.0, d)) @ q2
+        lam = np.cumsum(rng.uniform(0.25, 1.0, d))
+        sw, sb = b @ b.T, (b * lam) @ b.T
+        w = _lda_projection(sw, sb, d, singular=False)
+        evals, evecs = scipy.linalg.eigh(sb, sw)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        # vᵀ sw v = 1, so vᵀ sb v is v's eigenvalue
+        assert np.max(np.abs(w.T @ sw @ w - np.eye(d))) <= 1e-12
+        assert np.max(np.abs(np.diag(w.T @ sb @ w) - evals)) <= 1e-12 * evals[0]
+        signs = np.sign(np.sum(w * evecs, axis=0))
+        assert np.max(np.abs(w - evecs * signs)) <= 1e-10 * np.max(np.abs(evecs))
+
+    def test_failed_cholesky_regularizes_and_warns(self):
+        # rank 2 of 3, though the caller did not flag it singular
+        with pytest.warns(UserWarning, match="within-class scatter is singular"):
+            w = _lda_projection(np.diag([1.0, 2.0, 0.0]), np.eye(3), 2, singular=False)
+        assert w.shape == (3, 2) and np.all(np.isfinite(w))
+
+    def test_indefinite_scatter_is_an_error(self):
+        with pytest.warns(UserWarning), pytest.raises(
+                np.linalg.LinAlgError, match="singular even after regularization"):
+            _lda_projection(np.diag([1.0, -1.0]), np.eye(2), 1, singular=False)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPlda:
     def test_recovers_generating_covariances(self):
@@ -788,6 +823,25 @@ class TestFileFormats:
         raw[4] = raw[4].replace(b"u3", b"u\xff")
         path.write_bytes(b"\n".join(raw))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: not UTF-8 text"):
+            load_trials(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("s0,u1,0.5", "3 fields, expected 4"),
+        ("s0,u1,0.5,1,extra", "5 fields, expected 4"),
+        ("s0,u1,x,1", "could not convert string to float: 'x'"),
+        ("s0,u1,,1", "could not convert string to float: ''"),
+        ("s0,u1,nan,1", "score must be finite, got 'nan'"),
+        ("s0,u1,-inf,0", "score must be finite, got '-inf'"),
+        ("s0,u1,0.5,7", "target must be 0 or 1, got '7'"),
+        ("s0,u1,0.5,true", "target must be 0 or 1, got 'true'"),
+        ("s0,u1," + "9" * 200_000 + ",1", "field larger than field limit (131072)"),
+    ], ids=["short row", "long row", "text score", "empty score", "nan score",
+            "-inf score", "target 7", "target true", "oversized field"])
+    def test_bad_trial_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "trials.csv"
+        path.write_text(f"enrol_speaker,test_utterance,score,target\ns0,u0,1.5,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "
+                                             f"{re.escape(message)}$"):
             load_trials(path)
 
     def test_eer_report_format(self, tmp_path):
