@@ -50,10 +50,6 @@ class AudioClip:
         if not np.isfinite(self.samples).all():
             raise ValueError("AudioClip samples contain non-finite values")
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class UtteranceFeatures:
@@ -65,12 +61,8 @@ class UtteranceFeatures:
     speaker_id: str = ""
 
 
-def load_wav(path, channel: int | None = None) -> AudioClip:
-    """Read a 16-bit PCM WAV file.
-
-    Stereo files need an explicit `channel`; anything that is not 16-bit PCM
-    is rejected.
-    """
+def load_wav(path) -> AudioClip:
+    """Read a mono 16-bit PCM WAV file; anything else is rejected."""
     try:
         with open(path, "rb") as raw_fh, wave.open(raw_fh) as fh:
             n_channels = fh.getnchannels()
@@ -94,17 +86,9 @@ def load_wav(path, channel: int | None = None) -> AudioClip:
         raise ValueError(f"{path}: sample rate {rate} Hz")
     if len(raw) != n * n_channels * 2:
         raise IOError(f"{path}: truncated WAV payload ({len(raw)} bytes for {n} frames)")
+    if n_channels != 1:
+        raise ValueError(f"{path}: has {n_channels} channels; only mono is supported")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if n_channels > 1:
-        if channel is None:
-            raise ValueError(
-                f"{path}: has {n_channels} channels; pass channel= to select one"
-            )
-        if not 0 <= channel < n_channels:
-            raise ValueError(f"{path}: channel {channel} out of range for {n_channels}")
-        pcm = pcm.reshape(-1, n_channels)[:, channel]
-    elif channel not in (None, 0):
-        raise ValueError(f"{path}: mono file has no channel {channel}")
     return AudioClip(pcm, rate)
 
 

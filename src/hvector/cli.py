@@ -58,7 +58,7 @@ from .scoring import (  # noqa: F401
     save_trials,
     score_trials,
 )
-from .train import TrainConfig, predict, train
+from .train import TrainConfig, TrainingDiverged, predict, train
 
 __all__ = ["main", "save_features", "load_features"]
 
@@ -76,10 +76,11 @@ def save_features(path, utt: UtteranceFeatures):
 def load_features(path, utterance_id: str = "", speaker_id: str = "") -> UtteranceFeatures:
     arrays = hv.load_archive(path)
     frags, n_frames = arrays.get("fragments"), arrays.get("n_frames")
-    if not (getattr(frags, "ndim", 0) == 3 and getattr(n_frames, "shape", None) == ()
+    if not (getattr(frags, "ndim", 0) == 3 and np.isfinite(frags).all()
+            and getattr(n_frames, "shape", None) == ()
             and 1 <= n_frames <= frags.shape[0] * frags.shape[1]
             and float(n_frames).is_integer()):
-        raise ValueError(f"{path}: not a feature archive: needs a 3-D fragments "
+        raise ValueError(f"{path}: not a feature archive: needs a finite 3-D fragments "
                          "array and an integer n_frames in [1, fragments x frames]")
     return UtteranceFeatures(frags, int(n_frames), utterance_id, speaker_id)
 
@@ -101,11 +102,27 @@ def _optional(cast):
     return parse
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
 def _positive(cast, what: str):
     def parse(raw):
         value = cast(raw)
         if value <= 0:
             raise ValueError(f"{what} must be positive, got {value}")
+        return value
+    return parse
+
+
+def _non_negative(cast, what: str):
+    def parse(raw):
+        value = cast(raw)
+        if value < 0:
+            raise ValueError(f"{what} must be non-negative, got {value}")
         return value
     return parse
 
@@ -135,7 +152,7 @@ _SCHEMAS = {
     "synth": {
         "speakers": (10, _positive(int, "speakers")),
         "utts": (60, _positive(int, "utts")),
-        "dur": (1.0, _positive(float, "dur")),
+        "dur": (1.0, _positive(_finite, "dur")),
         "seed": (0, int),
     },
     "prepare": {
@@ -144,16 +161,16 @@ _SCHEMAS = {
     "train": {
         "model": ("hvector", _choice(MODES)),
         "preset": ("desk", _choice({"desk", "full"})),
-        "lr": (1e-4, float),
-        "beta1": (0.95, float),
-        "beta2": (0.999, float),
-        "eps": (1e-8, float),
+        "lr": (1e-4, _non_negative(_finite, "lr")),
+        "beta1": (0.95, _finite),
+        "beta2": (0.999, _finite),
+        "eps": (1e-8, _positive(_finite, "eps")),
         "batch_size": (32, _positive(int, "batch_size")),
         "epochs": (30, _positive(int, "epochs")),
         "seed": (0, int),
-        "dropout": (0.2, float),
-        "train_fraction": (0.9, float),
-        "stop_at_dev_acc": (None, _optional(float)),
+        "dropout": (0.2, _finite),
+        "train_fraction": (0.9, _finite),
+        "stop_at_dev_acc": (None, _optional(_finite)),
     },
     "embed": {
         "batch_size": (64, _positive(int, "batch_size")),
@@ -358,8 +375,11 @@ def cmd_train(args) -> int:
     # only now that the inputs and settings are valid may the old run go
     for p in outputs:
         p.unlink(missing_ok=True)
-    _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
-                          checkpoint_path=ckpt_path, log_path=log_path)
+    # a diverging run overflows before its gradients go non-finite; train
+    # reports that as TrainingDiverged, so numpy's own warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
+                              checkpoint_path=ckpt_path, log_path=log_path)
     print(f"best_dev_acc={max(h.dev_acc for h in history):.4f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"log: {log_path}")
@@ -405,8 +425,23 @@ def cmd_score_ver(args) -> int:
         "enrol": args.enrol, "eval": args.eval,
         "plda_train": plda_train_path, "out": args.out,
     })
-    enrol = _load_embedding_csv(args.enrol)
-    eval_records = _load_embedding_csv(args.eval)
+    # enrolment, evaluation and PLDA training sets, each read once, and
+    # length-normalized here if asked: the one place that setting acts
+    paths = [args.enrol, args.eval]
+    if cfg["backend"] == "plda" and args.plda_train is not None:
+        paths.append(args.plda_train)
+    sets = [_load_embedding_csv(p) for p in paths]
+    if cfg["length_norm"]:
+        sets = [[dataclasses.replace(r, vector=v) for r, v in
+                 zip(records, embedding_matrix(records, length_norm=True))]
+                for records in sets]
+    dim = len(sets[0][0].vector)
+    for path, records in zip(paths[1:], sets[1:]):
+        if len(records[0].vector) != dim:
+            raise CliError(f"embedding dims differ: {args.enrol} has {dim}, "
+                           f"{path} has {len(records[0].vector)}")
+    enrol, eval_records = sets[:2]
+    plda_train = sets[2] if len(sets) == 3 else enrol
     out_dir = Path(args.out)
     trials_path = out_dir / "trials.csv"
     report_path = out_dir / "eer.txt"
@@ -414,16 +449,12 @@ def cmd_score_ver(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one (K, N) score matrix: K enrolment models by N test vectors
-    speakers, models = enrolment_models(enrol, length_norm=cfg["length_norm"])
-    tests = embedding_matrix(eval_records, length_norm=cfg["length_norm"])
-    if models.shape[1] != tests.shape[1]:
-        raise CliError(f"embedding dims differ: {args.enrol} has "
-                       f"{models.shape[1]}, {args.eval} has {tests.shape[1]}")
+    speakers, models = enrolment_models(enrol)
+    tests = embedding_matrix(eval_records)
     if cfg["backend"] == "plda":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = plda_fit(_load_embedding_csv(plda_train_path),
-                             reduced_dim=cfg["lda_dim"])
+            model = plda_fit(plda_train, reduced_dim=cfg["lda_dim"])
         # each distinct message once, as Python's default filter would
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)
@@ -513,7 +544,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:   # LinAlgError is a ValueError
+    except (CliError, ValueError, OSError,   # LinAlgError is a ValueError
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,7 +66,6 @@ class ManifestEntry:
 @dataclass
 class Manifest:
     entries: list
-    split: str = "all"
 
     def __len__(self):
         return len(self.entries)
@@ -86,7 +85,7 @@ class Manifest:
                 fh.write(f"{e.utterance_id}\t{e.speaker_id}\t{e.path}\t{e.n_frames}\n")
 
     @classmethod
-    def load(cls, path, split: str = "all", check_paths: bool = True) -> "Manifest":
+    def load(cls, path, check_paths: bool = True) -> "Manifest":
         entries = []
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -106,7 +105,7 @@ class Manifest:
                     raise ValueError(f"{path}:{lineno}: n_frames {n_frames!r} "
                                      "is not an integer") from None
                 entries.append(ManifestEntry(utt, spk, p, n_frames))
-        return cls(entries, split)
+        return cls(entries)
 
 
 MIN_BANDWIDTH_HZ = 10.0
@@ -121,7 +120,6 @@ class SynthSpeakerSpec:
     formants_hz: tuple
     bandwidths_hz: tuple
     noise_level: float
-    seed: int
 
     def __post_init__(self):
         if not 60.0 <= self.pitch_hz <= 300.0:
@@ -147,7 +145,6 @@ def make_speaker_spec(master_seed: int, index: int, speaker_id: str) -> SynthSpe
         ),
         bandwidths_hz=tuple(float(b) for b in rng.uniform(60.0, 120.0, size=3)),
         noise_level=float(rng.uniform(0.01, 0.03)),
-        seed=int(rng.integers(2**31)),
     )
 
 
@@ -284,7 +281,7 @@ def split(manifest: Manifest, train_fraction: float = 0.9,
         n_train = min(max(n_train, 1), len(utts) - 1)
         for k, idx in enumerate(order):
             (train if k < n_train else test).append(utts[idx])
-    return Manifest(train, "train"), Manifest(test, "test")
+    return Manifest(train), Manifest(test)
 
 
 def make_verification_split(manifest: Manifest, n_enrol_spk: int, n_eval_spk: int,
@@ -308,7 +305,7 @@ def make_verification_split(manifest: Manifest, n_enrol_spk: int, n_eval_spk: in
     enrol_spk = sorted(speakers[i] for i in chosen[:n_enrol_spk])
     eval_spk = sorted(speakers[i] for i in chosen[n_enrol_spk:])
 
-    def take(speaker_ids, tag):
+    def take(speaker_ids):
         out = []
         for speaker_id in speaker_ids:
             utts = by_speaker[speaker_id]
@@ -319,6 +316,6 @@ def make_verification_split(manifest: Manifest, n_enrol_spk: int, n_eval_spk: in
                 )
             idx = rng.permutation(len(utts))[:utts_per_spk]
             out.extend(utts[k] for k in sorted(idx))
-        return Manifest(out, tag)
+        return Manifest(out)
 
-    return take(enrol_spk, "enrol"), take(eval_spk, "eval")
+    return take(enrol_spk), take(eval_spk)

@@ -144,29 +144,28 @@ def embedding_matrix(records, length_norm: bool = False) -> np.ndarray:
     return _unit(vectors) if length_norm else vectors
 
 
-def enrolment_models(enrol, length_norm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def enrolment_models(enrol) -> tuple[np.ndarray, np.ndarray]:
     """Sorted enrolment speaker ids and the (K, d) matrix of their models.
 
-    A speaker's model is the mean of that speaker's embeddings (each
-    length-normalized first if asked).
+    A speaker's model is the mean of that speaker's embeddings.
     """
     if not enrol:
         raise ValueError("enrolment set must be non-empty")
-    vectors = embedding_matrix(enrol, length_norm)
+    vectors = embedding_matrix(enrol)
     speakers, which = np.unique([r.speaker_id for r in enrol], return_inverse=True)
     return speakers, np.stack([np.mean(vectors[which == k], axis=0)
                                for k in range(len(speakers))])
 
 
-def make_trials(enrol, eval_records, length_norm: bool = False) -> list[Trial]:
+def make_trials(enrol, eval_records) -> list[Trial]:
     """Cartesian trials: every enrolment model (`enrolment_models`) against
     every eval utterance, row-major; a trial is a target iff the eval
     utterance belongs to the enrolment speaker.
     """
     if not enrol or not eval_records:
         raise ValueError("enrolment and evaluation sets must both be non-empty")
-    speakers, models = enrolment_models(enrol, length_norm)
-    tests = embedding_matrix(eval_records, length_norm)
+    speakers, models = enrolment_models(enrol)
+    tests = embedding_matrix(eval_records)
     return [Trial(enrol_speaker=spk, test_utterance=r.utterance_id,
                   enrol_vector=model_vec, test_vector=v, target=r.speaker_id == spk)
             for spk, model_vec in zip(speakers.tolist(), models)

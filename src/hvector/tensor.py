@@ -30,6 +30,8 @@ from contextlib import contextmanager
 import numpy as np
 
 VAR_FLOOR = 1e-12  # variance floor used by the pooling ops before sqrt
+BN_MOMENTUM = 0.9  # weight of the old running statistics in batchnorm
+BN_EPS = 1e-5      # added to batchnorm's variance before sqrt
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 __all__ = [
@@ -105,12 +107,11 @@ _ACTIVE: Graph | None = None
 
 
 @contextmanager
-def record(graph: Graph | None = None):
-    """Record every op built inside the block onto a tape."""
+def record():
+    """Record every op built inside the block onto a new tape."""
     global _ACTIVE
     prev = _ACTIVE
-    g = graph if graph is not None else Graph()
-    _ACTIVE = g
+    g = _ACTIVE = Graph()
     try:
         yield g
     finally:
@@ -554,13 +555,12 @@ def dropout(x, p: float, rng: np.random.Generator | None = None, training: bool 
     return mul(x, Tensor(mask))
 
 
-def batchnorm(x, gamma, beta, running_mean, running_var,
-              training: bool, momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
+def batchnorm(x, gamma, beta, running_mean, running_var, training: bool) -> Tensor:
     """Per-channel batch normalisation over all leading axes.
 
     The channel axis is the last one.  In training mode the (biased) batch
     statistics normalise the input and the running buffers are updated in
-    place: new = momentum * old + (1 - momentum) * batch.
+    place: new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.shape[-1]
@@ -573,14 +573,14 @@ def batchnorm(x, gamma, beta, running_mean, running_var,
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mu
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mu
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mu = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
 
@@ -613,13 +613,9 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
 
     z = sigma(x Wz + h Uz + bz), r = sigma(x Wr + h Ur + br),
     hcand = tanh(x Wh + (r * h) Uh + bh), h' = (1 - z) * hcand + z * h.
-    x is (D,) or (B, D); h_prev is (H,) or (B, H).
+    x is (B, D) and h_prev is (B, H).
     """
     x, h_prev = _wrap(x), _wrap(h_prev)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
-        h_prev = reshape(h_prev, (1, -1))
     d, h = params["wz"].shape
     if x.shape[-1] != d or h_prev.shape[-1] != h:
         raise ValueError(
@@ -629,8 +625,7 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
     r = sigmoid(add(add(matmul(x, params["wr"]), matmul(h_prev, params["ur"])), params["br"]))
     cand = tanh(add(add(matmul(x, params["wh"]), matmul(mul(r, h_prev), params["uh"])), params["bh"]))
     # h' = cand + z * (h_prev - cand)
-    out = add(cand, mul(z, sub(h_prev, cand)))
-    return reshape(out, (-1,)) if squeeze else out
+    return add(cand, mul(z, sub(h_prev, cand)))
 
 
 _GRU_KEYS = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")

@@ -13,7 +13,7 @@ from .model import (
 from .tensor import Tensor
 
 __all__ = [
-    "TrainConfig", "AdamState", "EpochStats",
+    "TrainConfig", "TrainingDiverged", "AdamState", "EpochStats",
     "cross_entropy", "adam_step", "train", "predict", "classify_accuracy",
 ]
 
@@ -38,11 +38,13 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be at least 1")
 
 
+class TrainingDiverged(RuntimeError):
+    """A gradient went non-finite: the run has diverged."""
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log softmax probability of the true labels."""
-    if logits.ndim == 1:
-        logits = hv.reshape(logits, (1,) + logits.shape)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    """Mean negative log softmax probability of the true labels: (B, C)
+    logits against B class indices."""
     lse = hv.log_sum_exp(logits, axis=-1)
     return hv.mean(hv.sub(lse, hv.pick(logits, labels)))
 
@@ -62,8 +64,9 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
              if p.grad is not None]
     for name, _, g in grads:
         if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient in parameter {name!r} "
-                               f"at step {state.step + 1}")
+            raise TrainingDiverged(f"non-finite gradient in parameter {name!r} "
+                                   f"at step {state.step + 1}: training diverged "
+                                   f"at lr={cfg.lr!r}")
     state.step += 1
     m_corr = 1.0 - cfg.beta1 ** state.step
     v_corr = 1.0 - cfg.beta2 ** state.step
@@ -145,43 +148,39 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
     history: list[EpochStats] = []
     best_acc = -1.0
     best_params = params.clone()
-    log_file = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            t0 = time.monotonic()
-            order = shuffle_rng.permutation(len(train_feats))
-            loss_sum = 0.0
-            correct = 0
-            for idx, frags, n_frames in batches(train_feats, order, cfg.batch_size):
-                params.zero_grads()
-                with hv.record():
-                    logits, _ = forward_batch(frags, n_frames, params, model_cfg,
-                                              training=True, rng=dropout_rng)
-                    loss = cross_entropy(logits, y_train[idx])
-                hv.backward(loss)
-                adam_step(params, state, cfg)
-                loss_sum += float(loss.data) * len(idx)
-                correct += int(np.sum(np.argmax(logits.data, axis=1) == y_train[idx]))
-            dev_acc = classify_accuracy(dev_feats, y_dev, params, model_cfg)
-            stats = EpochStats(
-                epoch=epoch,
-                loss=loss_sum / len(train_feats),
-                train_acc=correct / len(train_feats),
-                dev_acc=dev_acc,
-                seconds=time.monotonic() - t0,
-            )
-            history.append(stats)
-            if log_file:
-                log_file.write(stats.line() + "\n")
-                log_file.flush()
-            if dev_acc > best_acc:
-                best_acc = dev_acc
-                best_params = params.clone()
-            if cfg.stop_at_dev_acc is not None and dev_acc >= cfg.stop_at_dev_acc:
-                break
-    finally:
-        if log_file:
-            log_file.close()
+    for epoch in range(1, cfg.epochs + 1):
+        t0 = time.monotonic()
+        order = shuffle_rng.permutation(len(train_feats))
+        loss_sum = 0.0
+        correct = 0
+        for idx, frags, n_frames in batches(train_feats, order, cfg.batch_size):
+            params.zero_grads()
+            with hv.record():
+                logits, _ = forward_batch(frags, n_frames, params, model_cfg,
+                                          training=True, rng=dropout_rng)
+                loss = cross_entropy(logits, y_train[idx])
+            hv.backward(loss)
+            adam_step(params, state, cfg)
+            loss_sum += float(loss.data) * len(idx)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == y_train[idx]))
+        dev_acc = classify_accuracy(dev_feats, y_dev, params, model_cfg)
+        stats = EpochStats(
+            epoch=epoch,
+            loss=loss_sum / len(train_feats),
+            train_acc=correct / len(train_feats),
+            dev_acc=dev_acc,
+            seconds=time.monotonic() - t0,
+        )
+        history.append(stats)
+        if log_path:
+            # replaced whole each epoch, so a crash never leaves half a line
+            with hv.atomic_write(log_path, "w", encoding="utf-8") as fh:
+                fh.writelines(h.line() + "\n" for h in history)
+        if dev_acc > best_acc:
+            best_acc = dev_acc
+            best_params = params.clone()
+        if cfg.stop_at_dev_acc is not None and dev_acc >= cfg.stop_at_dev_acc:
+            break
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, best_params, model_cfg)
     return best_params, history, speakers

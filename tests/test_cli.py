@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hvector
+from hvector import cli
 from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav
 from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
@@ -33,6 +34,7 @@ from hvector.scoring import (
     EmbeddingRecord,
     compute_eer,
     cosine_score,
+    embedding_matrix,
     load_embeddings,
     load_trials,
     make_trials,
@@ -482,6 +484,13 @@ def _clustered_embedding_csvs(tmp_path):
     return paths
 
 
+def _unit_records(records):
+    """The records with each vector length-normalized, as `score-ver` reads
+    them under length_norm=true."""
+    return [EmbeddingRecord(r.utterance_id, r.speaker_id, v)
+            for r, v in zip(records, embedding_matrix(records, length_norm=True))]
+
+
 class TestScoreVer:
     def test_separated_embeddings_give_zero_eer(self, tmp_path):
         paths = _clustered_embedding_csvs(tmp_path)
@@ -511,13 +520,15 @@ class TestScoreVer:
         assert "EER=0.0000" in out
 
     def test_matrix_output_matches_per_trial_api(self, tmp_path):
+        # length_norm applies to all three sets, the PLDA training set too
         paths = _clustered_embedding_csvs(tmp_path)
-        enrol, test = load_embeddings(paths["enrol"]), load_embeddings(paths["eval"])
-        trials = make_trials(enrol, test, length_norm=True)
+        enrol, test, plda_set = (_unit_records(load_embeddings(paths[name]))
+                                 for name in ("enrol", "eval", "plda"))
+        trials = make_trials(enrol, test)
         for backend, scores in [
                 ("cosine", cosine_score(np.stack([t.enrol_vector for t in trials]),
                                         np.stack([t.test_vector for t in trials]))),
-                ("plda", score_trials(plda_fit(load_embeddings(paths["plda"])), trials))]:
+                ("plda", score_trials(plda_fit(plda_set), trials))]:
             code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
                                    "--eval", str(paths["eval"]),
                                    "--plda-train", str(paths["plda"]),
@@ -534,6 +545,31 @@ class TestScoreVer:
                     == [row.rsplit(",", 2)[::2] for row in want])
             got_scores = load_trials(tmp_path / backend / "trials.csv")[0]
             assert np.max(np.abs(got_scores - scores)) <= 1e-12 * np.max(np.abs(scores))
+
+    def test_plda_set_dim_mismatch_names_the_files(self, tmp_path):
+        paths = _clustered_embedding_csvs(tmp_path)
+        save_embeddings(paths["plda"], [EmbeddingRecord(f"{s}-t{j}", s, np.ones(6))
+                                        for s in "abc" for j in range(2)])
+        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                               "--eval", str(paths["eval"]),
+                               "--plda-train", str(paths["plda"]),
+                               "--out", str(tmp_path / "ver"))
+        assert code == 1
+        assert err.splitlines() == [f"error: embedding dims differ: {paths['enrol']} "
+                                    f"has 8, {paths['plda']} has 6"]
+        assert not (tmp_path / "ver").exists()
+
+    def test_enrolment_csv_is_read_once(self, tmp_path, monkeypatch):
+        # without --plda-train, PLDA trains on the enrolment records already read
+        paths = _clustered_embedding_csvs(tmp_path)
+        read = []
+        monkeypatch.setattr(cli, "load_embeddings",
+                            lambda path: read.append(path) or load_embeddings(path))
+        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
+                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"),
+                               "--set", "lda_dim=1")
+        assert code == 0, err
+        assert read == [str(paths["enrol"]), str(paths["eval"])]
 
     def test_real_pipeline_embeddings(self, pipeline, tmp_path):
         emb_csv = tmp_path / "emb.csv"
@@ -782,6 +818,29 @@ def _case_empty_wav(p):
         f"error: a-u1: {empty}: truncated WAV header"
 
 
+def _case_train_setting(pair):
+    # the manifest names a feature file that does not exist, so a refusal
+    # about the setting shows that it came before any input was read
+    def case(p):
+        return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run",
+                "--set", pair), f"error: --set: bad value for {pair.partition('=')[0]}: "
+    return case
+
+
+def _case_training_diverges(p):
+    rng = np.random.default_rng(0)
+    lines = []
+    for s in "ab":
+        for j in range(3):
+            path = p["dir"] / f"{s}-u{j}.hvt"
+            hv.save_archive(path, {"fragments": rng.standard_normal((10, 10, 20)),
+                                   "n_frames": 100.0})
+            lines.append(f"{s}-u{j}\t{s}\t{path}\t100\n")
+    p["manifest"].write_text("".join(lines))
+    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run",
+            "--epochs", "2", "--set", "lr=1e300"), "training diverged at lr=1e+300"
+
+
 # name -> inputs -> (argv, text the one error line must contain)
 _BOUNDARY_CASES = {
     "manifest is a directory": lambda p: (
@@ -818,10 +877,15 @@ _BOUNDARY_CASES = {
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
     "--config is not UTF-8": _case_undecodable_config,
     "a manifest's WAV is empty": _case_empty_wav,
+    **{f"train --set {pair}": _case_train_setting(pair)
+       for pair in ["lr=nan", "lr=inf", "lr=-1", "beta1=nan", "beta2=-inf", "eps=0",
+                    "eps=-1", "eps=nan", "dropout=nan", "stop_at_dev_acc=inf"]},
+    "training diverges": _case_training_diverges,
 }
 
 
 @pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+@pytest.mark.filterwarnings("error")   # a warning would print more lines
 def test_bad_input_is_one_error_line(tmp_path, case):
     argv, expected = _BOUNDARY_CASES[case](_boundary_inputs(tmp_path))
     code, _, err = run_cli(*map(str, argv))
@@ -834,6 +898,8 @@ def test_bad_input_is_one_error_line(tmp_path, case):
 _FLAG_CASES = [
     ("synth", ["--out", "c"], "dur", "-1"),
     ("synth", ["--out", "c"], "speakers", "abc"),
+    ("synth", ["--out", "c"], "dur", "inf"),
+    ("synth", ["--out", "c"], "dur", "nan"),
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "-1"),
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "inf"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "epochs", "0"),
@@ -868,6 +934,14 @@ def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
 
 
 _FRAGMENTS = np.zeros((10, 10, 20))
+
+
+def _fragments_with(value):
+    frags = _FRAGMENTS.copy()
+    frags[3, 4, 5] = value
+    return frags
+
+
 # name -> feature archive records, each refused with one error naming the file
 _BAD_FEATURE_ARCHIVES = {
     "n_frames is not a scalar": {"fragments": _FRAGMENTS, "n_frames": np.array([98.0, 1.0])},
@@ -881,6 +955,8 @@ _BAD_FEATURE_ARCHIVES = {
     "n_frames is missing": {"fragments": _FRAGMENTS},
     "fragments are 2-D": {"fragments": _FRAGMENTS[0], "n_frames": 10.0},
     "fragments are text": {"fragments": "0 0 0", "n_frames": 98.0},
+    "fragments hold nan": {"fragments": _fragments_with(np.nan), "n_frames": 98.0},
+    "fragments hold inf": {"fragments": _fragments_with(-np.inf), "n_frames": 98.0},
 }
 
 
@@ -888,7 +964,7 @@ _BAD_FEATURE_ARCHIVES = {
 def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
     feats = tmp_path / "u.hvt"
     hv.save_archive(feats, _BAD_FEATURE_ARCHIVES[case])
-    message = (f"{feats}: not a feature archive: needs a 3-D fragments array "
+    message = (f"{feats}: not a feature archive: needs a finite 3-D fragments array "
                "and an integer n_frames in [1, fragments x frames]")
     with pytest.raises(ValueError) as info:
         load_features(feats)

@@ -107,7 +107,7 @@ class TestSynth:
     def test_bad_bandwidth_rejected(self, bandwidths):
         with pytest.raises(ValueError, match="bandwidths_hz"):
             corpus.SynthSpeakerSpec("x", 120.0, (500.0, 1500.0, 2500.0), bandwidths,
-                                    0.02, 0)
+                                    0.02)
 
     def test_empty_duration_rejected(self):
         spec = corpus.make_speaker_spec(0, 0, "x")

@@ -262,9 +262,10 @@ class TestMakeTrials:
         assert sum(t.target for t in trials) == 500  # 50 shared speakers x 10 utts
 
     def test_length_norm_flag(self):
+        # score-ver's length_norm=true: each record normalized, then the mean
         enrol = [self.embed("a", "a1", [2.0, 0.0]), self.embed("a", "a2", [0.0, 4.0])]
-        trials = make_trials(enrol, [self.embed("a", "x", [3.0, 4.0])],
-                             length_norm=True)
+        trials = make_trials(unit_records(enrol),
+                             unit_records([self.embed("a", "x", [3.0, 4.0])]))
         np.testing.assert_allclose(trials[0].enrol_vector, [0.5, 0.5])
         np.testing.assert_allclose(trials[0].test_vector, [0.6, 0.8])
 
@@ -292,6 +293,13 @@ class TestMakeTrials:
         assert scores.shape == (500,)
         assert scores[7] == 0.0
         assert scores.tolist() == expected
+
+
+def unit_records(records):
+    """The records with each vector length-normalized, as `score-ver` reads
+    them under length_norm=true."""
+    return [EmbeddingRecord(r.utterance_id, r.speaker_id, v)
+            for r, v in zip(records, embedding_matrix(records, length_norm=True))]
 
 
 def make_trials_oracle(enrol, eval_records, length_norm=False):
@@ -357,8 +365,10 @@ class TestScoreMatrix:
     def test_matrix_equals_per_pair_scoring(self, sets, length_norm):
         d, rng, enrol, eval_records = sets
         trials = make_trials_oracle(enrol, eval_records, length_norm)
-        speakers, models = enrolment_models(enrol, length_norm)
-        tests = embedding_matrix(eval_records, length_norm)
+        if length_norm:
+            enrol, eval_records = unit_records(enrol), unit_records(eval_records)
+        speakers, models = enrolment_models(enrol)
+        tests = embedding_matrix(eval_records)
         targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
         assert [(tr.enrol_speaker, tr.test_utterance, tr.target) for tr in trials] == [
             (spk, r.utterance_id, bool(targets[k, j]))

@@ -220,19 +220,19 @@ class TestGruCell:
     def test_zero_params_halve_previous_state(self):
         # z = sigma(0) = 0.5 and hcand = 0, so h' = 0.5 * h_prev
         p = _gru_params(3, 4, zero=True)
-        v = np.array([1.0, -2.0, 0.5, 4.0])
-        out = hv.gru_cell(_t(np.zeros(3)), _t(v), p)
+        v = np.array([[1.0, -2.0, 0.5, 4.0]])
+        out = hv.gru_cell(_t(np.zeros((1, 3))), _t(v), p)
         np.testing.assert_allclose(out.data, 0.5 * v, atol=1e-15)
 
     def test_zero_everything_is_fixed_point(self):
         p = _gru_params(3, 4, zero=True)
-        out = hv.gru_cell(_t(np.zeros(3)), _t(np.zeros(4)), p)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = hv.gru_cell(_t(np.zeros((1, 3))), _t(np.zeros((1, 4))), p)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_dim_mismatch(self):
         p = _gru_params(3, 4, zero=True)
         with pytest.raises(ValueError, match="gru_cell dim mismatch"):
-            hv.gru_cell(_t(np.zeros(5)), _t(np.zeros(4)), p)
+            hv.gru_cell(_t(np.zeros((1, 5))), _t(np.zeros((1, 4))), p)
 
     def test_gradients_all_params(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import weakref
 from pathlib import Path
@@ -45,11 +46,11 @@ def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_k(self):
-        loss = cross_entropy(Tensor(np.zeros(4)), 2)
+        loss = cross_entropy(Tensor(np.zeros((1, 4))), [2])
         assert abs(loss.item() - np.log(4.0)) < 1e-12
 
     def test_confident_correct_logits_give_tiny_loss(self):
-        loss = cross_entropy(Tensor(np.array([20.0, 0.0, 0.0])), 0)
+        loss = cross_entropy(Tensor(np.array([[20.0, 0.0, 0.0]])), [0])
         assert loss.item() < 1e-8
 
     def test_gradient_is_softmax_minus_onehot(self):
@@ -71,7 +72,7 @@ class TestCrossEntropy:
         batch = rng.standard_normal((4, 3))
         labels = np.array([0, 2, 1, 1])
         whole = cross_entropy(Tensor(batch), labels).item()
-        singles = [cross_entropy(Tensor(batch[i]), labels[i]).item()
+        singles = [cross_entropy(Tensor(batch[i:i + 1]), labels[i:i + 1]).item()
                    for i in range(4)]
         assert abs(whole - np.mean(singles)) < 1e-12
 
@@ -350,6 +351,29 @@ class TestTrainLoop:
         labels = np.array([speakers.index(u.speaker_id) for u in dev])
         best = max(h.dev_acc for h in history)
         assert classify_accuracy(dev, labels, loaded, cfg2) == best
+
+    def test_log_is_replaced_whole_each_epoch(self, tmp_path, monkeypatch):
+        cfg = ModelConfig.tiny(n_speakers=2)
+        feats = toy_features(np.random.default_rng(8), cfg, 8, spread=2.0)
+        log = tmp_path / "train.log"
+        log.write_text("a stale line\n")
+        written = []
+        atomic_write = hv.atomic_write
+
+        @contextlib.contextmanager
+        def spy(path, *args, **kwargs):
+            with atomic_write(path, *args, **kwargs) as fh:
+                yield fh
+            written.append(Path(path).read_text())
+
+        monkeypatch.setattr(hv, "atomic_write", spy)
+        _, history, _ = train(feats[:12], feats[12:], cfg,
+                              TrainConfig(lr=1e-3, epochs=3, seed=1, batch_size=4),
+                              log_path=log)
+        lines = [h.line() + "\n" for h in history]
+        assert len(history) == 3
+        assert written == ["".join(lines[:k]) for k in range(1, 4)]
+        assert [p.name for p in tmp_path.iterdir()] == ["train.log"]
 
     def test_failed_speaker_list_write_keeps_the_previous_checkpoint(
             self, tmp_path, monkeypatch):
