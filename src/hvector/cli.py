@@ -37,7 +37,9 @@ from .audio import (
     vad_filter,
     window_utterances,
 )
-from .corpus import Manifest, ManifestEntry, open_text, split, synth_corpus
+from .corpus import (
+    Manifest, ManifestEntry, open_text, parse_setting, read_settings, split, synth_corpus,
+)
 from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
 # stay importable from this module, where perfbench/spans.py patches them
@@ -102,27 +104,11 @@ def _optional(cast):
     return parse
 
 
-def _finite(raw) -> float:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value}")
-    return value
-
-
 def _positive(cast, what: str):
     def parse(raw):
         value = cast(raw)
-        if value <= 0:
-            raise ValueError(f"{what} must be positive, got {value}")
-        return value
-    return parse
-
-
-def _non_negative(cast, what: str):
-    def parse(raw):
-        value = cast(raw)
-        if value < 0:
-            raise ValueError(f"{what} must be non-negative, got {value}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"{what} must be finite and positive, got {value}")
         return value
     return parse
 
@@ -140,11 +126,29 @@ def _window_length(raw):
 
 def _choice(options):
     def parse(raw):
-        raw = str(raw).strip()
         if raw not in options:
             raise ValueError(f"expected one of {sorted(options)}, got {raw!r}")
         return raw
     return parse
+
+
+def _checked(cast, check):
+    """Cast the raw text, then call check(value), which raises on a bad value."""
+    def parse(raw):
+        value = cast(raw)
+        check(value)
+        return value
+    return parse
+
+
+# parser by field annotation, a string under `from __future__ import annotations`
+_CASTS = {"int": int, "float": float, "str": str, "float | None": _optional(float)}
+
+
+def _field_setting(cls, name: str, **given):
+    """A config dataclass field's default, and a parser that lets cls refuse a value."""
+    field = cls.__dataclass_fields__[name]
+    return field.default, _checked(_CASTS[field.type], lambda v: cls(**given, **{name: v}))
 
 
 # command -> {key: (default, parser)}
@@ -152,25 +156,21 @@ _SCHEMAS = {
     "synth": {
         "speakers": (10, _positive(int, "speakers")),
         "utts": (60, _positive(int, "utts")),
-        "dur": (1.0, _positive(_finite, "dur")),
+        "dur": (1.0, _positive(float, "dur")),
         "seed": (0, int),
     },
     "prepare": {
         "len": (1.0, _window_length),
     },
     "train": {
-        "model": ("hvector", _choice(MODES)),
+        # TrainConfig and ModelConfig own the defaults and rules of their fields
+        **{f.name: _field_setting(TrainConfig, f.name)
+           for f in dataclasses.fields(TrainConfig)},
+        "model": _field_setting(ModelConfig, "mode", n_speakers=1),
+        "dropout": _field_setting(ModelConfig, "dropout", n_speakers=1),
         "preset": ("desk", _choice({"desk", "full"})),
-        "lr": (1e-4, _non_negative(_finite, "lr")),
-        "beta1": (0.95, _finite),
-        "beta2": (0.999, _finite),
-        "eps": (1e-8, _positive(_finite, "eps")),
-        "batch_size": (32, _positive(int, "batch_size")),
-        "epochs": (30, _positive(int, "epochs")),
-        "seed": (0, int),
-        "dropout": (0.2, _finite),
-        "train_fraction": (0.9, _finite),
-        "stop_at_dev_acc": (None, _optional(_finite)),
+        # split owns the (0, 1) rule; an empty manifest splits at once
+        "train_fraction": (0.9, _checked(float, lambda v: split(Manifest([]), v))),
     },
     "embed": {
         "batch_size": (64, _positive(int, "batch_size")),
@@ -186,43 +186,26 @@ _SCHEMAS = {
 }
 
 
-def _apply_pair(cfg: dict, schema: dict, key: str, raw: str, origin: str):
-    if key not in schema:
-        raise CliError(f"{origin}: unknown config key {key!r} "
-                       f"(known: {', '.join(sorted(schema))})")
-    try:
-        cfg[key] = schema[key][1](raw)
-    except ValueError as exc:
-        raise CliError(f"{origin}: bad value for {key}: {exc}") from exc
-
-
 def resolve_config(command: str, args) -> dict:
     """Defaults, then --config, then --set, then flags; each value through its key's parser."""
     schema = _SCHEMAS[command]
     cfg = {key: default for key, (default, _) in schema.items()}
+    parsers = {key: parse for key, (_, parse) in schema.items()}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file {path} not found")
         with open_text(path) as fh:
-            text = fh.read()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            _apply_pair(cfg, schema, key.strip(), raw.strip(), f"{path}:{lineno}")
+            cfg.update(read_settings(fh.read(), f"{path}:", parsers))
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        _apply_pair(cfg, schema, key.strip(), raw.strip(), "--set")
+        key, _, raw = (part.strip() for part in item.partition("="))
+        cfg[key] = parse_setting(parsers, key, raw, "--set")
     for key in schema:
         raw = getattr(args, key, None)
         if raw is not None:
-            _apply_pair(cfg, schema, key, raw, f"--{key}")
+            cfg[key] = parse_setting(parsers, key, raw.strip(), f"--{key}")
     return cfg
 
 
@@ -360,18 +343,12 @@ def cmd_train(args) -> int:
 
     n_speakers = len(manifest.speakers())
     frames_per_fragment = train_feats[0].fragments.shape[1]
-    if cfg["preset"] == "desk":
-        model_cfg = ModelConfig.desk(n_speakers, cfg["model"], frames_per_fragment)
-    else:
-        model_cfg = ModelConfig(n_speakers=n_speakers, mode=cfg["model"],
-                                frames_per_fragment=frames_per_fragment)
-    model_cfg = dataclasses.replace(model_cfg, dropout=cfg["dropout"])
-    train_cfg = TrainConfig(
-        lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"],
-        eps=cfg["eps"], batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"], seed=cfg["seed"],
-        stop_at_dev_acc=cfg["stop_at_dev_acc"],
-    )
+    preset = ModelConfig.desk if cfg["preset"] == "desk" else ModelConfig
+    model_cfg = dataclasses.replace(preset(n_speakers=n_speakers, mode=cfg["model"],
+                                           frames_per_fragment=frames_per_fragment),
+                                    dropout=cfg["dropout"])
+    train_cfg = TrainConfig(**{f.name: cfg[f.name]
+                               for f in dataclasses.fields(TrainConfig)})
     # only now that the inputs and settings are valid may the old run go
     for p in outputs:
         p.unlink(missing_ok=True)

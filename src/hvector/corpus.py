@@ -29,7 +29,7 @@ from .tensor import atomic_write
 __all__ = [
     "ManifestEntry", "Manifest", "SynthSpeakerSpec",
     "make_speaker_spec", "synth_utterance", "synth_corpus",
-    "split", "make_verification_split", "open_text",
+    "split", "make_verification_split", "open_text", "parse_setting", "read_settings",
 ]
 
 
@@ -53,6 +53,31 @@ def open_text(path, newline=None):
     line = raw.count(b"\n", 0, error.start) + 1
     raise ValueError(f"{path}:{line}: not UTF-8 text ({error.reason} "
                      f"at byte {error.start})") from None
+
+
+def parse_setting(parsers: dict, key: str, raw: str, where: str):
+    """parsers[key](raw); a ValueError starting with `where` if key or value is bad."""
+    if key not in parsers:
+        raise ValueError(f"{where}: unknown config key {key!r} "
+                         f"(known: {', '.join(sorted(parsers))})")
+    try:
+        return parsers[key](raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value for {key}: {exc}") from None
+
+
+def read_settings(text: str, origin: str, parsers: dict) -> dict:
+    """Flat key=value text, one setting a line, each value through its key's
+    parser; blank and `#` lines are skipped, and errors name origin + line."""
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ValueError(f"{origin}{lineno}: expected key=value, got {line!r}")
+            key, _, raw = (part.strip() for part in line.partition("="))
+            values[key] = parse_setting(parsers, key, raw, f"{origin}{lineno}")
+    return values
 
 
 @dataclass
@@ -216,15 +241,22 @@ def _resonate(x: np.ndarray, poles) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, size) * (gain / den), size)[:n]
 
 
+def _sample_count(duration_s: float) -> int:
+    if not math.isfinite(duration_s):
+        raise ValueError(f"duration must be finite, got {duration_s}")
+    n = int(round(duration_s * SAMPLE_RATE))
+    if n < 1:
+        raise ValueError(f"duration {duration_s} s holds no samples")
+    return n
+
+
 def synth_utterance(spec: SynthSpeakerSpec, duration_s: float,
                     master_seed: int, speaker_index: int, utt_index: int) -> AudioClip:
     """Render one utterance: jittered pulse train through formant resonators."""
     rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, speaker_index, utt_index])
     )
-    n = int(round(duration_s * SAMPLE_RATE))
-    if n < 1:
-        raise ValueError(f"duration {duration_s} s holds no samples")
+    n = _sample_count(duration_s)
     pulses = _pulse_train(rng, n, spec.pitch_hz)
     poles = [(np.exp(-np.pi * bw / SAMPLE_RATE),
               2.0 * np.pi * (f * (1.0 + rng.uniform(-0.02, 0.02))) / SAMPLE_RATE)
@@ -246,6 +278,9 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, duration_s: float,
         raise ValueError(f"need at least 2 speakers, got {n_speakers}")
     if utts_per_speaker < 1:
         raise ValueError(f"need at least 1 utterance per speaker, got {utts_per_speaker}")
+    _sample_count(duration_s)   # refuses a clip too short to hold one sample
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     out_dir = Path(out_dir)
     entries = []
     for i in range(n_speakers):

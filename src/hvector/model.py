@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as hv
-from .corpus import open_text
+from .corpus import open_text, read_settings
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -91,24 +91,9 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        values = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
-            raw = raw.strip()
-            cast = str if key == "mode" else float if key == "dropout" else int
-            try:
-                values[key] = cast(raw)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from None
+        values = read_settings(text, "line ", {
+            f.name: str if f.name == "mode" else float if f.name == "dropout" else int
+            for f in fields(cls)})
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise ValueError(f"missing config key {f.name!r}")

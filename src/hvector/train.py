@@ -30,12 +30,20 @@ class TrainConfig:
     stop_at_dev_acc: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.lr < 0.0:
-            raise ValueError(f"learning rate must be non-negative, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
+        """Adam's update needs betas in (0, 1) and eps > 0.  The CLI builds a
+        TrainConfig to check each train setting, so these are its rules too."""
+        acc = self.stop_at_dev_acc
+        for name, ok, rule in [
+                ("beta1", 0.0 < self.beta1 < 1.0, "lie in (0, 1) like all Adam betas"),
+                ("beta2", 0.0 < self.beta2 < 1.0, "lie in (0, 1) like all Adam betas"),
+                ("lr", 0.0 <= self.lr < np.inf, "be finite and non-negative"),
+                ("eps", 0.0 < self.eps < np.inf, "be finite and positive"),
+                ("batch_size", self.batch_size >= 1, "be at least 1"),
+                ("epochs", self.epochs >= 1, "be at least 1"),
+                ("seed", self.seed >= 0, "be non-negative"),
+                ("stop_at_dev_acc", acc is None or 0.0 <= acc <= 1.0, "lie in [0, 1] or be None")]:
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
 
 
 class TrainingDiverged(RuntimeError):

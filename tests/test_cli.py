@@ -8,6 +8,7 @@ synth -> prepare -> train pipeline that the embed/score tests reuse.
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import os
 import re
@@ -28,7 +29,7 @@ from hvector import cli
 from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav
 from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
-from hvector.corpus import Manifest
+from hvector.corpus import Manifest, split
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
     EmbeddingRecord,
@@ -43,7 +44,7 @@ from hvector.scoring import (
     save_trials,
     score_trials,
 )
-from hvector.train import predict
+from hvector.train import TrainConfig, predict
 
 
 def run_cli(*argv):
@@ -879,7 +880,9 @@ _BOUNDARY_CASES = {
     "a manifest's WAV is empty": _case_empty_wav,
     **{f"train --set {pair}": _case_train_setting(pair)
        for pair in ["lr=nan", "lr=inf", "lr=-1", "beta1=nan", "beta2=-inf", "eps=0",
-                    "eps=-1", "eps=nan", "dropout=nan", "stop_at_dev_acc=inf"]},
+                    "eps=-1", "eps=nan", "dropout=nan", "stop_at_dev_acc=inf",
+                    "beta1=2", "beta2=1", "dropout=1.5", "train_fraction=2", "seed=-1",
+                    "stop_at_dev_acc=5"]},
     "training diverges": _case_training_diverges,
 }
 
@@ -894,6 +897,18 @@ def test_bad_input_is_one_error_line(tmp_path, case):
     assert expected in err
 
 
+def test_train_defaults_are_the_config_classes_defaults():
+    defaults = {key: default for key, (default, _) in _SCHEMAS["train"].items()}
+    model = ModelConfig(n_speakers=2)
+    owned = {**dataclasses.asdict(TrainConfig()), "model": model.mode,
+             "dropout": model.dropout}
+    assert {key: defaults[key] for key in owned} == owned
+    assert all(type(defaults[key]) is type(value) for key, value in owned.items())
+    assert set(defaults) - set(owned) == {"preset", "train_fraction"}
+    assert defaults["train_fraction"] == \
+        inspect.signature(split).parameters["train_fraction"].default
+
+
 # command, the other arguments it needs, key, bad value
 _FLAG_CASES = [
     ("synth", ["--out", "c"], "dur", "-1"),
@@ -904,6 +919,7 @@ _FLAG_CASES = [
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "inf"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "epochs", "0"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "model", "foo"),
+    ("train", ["--manifest", "m.tsv", "--out", "r"], "seed", "-1"),
 ]
 
 
@@ -924,12 +940,15 @@ def test_flag_is_parsed_like_its_set_twin(tmp_path, monkeypatch, command, rest,
 
 def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
     out_dir = tmp_path / "c"
-    code, _, err = run_cli("synth", "--out", str(out_dir), "--speakers", "1",
-                           "--utts", "2", "--dur", "0.5")
-    assert code == 1 and "at least 2 speakers" in err
-    assert not out_dir.exists()
-    code, _, err = run_cli("synth", "--out", str(out_dir), "--speakers", "2",
-                           "--utts", "2", "--dur", "0.5")
+    good = ("synth", "--out", str(out_dir), "--speakers", "2", "--utts", "2", "--dur", "0.5")
+    # each refusal comes before synth_corpus creates a directory
+    for bad, expected in [(["--speakers", "1"], "at least 2 speakers"),
+                          (["--dur", "0.00001"], "duration 1e-05 s holds no samples"),
+                          (["--seed", "-1"], "seed must be non-negative, got -1")]:
+        code, _, err = run_cli(*good, *bad)
+        assert code == 1 and expected in err, err
+        assert not out_dir.exists()
+    code, _, err = run_cli(*good)
     assert code == 0, err
 
 

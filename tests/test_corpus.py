@@ -113,6 +113,9 @@ class TestSynth:
         spec = corpus.make_speaker_spec(0, 0, "x")
         with pytest.raises(ValueError, match="no samples"):
             corpus.synth_utterance(spec, 0.0, 0, 0, 0)
+        for duration in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="duration must be finite"):
+                corpus.synth_utterance(spec, duration, 0, 0, 0)
 
     def test_too_few_speakers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):

@@ -468,3 +468,10 @@ class TestTrainLoop:
             TrainConfig(lr=-1e-4)
         with pytest.raises(ValueError, match="at least 1"):
             TrainConfig(batch_size=0)
+        for bad, match in [({"lr": np.nan}, "lr must be finite"),
+                           ({"eps": 0.0}, "eps must be finite and positive"),
+                           ({"eps": -1.0}, "eps must be finite and positive"),
+                           ({"seed": -1}, "seed must be non-negative"),
+                           ({"stop_at_dev_acc": np.nan}, r"stop_at_dev_acc must lie in \[0, 1\]")]:
+            with pytest.raises(ValueError, match=match):
+                TrainConfig(**bad)
