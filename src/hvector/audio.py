@@ -142,12 +142,16 @@ def vad_filter(clip: AudioClip) -> AudioClip:
 def window_utterances(clip: AudioClip, length_s: float) -> list[AudioClip]:
     """Cut a clip into fixed windows with half-window overlap.
 
-    Too-short clips yield an empty list; any remainder after the last full
-    window is discarded.
+    A window must span N_FRAGMENTS frames, so that split_fragments can cut
+    it; a shorter length_s is refused.  Too-short clips yield an empty list;
+    any remainder after the last full window is discarded.
     """
-    if length_s <= 0:
-        raise ValueError(f"window length must be positive, got {length_s}")
-    win = int(round(length_s * clip.sample_rate))
+    samples = length_s * clip.sample_rate
+    if not (np.isfinite(samples) and frame_count(round(samples)) >= N_FRAGMENTS):
+        shortest = (FRAME_LEN + (N_FRAGMENTS - 1) * FRAME_HOP) / clip.sample_rate
+        raise ValueError(f"len must be finite and at least {shortest:g} s, the "
+                         f"span of {N_FRAGMENTS} frames; got {length_s}")
+    win = int(round(samples))
     step = win // 2
     n = len(clip.samples)
     if n < win:

@@ -25,12 +25,9 @@ import numpy as np
 
 from . import tensor as hv
 from .audio import (
-    FRAME_HOP,
-    FRAME_LEN,
-    N_FRAGMENTS,
     SAMPLE_RATE,
+    AudioClip,
     UtteranceFeatures,
-    frame_count,
     load_wav,
     mfcc_frames,
     split_fragments,
@@ -38,9 +35,10 @@ from .audio import (
     window_utterances,
 )
 from .corpus import (
-    Manifest, ManifestEntry, open_text, parse_setting, read_settings, split, synth_corpus,
+    Manifest, ManifestEntry, check_synth_args, open_text, parse_setting, read_settings,
+    split, synth_corpus,
 )
-from .model import MODES, ModelConfig, embed_batch, load_checkpoint
+from .model import MODES, ModelConfig, batches, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
 # stay importable from this module, where perfbench/spans.py patches them
 from .scoring import (  # noqa: F401
@@ -104,26 +102,6 @@ def _optional(cast):
     return parse
 
 
-def _positive(cast, what: str):
-    def parse(raw):
-        value = cast(raw)
-        if not 0 < value < np.inf:
-            raise ValueError(f"{what} must be finite and positive, got {value}")
-        return value
-    return parse
-
-
-def _window_length(raw):
-    """Seconds per `prepare` window: enough samples for N_FRAGMENTS frames."""
-    value = float(raw)
-    if not (np.isfinite(value * SAMPLE_RATE)
-            and frame_count(round(value * SAMPLE_RATE)) >= N_FRAGMENTS):
-        shortest = (FRAME_LEN + (N_FRAGMENTS - 1) * FRAME_HOP) / SAMPLE_RATE
-        raise ValueError(f"len must be finite and at least {shortest:g} s, the "
-                         f"span of {N_FRAGMENTS} frames; got {value}")
-    return value
-
-
 def _choice(options):
     def parse(raw):
         if raw not in options:
@@ -151,16 +129,21 @@ def _field_setting(cls, name: str, **given):
     return field.default, _checked(_CASTS[field.type], lambda v: cls(**given, **{name: v}))
 
 
+# batches owns the batch_size rule; batches of nothing check a size alone
+_BATCH_SIZE = (64, _checked(int, lambda v: list(batches([], (), v))))
+
 # command -> {key: (default, parser)}
 _SCHEMAS = {
     "synth": {
-        "speakers": (10, _positive(int, "speakers")),
-        "utts": (60, _positive(int, "utts")),
-        "dur": (1.0, _positive(float, "dur")),
-        "seed": (0, int),
+        # check_synth_args holds synth_corpus's rules
+        "speakers": (10, _checked(int, lambda v: check_synth_args(n_speakers=v))),
+        "utts": (60, _checked(int, lambda v: check_synth_args(utts_per_speaker=v))),
+        "dur": (1.0, _checked(float, lambda v: check_synth_args(duration_s=v))),
+        "seed": (0, _checked(int, lambda v: check_synth_args(seed=v))),
     },
     "prepare": {
-        "len": (1.0, _window_length),
+        # window_utterances owns the rule; an empty clip yields no window
+        "len": (1.0, _checked(float, lambda v: window_utterances(AudioClip([]), v))),
     },
     "train": {
         # TrainConfig and ModelConfig own the defaults and rules of their fields
@@ -172,12 +155,8 @@ _SCHEMAS = {
         # split owns the (0, 1) rule; an empty manifest splits at once
         "train_fraction": (0.9, _checked(float, lambda v: split(Manifest([]), v))),
     },
-    "embed": {
-        "batch_size": (64, _positive(int, "batch_size")),
-    },
-    "score-id": {
-        "batch_size": (64, _positive(int, "batch_size")),
-    },
+    "embed": {"batch_size": _BATCH_SIZE},
+    "score-id": {"batch_size": _BATCH_SIZE},
     "score-ver": {
         "backend": ("plda", _choice({"plda", "cosine"})),
         "lda_dim": (None, _optional(int)),
@@ -423,23 +402,26 @@ def cmd_score_ver(args) -> int:
     trials_path = out_dir / "trials.csv"
     report_path = out_dir / "eer.txt"
     _guard_outputs([trials_path, report_path], args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # one (K, N) score matrix: K enrolment models by N test vectors
     speakers, models = enrolment_models(enrol)
     tests = embedding_matrix(eval_records)
+    caught = []
     if cfg["backend"] == "plda":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = plda_fit(plda_train, reduced_dim=cfg["lda_dim"])
-        # each distinct message once, as Python's default filter would
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {message}", file=sys.stderr)
         scores = plda_score(model, models[:, None], tests[None])
     else:
         scores = cosine_score(models[:, None], tests[None])
     targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
     eer, threshold = eer_operating_point(scores.ravel(), targets.ravel())
+    # made only now, so a refused setting such as lda_dim=0 leaves no --out,
+    # and the back end's warnings print only once --out could be made
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each distinct message once, as Python's default filter would
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
                       scores, targets)
     save_eer_report(report_path, eer, threshold)

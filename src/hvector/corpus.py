@@ -28,7 +28,7 @@ from .tensor import atomic_write
 
 __all__ = [
     "ManifestEntry", "Manifest", "SynthSpeakerSpec",
-    "make_speaker_spec", "synth_utterance", "synth_corpus",
+    "make_speaker_spec", "synth_utterance", "check_synth_args", "synth_corpus",
     "split", "make_verification_split", "open_text", "parse_setting", "read_settings",
 ]
 
@@ -267,13 +267,10 @@ def synth_utterance(spec: SynthSpeakerSpec, duration_s: float,
     return AudioClip(np.clip(x, -0.99, 0.99))
 
 
-def synth_corpus(n_speakers: int, utts_per_speaker: int, duration_s: float,
-                 seed: int, out_dir) -> Manifest:
-    """Generate WAV files plus a manifest under out_dir.
-
-    Same arguments produce a bit-identical audio set; speaker identities are
-    derived from the seed so corpora built with different seeds are disjoint.
-    """
+def check_synth_args(n_speakers: int = 2, utts_per_speaker: int = 1,
+                     duration_s: float = 1.0, seed: int = 0):
+    """Refuse what synth_corpus cannot use; every default passes, so one
+    argument can be checked alone."""
     if n_speakers < 2:
         raise ValueError(f"need at least 2 speakers, got {n_speakers}")
     if utts_per_speaker < 1:
@@ -281,6 +278,16 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, duration_s: float,
     _sample_count(duration_s)   # refuses a clip too short to hold one sample
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def synth_corpus(n_speakers: int, utts_per_speaker: int, duration_s: float,
+                 seed: int, out_dir) -> Manifest:
+    """Generate WAV files plus a manifest under out_dir.
+
+    Same arguments produce a bit-identical audio set; speaker identities are
+    derived from the seed so corpora built with different seeds are disjoint.
+    """
+    check_synth_args(n_speakers, utts_per_speaker, duration_s, seed)
     out_dir = Path(out_dir)
     entries = []
     for i in range(n_speakers):

@@ -362,8 +362,11 @@ def batches(features: list, order, batch_size: int):
     Indices from ``order`` are grouped by (fragments.shape, n_frames) in order
     of first appearance, keep their given order within each group, and are
     cut into chunks of at most ``batch_size``, so every chunk stacks and mixed
-    inputs still form valid batches.
+    inputs still form valid batches.  A batch_size below 1 is refused: this is
+    the one rule for every batch size, and batches([], (), n) checks n alone.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     groups: dict = {}
     for i in order:
         u = features[i]

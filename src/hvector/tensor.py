@@ -818,7 +818,10 @@ def _read_value(fh, name: str):
         raise ValueError(f"{fh.name}: truncated tensor file: shape {shape} needs "
                          f"{nbytes} bytes, {left} left")
     data = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
-    return data.reshape(shape).copy()
+    try:
+        return data.reshape(shape).copy()
+    except ValueError as exc:  # an empty shape whose other dims overflow numpy
+        raise ValueError(f"{fh.name}: implausible tensor shape {shape}: {exc}") from None
 
 
 @contextmanager

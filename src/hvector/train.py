@@ -38,12 +38,12 @@ class TrainConfig:
                 ("beta2", 0.0 < self.beta2 < 1.0, "lie in (0, 1) like all Adam betas"),
                 ("lr", 0.0 <= self.lr < np.inf, "be finite and non-negative"),
                 ("eps", 0.0 < self.eps < np.inf, "be finite and positive"),
-                ("batch_size", self.batch_size >= 1, "be at least 1"),
                 ("epochs", self.epochs >= 1, "be at least 1"),
                 ("seed", self.seed >= 0, "be non-negative"),
                 ("stop_at_dev_acc", acc is None or 0.0 <= acc <= 1.0, "lie in [0, 1] or be None")]:
             if not ok:
                 raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
+        list(batches([], (), self.batch_size))   # batches owns the batch_size rule
 
 
 class TrainingDiverged(RuntimeError):

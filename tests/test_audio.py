@@ -187,6 +187,20 @@ class TestWindowing:
     def test_too_short_gives_empty_list(self):
         assert audio.window_utterances(AudioClip(tone(440, 2.4)), 3.0) == []
 
+    @pytest.mark.parametrize("length", [0.1, 0.0, -1.0, np.nan, np.inf])
+    def test_window_shorter_than_ten_frames_is_refused(self, length):
+        # 10 frames span 200 + 9 * 80 = 920 samples, 0.115 s at 8 kHz;
+        # unchecked, 0.1 s gave 19 windows that split_fragments refuses
+        with pytest.raises(ValueError) as info:
+            audio.window_utterances(AudioClip(tone(440, 1.0)), length)
+        assert str(info.value) == ("len must be finite and at least 0.115 s, "
+                                   f"the span of 10 frames; got {length}")
+
+    def test_shortest_window_splits_into_fragments(self):
+        wins = audio.window_utterances(AudioClip(tone(440, 1.0)), 0.115)
+        assert len(wins) == 16 and all(len(w.samples) == 920 for w in wins)
+        assert audio.split_fragments(audio.mfcc_frames(wins[0])).n_frames == 10
+
     def test_count_formula(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

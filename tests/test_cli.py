@@ -828,6 +828,16 @@ def _case_train_setting(pair):
     return case
 
 
+def _case_batch_size(command, pair):
+    # as in _case_train_setting, the manifest names a missing feature file
+    def case(p):
+        out = ("--out", p["dir"] / "e.csv") if command == "embed" else ()
+        return (command, "--manifest", p["manifest"], "--ckpt",
+                _tiny_checkpoint(p["dir"] / "run"), *out, "--set", pair), \
+            "error: --set: bad value for batch_size: "
+    return case
+
+
 def _case_training_diverges(p):
     rng = np.random.default_rng(0)
     lines = []
@@ -884,6 +894,8 @@ _BOUNDARY_CASES = {
                     "beta1=2", "beta2=1", "dropout=1.5", "train_fraction=2", "seed=-1",
                     "stop_at_dev_acc=5"]},
     "training diverges": _case_training_diverges,
+    "embed --set batch_size=0": _case_batch_size("embed", "batch_size=0"),
+    "score-id --set batch_size=-1": _case_batch_size("score-id", "batch_size=-1"),
 }
 
 
@@ -915,6 +927,9 @@ _FLAG_CASES = [
     ("synth", ["--out", "c"], "speakers", "abc"),
     ("synth", ["--out", "c"], "dur", "inf"),
     ("synth", ["--out", "c"], "dur", "nan"),
+    ("synth", ["--out", "c"], "speakers", "1"),
+    # -2, since the id "--seed -1" is train's case below
+    ("synth", ["--out", "c"], "seed", "-2"),
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "-1"),
     ("prepare", ["--manifest", "m.tsv", "--out", "f"], "len", "inf"),
     ("train", ["--manifest", "m.tsv", "--out", "r"], "epochs", "0"),
@@ -950,6 +965,16 @@ def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
         assert not out_dir.exists()
     code, _, err = run_cli(*good)
     assert code == 0, err
+
+
+def test_refused_score_ver_creates_no_output_directory(tmp_path):
+    emb = _boundary_inputs(tmp_path)["emb"]
+    out_dir = tmp_path / "v0"
+    code, _, err = run_cli("score-ver", "--enrol", str(emb), "--eval", str(emb),
+                           "--out", str(out_dir), "--set", "lda_dim=0")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not out_dir.exists()
 
 
 _FRAGMENTS = np.zeros((10, 10, 20))

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvector
 from hvector import tensor as hv
 from hvector.audio import AudioClip, UtteranceFeatures, save_wav
 from hvector.corpus import Manifest, ManifestEntry
@@ -26,7 +30,7 @@ from hvector.scoring import (
     EmbeddingRecord, save_eer_report, save_embeddings, save_score_matrix,
 )
 from hvector.tensor import Tensor
-from hvector.train import predict
+from hvector.train import classify_accuracy, predict
 
 
 def labelled(params, cfg):
@@ -417,6 +421,23 @@ class TestBatches:
             ([3], [3.0], [7]),
         ]
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused_by_every_caller(self, batch_size):
+        # unchecked, embed_batch returned zeros and predict uninitialised class
+        # indices at -1, and range() refused 0 with its own message
+        cfg = ModelConfig.tiny(n_speakers=2)
+        params = build_params(cfg, seed=0)
+        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment)
+                 for f in random_frags(np.random.default_rng(4), cfg)]
+        labels = np.zeros(len(feats), dtype=np.int64)
+        for call in (lambda: embed_batch(feats, params, cfg, batch_size),
+                     lambda: predict(feats, params, cfg, batch_size),
+                     lambda: classify_accuracy(feats, labels, params, cfg, batch_size),
+                     lambda: list(batches([], (), batch_size))):
+            with pytest.raises(ValueError, match=f"^batch_size must be at least 1, "
+                                                 f"got {batch_size}$"):
+                call()
+
 
 class TestTrainingMode:
     def test_training_updates_normalisation_buffers(self):
@@ -788,3 +809,40 @@ def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, name
         write(path, 2.0)
     assert [p.name for p in tmp_path.iterdir()] == [name]
     assert path.read_bytes() == before
+
+
+# embeds the fragments in argv[2] with the checkpoint in argv[1] into argv[3]
+_EMBED_PROBE = """
+import sys
+import numpy as np
+from hvector.audio import UtteranceFeatures
+from hvector.model import embed_batch, load_checkpoint
+params, cfg = load_checkpoint(sys.argv[1])
+frags = np.load(sys.argv[2])
+feats = [UtteranceFeatures(f, f.shape[0] * f.shape[1]) for f in frags]
+np.save(sys.argv[3], embed_batch(feats, params, cfg))
+"""
+
+
+def test_embeddings_agree_across_blas_thread_counts(tmp_path):
+    """Bytes are reproducible only at a fixed BLAS thread count (criterion 9).
+    On these inputs, 1 and 2 OpenBLAS 0.3.31 threads on a 2-CPU machine gave
+    full-preset float32 embeddings 7.1e-8 of their largest |value| apart (the
+    desk preset's were identical); this holds them within 1e-5."""
+    cfg = ModelConfig(n_speakers=4)
+    ckpt = tmp_path / "model.hvt"
+    save_checkpoint(ckpt, labelled(build_params(cfg, seed=0).astype(np.float32), cfg), cfg)
+    frags = tmp_path / "frags.npy"
+    np.save(frags, random_frags(np.random.default_rng(30), cfg, batch=4))
+    src = str(Path(hvector.__file__).resolve().parent.parent)
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"emb{threads}.npy"
+        done = subprocess.run(
+            [sys.executable, "-c", _EMBED_PROBE, str(ckpt), str(frags), str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        tables.append(np.load(out))
+    assert tables[0].shape == (4, cfg.fc1_dim)
+    assert np.abs(tables[0] - tables[1]).max() <= 1e-5 * np.abs(tables[0]).max()
