@@ -410,7 +410,13 @@ def cmd_score_ver(args) -> int:
     if cfg["backend"] == "plda":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = plda_fit(plda_train, reduced_dim=cfg["lda_dim"])
+            try:
+                model = plda_fit(plda_train, reduced_dim=cfg["lda_dim"])
+            except ValueError as exc:
+                # plda_fit owns the lda_dim rule: its bounds depend on the data
+                if "reduced_dim" not in str(exc):
+                    raise
+                raise CliError(f"--set: bad value for lda_dim: {exc}") from None
         scores = plda_score(model, models[:, None], tests[None])
     else:
         scores = cosine_score(models[:, None], tests[None])

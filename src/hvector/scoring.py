@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -230,29 +231,32 @@ def _lda_projection(sw, sb, reduced_dim, singular):
     return w * flips
 
 
-def _marginal_log_likelihood(sizes, slot, means, scatter, mu, phi_b, phi_w):
+def _marginal_log_likelihood(sizes, groups, means, scatter, mu, phi_b, phi_w):
     """Exact marginal log-likelihood of the two-covariance model.
 
     Decomposing each speaker's observations into the mean and within-speaker
     contrasts makes the likelihood a product of small Gaussians: the n-1
     contrast directions see covariance phi_w, the mean direction sees
-    phi_b + phi_w / n.  Speaker k has sizes[slot[k]] observations, the mean
-    means[k], and `scatter` is the within scatter summed over speakers.
+    phi_b + phi_w / n.  groups[s] indexes the rows of `means` (one mean per
+    speaker) whose speakers have sizes[s] observations each, and `scatter`
+    is the within scatter summed over speakers.
     """
     d = mu.shape[0]
-    counts = sizes[slot]
+    speakers_of = np.array([len(g) for g in groups])
     _, logdet_w = np.linalg.slogdet(phi_w)
     m = phi_b * sizes[:, None, None] + phi_w
     _, logdet_m = np.linalg.slogdet(m)
     diff = means - mu
-    quad = counts * _inner(diff, (np.linalg.inv(m)[slot] @ diff[:, :, None])[:, :, 0])
-    n_total = counts.sum()
+    # one (speakers, d) @ (d, d) product per distinct count
+    quad = sum(n * np.sum(x * (x @ m_inv.T))
+               for n, m_inv, x in zip(sizes, np.linalg.inv(m), (diff[g] for g in groups)))
+    n_total = speakers_of @ sizes
     return (
         -0.5 * n_total * d * np.log(2.0 * np.pi)
-        - 0.5 * (n_total - len(counts)) * logdet_w
-        - 0.5 * logdet_m[slot].sum()
+        - 0.5 * (n_total - len(means)) * logdet_w
+        - 0.5 * speakers_of @ logdet_m
         - 0.5 * np.sum(np.linalg.inv(phi_w) * scatter)
-        - 0.5 * quad.sum()
+        - 0.5 * quad
     )
 
 
@@ -306,9 +310,10 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
     means = means @ lda
     scatter = lda.T @ within @ lda
     # every matrix EM needs depends on a speaker only through its count, so
-    # it is built once per distinct count: speaker k's count is
-    # sizes[slot[k]], and speakers_of[s] speakers have count sizes[s]
+    # it is built once per distinct count: the speakers groups[s] have
+    # count sizes[s], and each group meets its matrix in one product
     sizes, slot = np.unique(counts, return_inverse=True)
+    groups = [np.flatnonzero(slot == s) for s in range(len(sizes))]
     speakers_of = np.bincount(slot)
 
     d = lda.shape[1]
@@ -319,14 +324,16 @@ def plda_fit(embeddings, reduced_dim: int | None = None, use_lda: bool = True,
 
     ll_prev = -np.inf
     for _ in range(max_iter):
-        ll = _marginal_log_likelihood(sizes, slot, means, scatter, mu, phi_b, phi_w)
+        ll = _marginal_log_likelihood(sizes, groups, means, scatter, mu, phi_b, phi_w)
         if ll - ll_prev < tol:
             break
         ll_prev = ll
         # E-step: Gaussian posterior of each speaker factor, in a form that
         # tolerates phi_b approaching zero
         gain = phi_b @ np.linalg.inv(phi_b + phi_w / sizes[:, None, None])
-        post_mean = mu + (gain[slot] @ (means - mu)[:, :, None])[:, :, 0]
+        post_mean = np.empty_like(means)
+        for g, gain_s in zip(groups, gain):
+            post_mean[g] = mu + (means[g] - mu) @ gain_s.T
         post_cov = phi_b - gain @ phi_b
         # M-step
         mu = post_mean.mean(axis=0)
@@ -392,24 +399,74 @@ def score_trials(model: PldaModel, trials) -> np.ndarray:
 # --- file formats ----------------------------------------------------------
 
 def save_embeddings(path, records):
-    """CSV with header utterance_id,speaker_id,e0,...; repr-exact floats."""
+    """CSV with header utterance_id,speaker_id,e0,...; repr-exact floats.
+
+    Each row is written as one string, the bytes a csv writer would give."""
     records = list(records)
     if not records:
         raise ValueError("no embeddings to save")
     dim = len(records[0].vector)
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["utterance_id", "speaker_id"]
-                        + [f"e{i}" for i in range(dim)])
+        fh.write(",".join(["utterance_id", "speaker_id"]
+                          + [f"e{i}" for i in range(dim)]) + "\n")
         for r in records:
             if len(r.vector) != dim:
                 raise ValueError(f"embedding dim mismatch for {r.utterance_id}: "
                                  f"{len(r.vector)} vs {dim}")
-            writer.writerow([r.utterance_id, r.speaker_id]
-                            + [repr(float(x)) for x in r.vector])
+            values = np.asarray(r.vector, dtype=np.float64).tolist()
+            fh.write(",".join([_csv_field(r.utterance_id), _csv_field(r.speaker_id),
+                               *map(repr, values)]) + "\n")
+
+
+# a quote or carriage return changes how a csv reader splits a line, the csv
+# reader of Python < 3.11 refuses NUL, and loadtxt strips \x1c-\x1f around a
+# number where float() refuses them
+_NOT_PLAIN = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _load_plain_embeddings(path) -> list[EmbeddingRecord] | None:
+    """`load_embeddings`' records, all values parsed by one np.loadtxt, or
+    None unless every line is plain: none of _NOT_PLAIN, no blank line, the
+    header's field count on every row, and every value finite.  Where
+    loadtxt parses a value, float() gives the same bits, and loadtxt refuses
+    some spellings float() takes (`1_0`, non-ASCII digits), so None leaves
+    every other file to the row loop."""
+    ids = []
+
+    def values(lines):
+        for line in lines:
+            utterance, _, rest = line.partition(",")
+            speaker, comma, vals = rest.partition(",")
+            if not comma or vals in ("", "\n") or any(c in line for c in _NOT_PLAIN):
+                raise ValueError("not a plain row")
+            ids.append((utterance, speaker))
+            yield vals
+
+    with open_text(path, newline="") as fh:
+        try:
+            header = fh.readline()
+            first = fh.readline()
+            if (not first or any(c in header for c in _NOT_PLAIN)
+                    or header.split(",")[:2] != ["utterance_id", "speaker_id"]):
+                return None
+            matrix = np.loadtxt(values(itertools.chain([first], fh)), delimiter=",",
+                                comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:      # a decoding error included: the row loop names it
+            return None
+    if matrix.shape != (len(ids), header.count(",") - 1) or not np.isfinite(matrix).all():
+        return None
+    return [EmbeddingRecord(u, s, v) for (u, s), v in zip(ids, matrix)]
 
 
 def load_embeddings(path) -> list[EmbeddingRecord]:
+    """Records of an embedding CSV; a value is taken exactly when Python's
+    float() takes it, and a malformed file is one ValueError naming the
+    file and line."""
+    records = _load_plain_embeddings(path)
+    return records if records is not None else _load_embedding_rows(path)
+
+
+def _load_embedding_rows(path) -> list[EmbeddingRecord]:
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

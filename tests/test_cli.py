@@ -968,12 +968,25 @@ def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
 
 
 def test_refused_score_ver_creates_no_output_directory(tmp_path):
+    # plda_fit owns the rule, and the error names the setting: 2 speakers in
+    # 3 dimensions allow lda_dim 1 alone
     emb = _boundary_inputs(tmp_path)["emb"]
     out_dir = tmp_path / "v0"
-    code, _, err = run_cli("score-ver", "--enrol", str(emb), "--eval", str(emb),
-                           "--out", str(out_dir), "--set", "lda_dim=0")
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    for value, reason in [("0", "reduced_dim must be in [1, 3], got 0"),
+                          ("-1", "reduced_dim must be in [1, 3], got -1"),
+                          ("4", "reduced_dim must be in [1, 3], got 4"),
+                          ("2", "LDA rank caps at n_speakers-1 = 1, got reduced_dim 2")]:
+        code, _, err = run_cli("score-ver", "--enrol", str(emb), "--eval", str(emb),
+                               "--out", str(out_dir), "--set", f"lda_dim={value}")
+        assert code == 1
+        assert err == f"error: --set: bad value for lda_dim: {reason}\n", err
+        assert not out_dir.exists()
+    # a refusal that is not about lda_dim keeps its own words
+    one = tmp_path / "one.csv"
+    save_embeddings(one, [EmbeddingRecord(f"a-u{j}", "a", np.eye(3)[j]) for j in range(2)])
+    code, _, err = run_cli("score-ver", "--enrol", str(one), "--eval", str(one),
+                           "--out", str(out_dir), "--set", "lda_dim=1")
+    assert (code, err) == (1, "error: PLDA needs at least 2 speakers\n")
     assert not out_dir.exists()
 
 

@@ -1,3 +1,4 @@
+import csv
 import re
 import tempfile
 import warnings
@@ -14,6 +15,8 @@ from hvector.scoring import (
     PldaModel,
     Trial,
     _lda_projection,
+    _load_embedding_rows,
+    _load_plain_embeddings,
     accuracy,
     compute_eer,
     cosine_score,
@@ -772,6 +775,70 @@ class TestPlda:
             model.project(np.zeros(5))
 
 
+def _csv_writer_embeddings(path, records):
+    """The embedding CSV as a csv writer writes it, one value at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["utterance_id", "speaker_id"]
+                        + [f"e{i}" for i in range(len(records[0].vector))])
+        for r in records:
+            writer.writerow([r.utterance_id, r.speaker_id]
+                            + [repr(float(x)) for x in r.vector])
+
+
+def _loaded(load, path):
+    """(ids, value bits) of each record load(path) returns, or its error."""
+    try:
+        records = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(r.utterance_id, r.speaker_id, r.vector.dtype, r.vector.tobytes())
+            for r in records]
+
+
+# a csv writer does not quote a carriage return under lineterminator="\n", so
+# an id holding one does not survive the file; any other text does
+_FILE_IDS = _ids | st.text(st.characters(exclude_characters="\r",
+                                         exclude_categories=("Cs",)), max_size=6)
+_EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def _embedding_records(draw):
+    dim = draw(st.integers(1, 5))
+    return [EmbeddingRecord(draw(_FILE_IDS), draw(_FILE_IDS),
+                            np.array(draw(st.lists(_EDGE_VALUES, min_size=dim, max_size=dim))))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+# spellings that loadtxt and float() read alike, and ones that only float()
+# reads, that only loadtxt reads (\x1c), or that neither reads
+_SHARED_SPELLINGS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
+    | st.sampled_from([" 1.5", "\t2\x0c", "\u20033", "+.5", "1e-400"])
+_ODD_SPELLINGS = st.sampled_from(
+    ["1_0", "١٢", "\x1c1", "1\x00", "0x1p3", "1d5", "1e999", "nan", "-inf", "", " ",
+     "x", '"2"', '"1,5"'])
+
+
+@st.composite
+def _embedding_texts(draw):
+    """Embedding CSV text; each file draws whether it has odd value
+    spellings, ragged rows, blank lines and line ends other than \\n."""
+    dim = draw(st.integers(1, 3))
+    odd = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    spellings = _SHARED_SPELLINGS | _ODD_SPELLINGS if odd[0] else _SHARED_SPELLINGS
+    widths = st.integers(dim - 1, dim + 1) if odd[1] else st.just(dim)
+    lines = ["utterance_id,speaker_id," + ",".join(f"e{i}" for i in range(dim))]
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(widths)
+        values = draw(st.lists(spellings, min_size=width, max_size=width))
+        lines.append("" if odd[2] and draw(st.booleans()) else
+                     ",".join([draw(_ids.filter(lambda i: "\n" not in i)), "s", *values]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if odd[3] else st.just("\n")
+    return "".join(line + draw(ends) for line in lines)
+
+
 class TestFileFormats:
     def records(self, rng, n=5, dim=4):
         return [EmbeddingRecord(f"u{i}", f"s{i % 2}", rng.standard_normal(dim))
@@ -797,6 +864,66 @@ class TestFileFormats:
         save_embeddings(p1, recs)
         save_embeddings(p2, recs)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_embedding_records())
+    @example(records=[EmbeddingRecord("x,y", 'say "hi"', np.array([-0.0, 5e-324, 1e308]))])
+    def test_save_embeddings_matches_csv_writer(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embeddings(f"{tmp}/rows.csv", records)
+            _csv_writer_embeddings(f"{tmp}/oracle.csv", records)
+            with open(f"{tmp}/rows.csv", "rb") as a, open(f"{tmp}/oracle.csv", "rb") as b:
+                assert a.read() == b.read()
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_embedding_records())
+    def test_fast_loader_equals_row_loop(self, records):
+        # bit for bit: -0.0, subnormals and +-1e308 come back as written,
+        # through the one-parse path when no id needs quoting
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/emb.csv"
+            save_embeddings(path, records)
+            written = [(r.utterance_id, r.speaker_id, np.dtype(np.float64),
+                        r.vector.astype(np.float64).tobytes()) for r in records]
+            assert _loaded(load_embeddings, path) == written
+            assert _loaded(_load_embedding_rows, path) == written
+            # a comma, quote or newline makes the writer quote the id; NUL and
+            # \x1c-\x1f send the line to the row loop
+            plain = not any(c in i for r in records for i in (r.utterance_id, r.speaker_id)
+                            for c in ',"\n\x00\x1c\x1d\x1e\x1f')
+            assert (_load_plain_embeddings(path) is not None) == plain
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_embedding_texts())
+    @example(text="utterance_id,speaker_id,e0\nu,s,\x1c1\n")
+    @example(text="utterance_id,speaker_id,e0\nu,s,\n")
+    def test_any_text_loads_as_the_row_loop_loads_it(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/emb.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert _loaded(load_embeddings, path) == _loaded(_load_embedding_rows, path)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,1_0\n", [2.5, 10.0]),
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s, 1.5\n", [2.5, 1.5]),
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,١٢\n", [2.5, 12.0]),
+        ("utterance_id,speaker_id,e0\r\nu0,s,-0.0\r\nu1,s,3e-2\r\n", [-0.0, 0.03]),
+        ("utterance_id,speaker_id,e0\nu0,s,1.0\n\nu1,s,2.0\n",
+         "{path} line 3: row for ? has -2 values, expected 1"),
+    ], ids=["underscore", "leading space", "arabic-indic digits", "crlf", "blank line"])
+    def test_loads_as_before(self, tmp_path, text, expected):
+        # spellings only float() takes, CRLF line ends and a blank line go
+        # through the row loop, which loads them as earlier versions did
+        path = tmp_path / "emb.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as caught:
+                load_embeddings(path)
+            assert str(caught.value) == expected.format(path=path)
+        else:
+            assert [r.vector.tobytes() for r in load_embeddings(path)] == \
+                [np.array([v]).tobytes() for v in expected]
 
     def test_embedding_csv_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
