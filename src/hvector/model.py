@@ -267,9 +267,7 @@ def frame_encode(fragments, params: ModelParams, cfg: ModelConfig,
     """Conv + BiGRU over a stack of fragments (B, M, F) -> (B, M, E)."""
     h = hv.conv1d(fragments, params["frame_conv.w"], params["frame_conv.b"])
     h = _batchnorm(hv.relu(h), params, "frame_bn", training)
-    fwd = hv.gru_sequence(h, params.gru("gru_f"))
-    bwd = hv.gru_sequence(h, params.gru("gru_b"), reverse=True)
-    return hv.concat([fwd, bwd], axis=-1)
+    return hv.bigru_sequence(h, params.gru("gru_f"), params.gru("gru_b"))
 
 
 def frame_attention(h, params: ModelParams):

@@ -82,7 +82,9 @@ def eer_operating_point(scores, targets) -> tuple[float, float]:
     if n_t == 0 or n_n == 0:
         raise ValueError("EER needs at least one target and one non-target trial")
     n = n_t * n_n
-    order = np.argsort(scores, kind="stable")
+    # the sweep reads the first index of each distinct score and the target
+    # count below it, which the order within a tie cannot change
+    order = np.argsort(scores)
     ranked = scores[order]
     below = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
     misses = np.r_[0, np.cumsum(targets[order])][below]
@@ -476,10 +478,11 @@ def _load_embedding_rows(path) -> list[EmbeddingRecord]:
             dim = len(header) - 2
             out, lines = [], []
             for row in reader:
+                if not row:
+                    raise ValueError(f"{path} line {reader.line_num}: blank line")
                 if len(row) != dim + 2:
                     raise ValueError(f"{path} line {reader.line_num}: row for "
-                                     f"{row[0] if row else '?'} has {len(row) - 2} "
-                                     f"values, expected {dim}")
+                                     f"{row[0]} has {len(row) - 2} values, expected {dim}")
                 try:
                     vec = np.array([float(x) for x in row[2:]])
                 except ValueError as exc:
@@ -506,18 +509,20 @@ def save_trials(path, trials, scores):
     if len(trials) != len(scores):
         raise ValueError(f"{len(trials)} trials but {len(scores)} scores")
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TRIALS_HEADER)
-        for tr, s in zip(trials, scores):
-            writer.writerow([tr.enrol_speaker, tr.test_utterance,
-                             repr(float(s)), int(tr.target)])
+        fh.write(",".join(_TRIALS_HEADER) + "\n")
+        for tr, s in zip(trials, scores.tolist()):
+            fh.write(f"{_csv_field(tr.enrol_speaker)},{_csv_field(tr.test_utterance)},"
+                     f"{s!r},{int(tr.target)}\n")
 
 
 def _csv_field(value) -> str:
-    """value as a csv writer writes it within a row: quoted only if needed."""
+    """value as a csv writer writes it within a row: quoted only if needed.
+
+    A carriage return counts as needing quotes, as it does for a writer
+    whose line end holds one: a bare one ends the row for a csv reader."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue()[:-3]
 
 
 def save_score_matrix(path, speakers, test_utterances, scores, targets):

@@ -1,5 +1,12 @@
 """Tensor core: op semantics, tape replay, and finite-difference checks."""
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +316,111 @@ class TestGruSequence:
             hv.gru_sequence(_t(np.zeros((2, 5, 3))), {**p, "uh": _t(np.zeros((4, 5)))})
 
 
+@contextmanager
+def _reverse_on_worker(threaded):
+    """bigru_sequence with its reverse direction on the worker thread, under
+    a short switch interval so that the two threads interleave often, or
+    inline."""
+    saved = hv._THREADED, sys.getswitchinterval()
+    hv._THREADED = threaded
+    if threaded:
+        sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        hv._THREADED = saved[0]
+        sys.setswitchinterval(saved[1])
+
+
+def _two_gru_nodes(seq, fwd, rev):
+    return hv.concat([hv.gru_sequence(seq, fwd), hv.gru_sequence(seq, rev, reverse=True)],
+                     axis=-1)
+
+
+class TestBigruSequence:
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.integers(1, 4), steps=st.integers(1, 8), d=st.integers(1, 6),
+           h=st.integers(1, 6), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_two_gru_nodes_bit_for_bit(self, batch, steps, d, h, dtype, seed):
+        rng = np.random.default_rng(seed)
+        fwd, rev = ({k: Tensor(t.data.astype(dtype), requires_grad=True)
+                     for k, t in _gru_params(d, h, rng).items()} for _ in range(2))
+        seq = Tensor(rng.normal(size=(batch, steps, d)).astype(dtype), requires_grad=True)
+        probe = Tensor(rng.normal(size=(batch, steps, 2 * h)).astype(dtype))
+        runs = []
+        for op, threaded in ((_two_gru_nodes, False), (hv.bigru_sequence, True),
+                             (hv.bigru_sequence, False)):
+            for t in (seq, *fwd.values(), *rev.values()):
+                t.grad = None
+            with _reverse_on_worker(threaded), record():
+                out = op(seq, fwd, rev)
+                loss = hv.tsum(hv.mul(out, probe))
+            backward(loss)
+            runs.append([out.data, seq.grad] + [t.grad for t in (*fwd.values(), *rev.values())])
+        for threaded in (True, False):      # off the tape, which keeps no gates
+            with _reverse_on_worker(threaded):
+                runs.append([hv.bigru_sequence(seq, fwd, rev).data])
+        want = runs[0]
+        assert len(want) == 20
+        for got in runs[1:]:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("threaded", [True, False])
+    def test_overflow_in_the_reverse_direction_reaches_the_caller(self, threaded):
+        rng = np.random.default_rng(7)
+        fwd, rev = _gru_params(3, 4, rng), _gru_params(3, 4, rng)
+        rev["bz"].data[...] = -1000.0       # exp(1000) in the reverse gates only
+        seq = _t(rng.normal(size=(2, 5, 3)))
+        with _reverse_on_worker(threaded):
+            with np.errstate(over="raise"):
+                hv.gru_sequence(seq, fwd)
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    hv.bigru_sequence(seq, fwd, rev)
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hv.bigru_sequence(seq, fwd, rev)
+
+    def test_forked_child_starts_its_own_worker(self):
+        # the child inherits a pool whose thread did not survive the fork;
+        # without the at-fork reset its first submit would wait forever
+        script = textwrap.dedent("""
+            import os, signal, sys
+            import numpy as np
+            import hvector.tensor as hv
+            from hvector.tensor import Tensor
+            hv._THREADED = True
+            rng = np.random.default_rng(0)
+            params = [{k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in
+                       [(k, (3, 4)) for k in ("wz", "wr", "wh")]
+                       + [(k, (4, 4)) for k in ("uz", "ur", "uh")]
+                       + [(k, (4,)) for k in ("bz", "br", "bh")]} for _ in range(2)]
+            seq = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+
+            def step():
+                with hv.record():
+                    loss = hv.tsum(hv.bigru_sequence(seq, *params))
+                hv.backward(loss)
+
+            step()
+            assert hv._WORKER is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                step()
+                os._exit(0 if hv._WORKER is not None else 3)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        src = Path(hv.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = hv.softmax(_t([0.0, 0.0, 0.0]))
@@ -551,6 +663,7 @@ REGISTERED_OPS = [
     ("conv1d", lambda t, c: hv.conv1d(t, c["k"], c["cb"]), (6, 3)),
     ("gru_cell", lambda t, c: hv.gru_cell(t, c["h0"], c["gru"]), (2, 3)),
     ("gru_sequence", lambda t, c: hv.gru_sequence(t, c["gru"]), (2, 5, 3)),
+    ("bigru_sequence", lambda t, c: hv.bigru_sequence(t, c["gru"], c["gru_b"]), (2, 5, 3)),
     ("softmax", lambda t, c: hv.mul(hv.softmax(t), c["probe5"]), (2, 5)),
     ("log_sum_exp", lambda t, c: hv.log_sum_exp(t), (2, 5)),
     ("pick", lambda t, c: hv.pick(t, [0, 2]), (2, 4)),
@@ -593,6 +706,7 @@ def test_every_op_matches_finite_differences(name, build, shape):
         "be4": Tensor(np.zeros(4)),
     }
     theta = _t(rng.normal(size=shape))
+    ctx["gru_b"] = _gru_params(3, 4, rng)   # drawn last: the other ops' draws stay as they were
     err = grad_check(lambda t: hv.tsum(build(t, ctx)), theta)
     assert err < 1e-6, f"{name}: {err}"
 
