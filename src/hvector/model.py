@@ -15,12 +15,11 @@ its activation and batchnorm, before dropout.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as hv
-from .corpus import open_text, read_settings
+from .corpus import read_settings
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -116,8 +115,7 @@ class ModelParams:
             t.grad = None
 
     def gru(self, prefix: str) -> dict:
-        return {k: self.tensors[f"{prefix}.{k}"]
-                for k in ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")}
+        return {k: self.tensors[f"{prefix}.{k}"] for k in hv.GRU_KEYS}
 
     @property
     def dtype(self) -> np.dtype:
@@ -389,9 +387,6 @@ def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
     return out
 
 
-_TEXT_RECORDS = {"config": ".cfg", "speakers": ".spk"}
-
-
 def _check_speakers(path, speakers, cfg: ModelConfig):
     if len(speakers or ()) != cfg.n_speakers:
         raise ValueError(f"{path}: {len(speakers or ())} speaker ids for "
@@ -408,17 +403,15 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    """Parameters, speaker list included, and config from one archive; one
-    without a config record is read with the .cfg and .spk beside it."""
-    path = Path(path)
+    """Parameters, speaker list included, and config from one archive that
+    holds the config's arrays, no others, in one dtype.  An archive without
+    a config record (the older layout, with the config and the speakers in
+    files beside it) is refused, and no file beside it is read."""
     arrays = hv.load_archive(path)
-    sources = dict.fromkeys(_TEXT_RECORDS, path)
     if "config" not in arrays:
-        for key, suffix in _TEXT_RECORDS.items():
-            sources[key] = path.with_suffix(suffix)
-            with open_text(sources[key]) as fh:
-                arrays[key] = fh.read()
-    text = {key: arrays.pop(key, None) for key in _TEXT_RECORDS}
+        raise ValueError(f"{path}: no config record; this checkpoint predates "
+                         "single-file checkpoints, retrain it")
+    text = {key: arrays.pop(key, None) for key in ("config", "speakers")}
     for key, value in [*text.items(), *arrays.items()]:
         if isinstance(value, str) != (key in text):
             raise ValueError(f"{path}: checkpoint record {key} should be "
@@ -426,7 +419,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     try:
         cfg = ModelConfig.from_text(text["config"])
     except ValueError as exc:
-        raise ValueError(f"{sources['config']}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     dtypes = sorted({a.dtype.name for a in arrays.values()})
     if len(dtypes) > 1:
         raise ValueError(f"{path}: checkpoint arrays mix dtypes {', '.join(dtypes)}")
@@ -439,9 +432,12 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         if arrays[key].shape != shape:
             raise ValueError(f"{path}: checkpoint {what} {name} has shape "
                              f"{arrays[key].shape}, expected {shape}")
-        return arrays[key]
+        return arrays.pop(key)
 
     params = _assemble(cfg, stored)
+    if arrays:      # what stored did not take
+        raise ValueError(f"{path}: checkpoint holds {next(iter(arrays))}, which a "
+                         f"mode={cfg.mode} model does not have")
     params.speakers = text["speakers"].removesuffix("\n").split("\n")
-    _check_speakers(sources["speakers"], params.speakers, cfg)
+    _check_speakers(path, params.speakers, cfg)
     return params, cfg

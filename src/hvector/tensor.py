@@ -3,10 +3,9 @@
 The op set covers exactly what the speaker-embedding models need: matrix
 products, 1-D convolution, a whole-sequence bidirectional GRU
 (:func:`bigru_sequence`, one tape node for both directions, which runs
-them at once on two threads where that pays; :func:`gru_sequence` is one
-direction as a node, and :func:`gru_cell` the step-by-step reference),
-softmax, statistics pooling, and a small family of
-elementwise/reduction ops.  Gradients are recorded on an
+them at once on two threads where that pays, with :func:`gru_cell` as its
+step-by-step reference), softmax, statistics pooling, and a small family
+of elementwise/reduction ops.  Gradients are recorded on an
 explicit tape (:class:`Graph`) whose insertion order is already a
 topological order; :func:`backward` replays the tape once in reverse.
 
@@ -38,7 +37,7 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 __all__ = [
     "Tensor", "Graph", "record", "backward", "grad_check",
-    "matmul", "conv1d", "gru_cell", "gru_sequence", "bigru_sequence",
+    "matmul", "conv1d", "gru_cell", "bigru_sequence",
     "softmax", "log_sum_exp", "pick",
     "stats_pool", "weighted_stats_pool",
     "add", "sub", "mul", "neg", "relu", "sigmoid", "tanh",
@@ -612,7 +611,7 @@ def batchnorm(x, gamma, beta, running_mean, running_var, training: bool) -> Tens
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 # ---------------------------------------------------------------------------
 
 def gru_cell(x, h_prev, params: dict) -> Tensor:
@@ -635,12 +634,13 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
     return add(cand, mul(z, sub(h_prev, cand)))
 
 
-_GRU_KEYS = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")
+# one GRU direction's parameter names, as gru_cell and bigru_sequence take them
+GRU_KEYS = ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh")
 
 
 class _GruDirection:
     """One GRU direction over a whole sequence, forward and backward through
-    time on raw arrays: the kernel of gru_sequence and bigru_sequence.
+    time on raw arrays: bigru_sequence runs one per direction.
 
     The methods that may run on bigru_sequence's worker thread, `forward`
     and `backward`, create no Tensor, touch no tape and fill arrays that
@@ -650,18 +650,18 @@ class _GruDirection:
     them raised the peak RSS of full-preset training by 14%.
     """
 
-    def __init__(self, seq: Tensor, params: dict, reverse: bool, op: str):
+    def __init__(self, seq: Tensor, params: dict, reverse: bool):
         self.seq, self.reverse = seq, reverse
-        self.params = [params[k] for k in _GRU_KEYS]
+        self.params = [params[k] for k in GRU_KEYS]
         if seq.ndim != 3:
-            raise ValueError(f"{op} expects (B, T, D) input, got shape {seq.shape}")
+            raise ValueError(f"bigru_sequence expects (B, T, D) input, got shape {seq.shape}")
         batch, steps, d = seq.shape
         hidden = params["uz"].shape[-1]
         want = [(d, hidden)] * 3 + [(hidden, hidden)] * 3 + [(hidden,)] * 3
         if [p.shape for p in self.params] != want:
             raise ValueError(
-                f"{op} dim mismatch: seq {seq.shape}, "
-                + ", ".join(f"{k} {p.shape}" for k, p in zip(_GRU_KEYS, self.params))
+                f"bigru_sequence dim mismatch: seq {seq.shape}, "
+                + ", ".join(f"{k} {p.shape}" for k, p in zip(GRU_KEYS, self.params))
             )
         self.hidden = hidden
         self.dtype = np.result_type(seq.data, *(p.data for p in self.params[:3]))
@@ -781,45 +781,25 @@ class _GruDirection:
             _accumulate(self.seq, gx[:, ::-1] if self.reverse else gx)
 
 
-def gru_sequence(seq, params: dict, reverse: bool = False) -> Tensor:
-    """One GRU direction over a whole sequence as a single tape node.
-
-    Maps seq (B, T, D) to the hidden states (B, T, H), starting from a zero
-    state and stepping through time backwards when ``reverse`` is set.  The
-    equations are gru_cell's, which stays the reference: the input
-    projection seq @ [Wz|Wr|Wh] is one GEMM over all steps, each step runs
-    h @ [Uz|Ur] and (r*h) @ Uh, and every bias is added after the sum of
-    its two products, so the forward pass matches a chain of gru_cell
-    calls bit for bit.  The backward pass through time is written by hand
-    from the gates saved per step.
-    """
-    run = _GruDirection(_wrap(seq), params, reverse, "gru_sequence")
-    out = np.empty(run.seq.shape[:2] + (run.hidden,), dtype=run.dtype)
-    for step in run.forward_steps(_records((run.seq, *run.params)), out):
-        step()
-
-    def bwd(g):
-        for step in run.backward_steps(g):
-            step()
-        run.accumulate()
-
-    return _make(out, (run.seq, *run.params), bwd)
-
-
 def bigru_sequence(seq, fwd_params: dict, bwd_params: dict) -> Tensor:
     """A bidirectional GRU over seq (B, T, D) as a single tape node.
 
-    The output (B, T, H_fwd + H_bwd), and every gradient, equal bit for bit
-    those of ``concat([gru_sequence(seq, fwd_params),
-    gru_sequence(seq, bwd_params, reverse=True)], axis=-1)``: both
-    directions run gru_sequence's kernel.  Where a second thread pays (see
-    `_threaded`), the reverse direction runs its forward and its backward
-    pass on a worker thread while the calling thread runs the forward
-    direction's.
+    Maps seq to (B, T, H_fwd + H_bwd): the hidden states of a GRU that
+    steps forward through time with ``fwd_params``, then those of one that
+    steps backward with ``bwd_params``, each from a zero state.  The
+    equations are gru_cell's: the input projection seq @ [Wz|Wr|Wh] is one
+    GEMM over all steps, each step runs h @ [Uz|Ur] and (r*h) @ Uh, and
+    every bias is added after the sum of its two products, so each
+    direction's forward equals a gru_cell chain; the reverse direction
+    accumulates first, a fixed order.  The backward pass through time is
+    written by hand from the gates saved per step.  Where a second thread
+    pays (see `_threaded`), the reverse direction runs its forward and its
+    backward pass on a worker thread while the calling thread runs the
+    forward direction's.
     """
     seq = _wrap(seq)
-    fwd = _GruDirection(seq, fwd_params, False, "bigru_sequence")
-    rev = _GruDirection(seq, bwd_params, True, "bigru_sequence")
+    fwd = _GruDirection(seq, fwd_params, False)
+    rev = _GruDirection(seq, bwd_params, True)
     split = fwd.hidden
     batch, steps, _ = seq.shape
     out = np.empty((batch, steps, split + rev.hidden), dtype=np.result_type(fwd.dtype, rev.dtype))
@@ -829,8 +809,8 @@ def bigru_sequence(seq, fwd_params: dict, bwd_params: dict) -> Tensor:
 
     def bwd(g):
         _run_both(fwd.backward_steps(g[..., :split]), rev.backward_steps(g[..., split:]))
-        # in the order a tape of two gru_sequence nodes accumulates, so an
-        # input gradient summed with one from another use of seq keeps its bits
+        # reverse first, always: an input gradient summed with one from
+        # another use of seq keeps its bits from run to run
         rev.accumulate()
         fwd.accumulate()
 
@@ -1068,6 +1048,7 @@ def save_archive(path, records: dict):
 
 
 def load_archive(path) -> dict:
+    """The records save_archive wrote, by name, in the order written."""
     out = {}
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4)
@@ -1079,6 +1060,8 @@ def load_archive(path) -> dict:
             raise ValueError(f"{path}: negative tensor count {count}")
         for _ in range(count):
             name = _read_text(fh, "tensor name")
+            if name in out:
+                raise ValueError(f"{path}: record {name} appears twice")
             out[name] = _read_value(fh, name)
         if _bytes_left(fh):
             raise ValueError(f"{path}: {_bytes_left(fh)} bytes after the last of "

@@ -437,29 +437,20 @@ class TestScoreId:
         ckpt.with_suffix(".cfg").write_text(dataclasses.replace(cfg, dropout=0.5).to_text())
         ckpt.with_suffix(".spk").write_text("".join(f"{s}\n" for s in rotated))
         assert accuracy(ckpt) == "1.0000"
-        # the same sidecars beside a weights-only archive are read, and do count
-        params.speakers = rotated
-        legacy = tmp_path / "old" / "model.hvt"
-        _save_legacy_checkpoint(legacy, params, cfg)
-        assert accuracy(legacy) == "0.0000"
 
-    def test_older_float64_triple_gives_the_same_outputs(self, pipeline, tmp_path):
+    def test_older_float64_triple_is_refused(self, pipeline, tmp_path):
+        # a weights-only model.hvt with model.cfg and model.spk beside it
         params, cfg = load_checkpoint(pipeline["ckpt"])
-        params = params.astype(np.float64)
-        new, legacy = tmp_path / "new" / "model.hvt", tmp_path / "old" / "model.hvt"
-        new.parent.mkdir()
-        save_checkpoint(new, params, cfg)
-        _save_legacy_checkpoint(legacy, params, cfg)
-        outputs = []
-        for ckpt in (new, legacy):
-            emb = ckpt.parent / "emb.csv"
-            manifest = str(pipeline["feats_manifest"])
-            assert run_cli("embed", "--manifest", manifest, "--ckpt", str(ckpt),
-                           "--out", str(emb))[0] == 0
-            code, out, err = run_cli("score-id", "--manifest", manifest, "--ckpt", str(ckpt))
-            assert code == 0, err
-            outputs.append((emb.read_bytes(), out.replace(str(ckpt), "CKPT")))
-        assert outputs[0] == outputs[1]
+        ckpt = tmp_path / "old" / "model.hvt"
+        _save_legacy_checkpoint(ckpt, params.astype(np.float64), cfg)
+        manifest = str(pipeline["feats_manifest"])
+        emb = tmp_path / "emb.csv"
+        for argv in (("embed", "--out", str(emb)), ("score-id",)):
+            code, out, err = run_cli(*argv, "--manifest", manifest, "--ckpt", str(ckpt))
+            assert code == 1
+            assert err == (f"error: {ckpt}: no config record; this checkpoint predates "
+                           "single-file checkpoints, retrain it\n")
+        assert not emb.exists()
 
 
 def _clustered_embedding_csvs(tmp_path):
@@ -721,8 +712,8 @@ def test_walkthrough_runs_without_scipy(tmp_path):
 # --- one error boundary -------------------------------------------------------
 
 def _save_legacy_checkpoint(path, params, cfg):
-    """The older layout: a weights-only archive, with the config and the
-    speaker list in model.cfg and model.spk beside it."""
+    """The older layout, which is refused: a weights-only archive, with the
+    config and the speaker list in model.cfg and model.spk beside it."""
     path.parent.mkdir(exist_ok=True)
     arrays = {name: t.data for name, t in params.tensors.items()}
     arrays.update({"buffer." + name: b for name, b in params.buffers.items()})
@@ -740,8 +731,8 @@ def _tiny_params():
 
 
 def _tiny_checkpoint(run_dir, legacy=False):
-    """A loadable 3-speaker checkpoint under run_dir: one model.hvt, or the
-    older weights-only model.hvt with model.cfg and model.spk."""
+    """A 3-speaker checkpoint under run_dir: one model.hvt, or the older
+    weights-only model.hvt with model.cfg and model.spk."""
     run_dir.mkdir()
     ckpt = run_dir / "model.hvt"
     (_save_legacy_checkpoint if legacy else save_checkpoint)(ckpt, *_tiny_params())
@@ -760,20 +751,12 @@ def _boundary_inputs(tmp_path):
     return {"dir": tmp_path, "manifest": manifest, "emb": emb, "file": regular}
 
 
-def _case_spk_is_dir(p):
+def _case_no_config_record(p):
     ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
-    ckpt.with_suffix(".spk").unlink()
-    ckpt.with_suffix(".spk").mkdir()
-    return ("score-id", "--manifest", p["manifest"], "--ckpt", ckpt), \
-        str(ckpt.with_suffix(".spk"))
-
-
-def _case_cfg_is_empty(p):
-    ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
-    ckpt.with_suffix(".cfg").write_text("")
     return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
             "--out", p["dir"] / "e.csv"), \
-        f"{ckpt.with_suffix('.cfg')}: missing config key 'n_speakers'"
+        f"{ckpt}: no config record; this checkpoint predates single-file checkpoints, " \
+        "retrain it"
 
 
 def _case_checkpoint_record(key, value, message):
@@ -877,12 +860,13 @@ _BOUNDARY_CASES = {
     "--enrol is a directory": lambda p: (
         ("score-ver", "--enrol", p["dir"], "--eval", p["emb"], "--out", p["dir"] / "ver"),
         f"Is a directory: '{p['dir']}'"),
-    "model.spk is a directory": _case_spk_is_dir,
-    "model.cfg is empty": _case_cfg_is_empty,
+    "embed --ckpt has no config record": _case_no_config_record,
     "checkpoint text record under a tensor key": _case_checkpoint_record(
         "out.w", "1 2 3", "checkpoint record out.w should be an array"),
     "checkpoint config record is an array": _case_checkpoint_record(
         "config", np.ones(3), "checkpoint record config should be text"),
+    "checkpoint config record is empty": _case_checkpoint_record(
+        "config", "", "missing config key 'n_speakers'"),
     "manifest n_frames is not an integer": _case_bad_n_frames,
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,

@@ -252,20 +252,24 @@ class TestDegenerateCases:
 class TestGruDirections:
     def test_backward_pass_is_forward_on_reversed_input(self):
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=11).gru("gru_f")
+        params = build_params(cfg, seed=11)
+        p, q = params.gru("gru_f"), params.gru("gru_b")
         rng = np.random.default_rng(12)
         seq = rng.standard_normal((2, 5, cfg.frame_cnn_out))
-        rev = hv.gru_sequence(Tensor(seq), p, reverse=True)
-        flipped = hv.gru_sequence(Tensor(seq[:, ::-1].copy()), p, reverse=False)
-        assert np.array_equal(rev.data, flipped.data[:, ::-1])
+        h = cfg.gru_hidden
+        out = hv.bigru_sequence(Tensor(seq), p, q).data
+        flipped = hv.bigru_sequence(Tensor(seq[:, ::-1].copy()), q, p).data[:, ::-1]
+        # each half of one run is the other half of the run on reversed input
+        assert np.array_equal(out[..., h:], flipped[..., :h])
+        assert np.array_equal(out[..., :h], flipped[..., h:])
 
     def test_zero_input_zero_state_stays_zero(self):
         cfg = ModelConfig.tiny()
-        p = build_params(cfg, seed=13).gru("gru_b")
+        params = build_params(cfg, seed=13)
+        p, q = params.gru("gru_f"), params.gru("gru_b")
         for k in ("bz", "br", "bh"):
-            p[k].data[...] = 0.0
-        out = hv.gru_sequence(Tensor(np.zeros((1, 4, cfg.frame_cnn_out))), p,
-                              reverse=False)
+            p[k].data[...] = q[k].data[...] = 0.0
+        out = hv.bigru_sequence(Tensor(np.zeros((1, 4, cfg.frame_cnn_out))), p, q)
         assert np.all(out.data == 0.0)
 
 
@@ -497,14 +501,28 @@ class TestCheckpoint:
             assert np.array_equal(loaded.buffers[name], b)
 
     def test_missing_config_file(self, tmp_path):
-        # an archive without a config record needs the .cfg beside it
+        # the older layout is refused, with its .cfg and .spk beside it
         cfg = ModelConfig.tiny()
         p = labelled(build_params(cfg, seed=31), cfg)
         path = tmp_path / "model.hvt"
         save_legacy_checkpoint(path, p, cfg)
-        (tmp_path / "model.cfg").unlink()
-        with pytest.raises(FileNotFoundError, match="model.cfg"):
+        with pytest.raises(ValueError) as info:
             load_checkpoint(path)
+        assert str(info.value) == (f"{path}: no config record; this checkpoint predates "
+                                   "single-file checkpoints, retrain it")
+
+    def test_arrays_the_mode_lacks_are_refused(self, tmp_path):
+        cfg = ModelConfig.tiny(mode="xvector_attn")
+        path = tmp_path / "model.hvt"
+        save_checkpoint(path, labelled(build_params(cfg, seed=39), cfg), cfg)
+        records = hv.load_archive(path)
+        # the config says xvector: the attention weights would go unused
+        xvector = dataclasses.replace(cfg, mode="xvector")
+        hv.save_archive(path, {**records, "config": xvector.to_text()})
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == \
+            f"{path}: checkpoint holds att.w0, which a mode=xvector model does not have"
 
     def test_missing_tensor_detected(self, tmp_path):
         cfg = ModelConfig.tiny()
@@ -634,12 +652,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: 4 speaker ids for 3 model outputs"
-        # in the older layout the message names the .spk
-        save_legacy_checkpoint(path, p, cfg)
-        path.with_suffix(".spk").write_text("a\nb\n")
-        with pytest.raises(ValueError) as info:
-            load_checkpoint(path)
-        assert str(info.value) == f"{path.with_suffix('.spk')}: 2 speaker ids for 3 model outputs"
 
     @pytest.mark.parametrize("key, value, message", [
         ("fc2.w", "text", "checkpoint record fc2.w should be an array"),
@@ -658,23 +670,6 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize("mode", ["hvector", "xvector"])
-    def test_older_float64_triple_loads(self, tmp_path, mode):
-        cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
-        p = labelled(build_params(cfg, seed=45), cfg)
-        path = tmp_path / "model.hvt"
-        save_legacy_checkpoint(path, p, cfg)
-        loaded, cfg2 = load_checkpoint(path)
-        assert cfg2 == cfg
-        assert loaded.dtype == np.float64
-        assert loaded.speakers == p.speakers
-        frags = random_frags(np.random.default_rng(46), cfg, batch=6)
-        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment,
-                                   f"u{i}", "s") for i, f in enumerate(frags)]
-        assert np.array_equal(embed_batch(feats, loaded, cfg2), embed_batch(feats, p, cfg))
-        assert [loaded.speakers[i] for i in predict(feats, loaded, cfg2)] == \
-            [p.speakers[i] for i in predict(feats, p, cfg)]
 
     @pytest.mark.parametrize("mode, digest", [
         ("hvector", "bfff17818940d17d"),
