@@ -842,6 +842,14 @@ def _blas_threads() -> int | None:
     return None
 
 
+def worker_count() -> int:
+    """How many threads or processes may work at once: the CPUs this process
+    may run on, at most 4, and 1 where that set cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), 4)
+
+
 def _threaded() -> bool:
     """Whether bigru_sequence runs its reverse direction on the worker: only
     with 2 or more CPUs and a BLAS that runs one thread, since a
@@ -849,8 +857,7 @@ def _threaded() -> bool:
     per process."""
     global _THREADED
     if _THREADED is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        _THREADED = cpus >= 2 and _blas_threads() == 1
+        _THREADED = worker_count() >= 2 and _blas_threads() == 1
     return _THREADED
 
 

@@ -8,13 +8,16 @@ synth -> prepare -> train pipeline that the embed/score tests reuse.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import inspect
 import io
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import wave
 from pathlib import Path
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 
 import hvector
 from hvector import cli
+from hvector import scoring
 from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav
 from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
@@ -660,6 +664,140 @@ class TestScoreVer:
         assert code == 0, err
         assert len(load_trials(tmp_path / "ver/trials.csv")[0]) == 200_000
         assert peak < 28 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+
+
+def _verification_csvs(root, n_speakers, n_enrol, n_eval, dim, seed):
+    """Enrolment and evaluation embedding CSVs of n_speakers speakers."""
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((n_speakers, dim))
+    for name, tag, count in (("enrol", "e", n_enrol), ("eval", "t", n_eval)):
+        save_embeddings(root / f"{name}.csv", [
+            EmbeddingRecord(f"s{k}-{tag}{j}", f"s{k}", means[k] + rng.standard_normal(dim))
+            for k in range(n_speakers) for j in range(count)])
+    return root / "enrol.csv", root / "eval.csv"
+
+
+class TestForkedTrialsWriter:
+    """`score-ver` writing trials.csv in forked processes."""
+
+    @pytest.mark.parametrize("where,how", [("child", "raise"), ("child", "kill"),
+                                           ("parent", "raise")])
+    def test_failed_writer_leaves_nothing(self, tmp_path, monkeypatch, where, how):
+        enrol, evals = _verification_csvs(tmp_path, 4, 2, 2, 3, seed=0)
+        write_forked, parent = scoring._write_forked, os.getpid()
+
+        def failing_write_forked(fh, path, shares, write_rows):
+            def rows_or_fail(out, rows):
+                if (os.getpid() == parent) == (where == "parent"):
+                    if how == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                write_rows(out, rows)
+            write_forked(fh, path, shares, rows_or_fail)
+
+        monkeypatch.setattr(scoring, "worker_count", lambda: 2)
+        monkeypatch.setattr(scoring, "_FORK_FLOOR", 1)
+        monkeypatch.setattr(scoring, "_write_forked", failing_write_forked)
+        out = tmp_path / "ver"
+        code, _, err = run_cli("score-ver", "--enrol", str(enrol), "--eval", str(evals),
+                               "--out", str(out), "--set", "backend=cosine")
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {out / 'trials.csv'}: the process writing enrolment rows 3-4 "
+            f"was killed by signal {signal.SIGKILL.value}" if how == "kill"
+            else f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert os.listdir(out) == []
+        with pytest.raises(ChildProcessError):      # no child left unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    @pytest.mark.parametrize("backend", ["plda", "cosine"])
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, backend):
+        # 200 models x 1,000 tests: 100k trials for the second process at 2
+        # CPUs, none at 1.  One BLAS thread in both, so the scores are the same
+        enrol, evals = _verification_csvs(tmp_path, 200, 2, 5, 64, seed=8)
+        script = textwrap.dedent("""
+            import os, sys
+            if sys.argv[1] != "-":
+                os.sched_setaffinity(0, {int(sys.argv[1])})
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            from hvector.cli import main
+            code = main(sys.argv[2:])
+            print(f"forks={len(forks)}", file=sys.stderr)
+            sys.exit(code)
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(hvector.__file__).resolve().parent.parent))
+        runs = {}
+        for pin in (str(min(os.sched_getaffinity(0))), "-"):
+            cwd = tmp_path / f"pin{pin}"
+            cwd.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-c", script, pin, "score-ver", "--enrol", str(enrol),
+                 "--eval", str(evals), "--out", "ver", "--set", f"backend={backend}"],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            *err, forks = done.stderr.splitlines()
+            runs[pin] = (forks, done.stdout, err, (cwd / "ver/trials.csv").read_bytes(),
+                         (cwd / "ver/eer.txt").read_bytes())
+        pinned, unpinned = runs.values()
+        # the unpinned run forks one writer per usable CPU after the first
+        assert (pinned[0], unpinned[0]) == ("forks=0", f"forks={scoring.worker_count() - 1}")
+        assert pinned[1:] == unpinned[1:]
+
+    def test_fork_beside_a_live_thread(self, tmp_path):
+        # the BiGRU's worker thread is alive when the writer forks, as after
+        # `train` in one process; Python 3.12 warns about such a fork, and
+        # the warning must not reach the command's stderr
+        enrol, evals = _verification_csvs(tmp_path, 4, 3, 2, 3, seed=1)
+        script = textwrap.dedent("""
+            import contextlib, io, os, sys, threading, warnings
+            import numpy as np
+            import hvector.scoring as scoring
+            import hvector.tensor as hv
+            from hvector.cli import main
+
+            hv._THREADED = True
+            rng = np.random.default_rng(0)
+            shapes = {"wz": (3, 4), "wr": (3, 4), "wh": (3, 4), "uz": (4, 4),
+                      "ur": (4, 4), "uh": (4, 4), "bz": (4,), "br": (4,), "bh": (4,)}
+            params = {k: hv.Tensor(rng.normal(size=s)) for k, s in shapes.items()}
+            hv.bigru_sequence(hv.Tensor(rng.normal(size=(2, 5, 3))), params, params)
+            assert any(t.name.startswith("hvector-gru") for t in threading.enumerate())
+
+            # the message Python 3.12's os.fork gives here, from scoring's
+            # fork, is ignored on every Python version
+            warnings.warn_explicit(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.", DeprecationWarning,
+                scoring.__file__, 1, module=scoring.__name__)
+
+            scoring._FORK_FLOOR = 1
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            results = []
+            for workers in (1, 3):
+                scoring.worker_count = lambda: workers
+                for backend in ("cosine", "plda"):
+                    out = f"{backend}{workers}"
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), \\
+                            contextlib.redirect_stderr(err):
+                        code = main(["score-ver", "--enrol", sys.argv[1], "--eval",
+                                     sys.argv[2], "--out", out, "--set", f"backend={backend}"])
+                    with open(f"{out}/trials.csv", "rb") as fh:
+                        results.append((code, err.getvalue(), fh.read()))
+            assert len(forks) == 4, forks
+            assert results[:2] == results[2:], results
+            print("ok")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(hvector.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-W", "always::DeprecationWarning", "-c",
+                               script, str(enrol), str(evals)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 _SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"

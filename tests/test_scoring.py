@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import re
 import tempfile
 import warnings
@@ -447,6 +448,56 @@ class TestScoreMatrix:
         with pytest.raises(ValueError, match="2 x 3 trials"):
             save_score_matrix(tmp_path / "t.csv", ["a", "b"], ["u", "v", "w"],
                               np.zeros((3, 2)), np.zeros((3, 2), dtype=bool))
+
+
+def _save_matrix(path, *args, workers, floor=1) -> int:
+    """save_score_matrix with `workers` usable CPUs and a fork floor of
+    `floor` trials; returns how many writer processes it forked."""
+    with mock.patch.object(scoring, "worker_count", return_value=workers), \
+            mock.patch.object(scoring, "_FORK_FLOOR", floor), \
+            mock.patch.object(scoring.os, "fork", wraps=os.fork) as fork:
+        save_score_matrix(path, *args)
+    return fork.call_count
+
+
+# ids holding what the csv writer quotes, and non-ASCII text
+_row_ids = st.text(st.sampled_from('ab,"\r\n é語'), max_size=4)
+
+
+class TestForkedScoreMatrix:
+    """save_score_matrix's forked writers, held to its in-process path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(speakers=st.lists(_row_ids, min_size=1, max_size=6),
+           tests=st.lists(_row_ids, min_size=1, max_size=5),
+           workers=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    @example(speakers=["a"], tests=["u"], workers=4, seed=0)       # K = N = 1
+    @example(speakers=['"é', "a,\r"], tests=["u"] * 3, workers=4, seed=1)   # K < workers
+    def test_forked_file_equals_in_process_file(self, speakers, tests, workers, seed):
+        rng = np.random.default_rng(seed)
+        shape = (len(speakers), len(tests))
+        scores = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        args = (speakers, tests, scores, rng.random(shape) < 0.5)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _save_matrix(f"{tmp}/serial.csv", *args, workers=1) == 0
+            forks = _save_matrix(f"{tmp}/forked.csv", *args, workers=workers)
+            assert forks == min(workers, len(speakers)) - 1
+            assert sorted(os.listdir(tmp)) == ["forked.csv", "serial.csv"]
+            with open(f"{tmp}/serial.csv", "rb") as a, open(f"{tmp}/forked.csv", "rb") as b:
+                assert a.read() == b.read()
+
+    @pytest.mark.parametrize("shape,workers,forks", [
+        ((4, 5), 4, 1),         # 1 row of 5 trials per process is below 10; 2 rows are not
+        ((4, 10), 4, 3),
+        ((3, 9), 4, 0),         # 1 row of 9
+        ((5, 10), 2, 1),
+        ((1, 100), 4, 0),       # one enrolment row is never split
+    ])
+    def test_forks_only_past_the_floor(self, tmp_path, shape, workers, forks):
+        args = ([f"s{k}" for k in range(shape[0])], [f"u{j}" for j in range(shape[1])],
+                np.ones(shape), np.zeros(shape, dtype=bool))
+        assert _save_matrix(tmp_path / "t.csv", *args, workers=workers, floor=10) == forks
+        assert len(load_trials(tmp_path / "t.csv")[0]) == shape[0] * shape[1]
 
 
 def sample_two_cov(seed, n_speakers=20, per_speaker=30, d=5):

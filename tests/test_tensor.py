@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -703,7 +704,8 @@ REGISTERED_OPS = [
 
 @pytest.mark.parametrize("name,build,shape", REGISTERED_OPS, ids=[o[0] for o in REGISTERED_OPS])
 def test_every_op_matches_finite_differences(name, build, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # crc32, unlike hash(), is not salted per process: a failing draw replays
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     ctx = {
         "m": Tensor(rng.normal(size=(4, 2))),
         "k": Tensor(rng.normal(size=(3, 3, 2))),
