@@ -334,8 +334,8 @@ def cmd_train(args) -> int:
     # a diverging run overflows before its gradients go non-finite; train
     # reports that as TrainingDiverged, so numpy's own warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        _, history, _ = train(train_feats, dev_feats, model_cfg, train_cfg,
-                              checkpoint_path=ckpt_path, log_path=log_path)
+        _, history = train(train_feats, dev_feats, model_cfg, train_cfg,
+                           checkpoint_path=ckpt_path, log_path=log_path)
     print(f"best_dev_acc={max(h.dev_acc for h in history):.4f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"log: {log_path}")

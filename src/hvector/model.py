@@ -76,14 +76,6 @@ class ModelConfig:
             fc1_dim=64, fc2_dim=64,
         )
 
-    @classmethod
-    def tiny(cls, n_speakers: int = 3, mode: str = "hvector") -> "ModelConfig":
-        """Smallest useful network, for gradient checking."""
-        return cls(
-            n_speakers=n_speakers, mode=mode, frames_per_fragment=4,
-            frame_cnn_out=8, gru_hidden=4, seg_cnn_out=8, fc1_dim=8, fc2_dim=8,
-        )
-
     def to_text(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"

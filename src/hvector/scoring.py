@@ -578,17 +578,14 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
     shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_TRIALS_HEADER) + "\n")
-        if writers == 1:
-            write_rows(fh, shares[0])
-        else:
-            _write_forked(fh, path, shares, write_rows)
+        _write_forked(fh, path, shares, write_rows)
 
 
 def _write_forked(fh, path, shares, write_rows):
     """write_rows(fh, shares[0]) in this process while a forked child writes
     each other share to a part file beside fh's, then append the parts to fh
-    in order.  Every child is reaped and every part file removed on every
-    path."""
+    in order; one share forks nothing.  Every child is reaped and every part
+    file removed on every path."""
     parts = [f"{fh.name}.part{i}" for i in range(1, len(shares))]
     children = []
     try:

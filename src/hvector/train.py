@@ -127,9 +127,10 @@ def classify_accuracy(features, labels, params, cfg, batch_size: int = 64) -> fl
 
 def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
           checkpoint_path=None, log_path=None):
-    """Fit a float32 model; returns (best parameters, per-epoch stats, speaker list).
+    """Fit a float32 model; returns (best parameters, per-epoch stats).
 
-    "Best" means highest dev accuracy, ties broken by the earlier epoch. The
+    "Best" means highest dev accuracy, ties broken by the earlier epoch; its
+    `speakers` lists the training speakers in output-class order. The
     shuffle order and dropout masks come from named streams off cfg.seed, so
     a rerun with the same inputs reproduces the loss trajectory bit-for-bit.
     """
@@ -155,7 +156,7 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
 
     history: list[EpochStats] = []
     best_acc = -1.0
-    best_params = params.clone()
+    best_params = None  # epoch 1 always sets it: cfg.epochs >= 1, dev_acc >= 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
         order = shuffle_rng.permutation(len(train_feats))
@@ -191,5 +192,5 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
             break
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, best_params, model_cfg)
-    return best_params, history, speakers
+    return best_params, history
 

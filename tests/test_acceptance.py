@@ -54,6 +54,8 @@ from hvector.scoring import (
 from hvector.tensor import Tensor
 from hvector.train import TrainConfig, cross_entropy, train
 
+from helpers import tiny_config
+
 MODES = ("hvector", "xvector", "xvector_attn")
 
 
@@ -238,7 +240,7 @@ def test_criterion_1_gradient_suite():
             err = hv.grad_check(fn, theta)
             assert err < 1e-4, f"{name}: rel err {err:.3e}"
 
-        cfg = ModelConfig.tiny()  # M=4, E=2*4=8, N=10, K=3
+        cfg = tiny_config()  # M=4, E=2*4=8, N=10, K=3
         params = build_params(cfg, seed=3)
         # triple the weight matrices so gradients sit well above the
         # finite-difference noise floor of ~1e-11 per evaluation
@@ -307,7 +309,7 @@ def test_criterion_3_attention_invariants():
         assert worst_shift <= 1e-9, f"shift changed weights by {worst_shift:.2e}"
 
         # the same holds for the alphas an actual forward pass emits
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         params = build_params(cfg, seed=1)
         for _ in range(25):
             frags = rng.standard_normal((2, 10, 4, 20))
@@ -370,7 +372,7 @@ def identification(tmp_path_factory):
             model_cfg = ModelConfig.desk(10, mode)
             run_cfg = TrainConfig(lr=1e-3, epochs=30, seed=seed,
                                   stop_at_dev_acc=0.98)
-            best, history, _ = train(train_feats, dev_feats, model_cfg, run_cfg)
+            best, history = train(train_feats, dev_feats, model_cfg, run_cfg)
             accs[mode].append(max(h.dev_acc for h in history))
             max_epochs = max(max_epochs, len(history))
             if mode == "hvector" and seed == 0:

@@ -50,6 +50,8 @@ from hvector.scoring import (
 )
 from hvector.train import TrainConfig, predict
 
+from helpers import tiny_config
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -862,7 +864,7 @@ def _save_legacy_checkpoint(path, params, cfg):
 
 
 def _tiny_params():
-    cfg = ModelConfig.tiny()
+    cfg = tiny_config()
     params = build_params(cfg)
     params.speakers = ["a", "b", "c"]
     return params, cfg
@@ -1201,7 +1203,7 @@ def test_manifest_loader_fails_cleanly(fuzz_dir, text, check_paths):
     _returns_or_names(lambda: Manifest.load(path, check_paths=check_paths), path)
 
 
-_CFG_LINES = ModelConfig.tiny().to_text().splitlines()
+_CFG_LINES = tiny_config().to_text().splitlines()
 _TINY_PARAMS = _tiny_params()[0]
 _TINY_RECORDS = {"speakers": "a\nb\nc\n",
                  **{name: t.data for name, t in _TINY_PARAMS.tensors.items()},

@@ -32,6 +32,8 @@ from hvector.scoring import (
 from hvector.tensor import Tensor
 from hvector.train import classify_accuracy, predict
 
+from helpers import tiny_config
+
 
 def labelled(params, cfg):
     """`params` with a speaker id per output class, as `train` sets them."""
@@ -99,7 +101,7 @@ class TestConfig:
 
 class TestBuildParams:
     def test_deterministic_by_seed(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         a = build_params(cfg, seed=5)
         b = build_params(cfg, seed=5)
         c = build_params(cfg, seed=6)
@@ -131,7 +133,7 @@ class TestBuildParams:
         assert "att.w1" not in p.tensors
 
     def test_biases_zero_and_gains_one(self):
-        p = build_params(ModelConfig.tiny(), seed=2)
+        p = build_params(tiny_config(), seed=2)
         assert np.all(p["frame_conv.b"].data == 0.0)
         assert np.all(p["gru_f.bz"].data == 0.0)
         assert np.all(p["frame_bn.gamma"].data == 1.0)
@@ -139,7 +141,7 @@ class TestBuildParams:
         assert np.all(p.buffers["frame_bn.var"] == 1.0)
 
     def test_weight_scale_bound(self):
-        p = build_params(ModelConfig.tiny(), seed=3)
+        p = build_params(tiny_config(), seed=3)
         w = p["fc1.w"]
         assert np.max(np.abs(w.data)) <= 1.0 / np.sqrt(w.shape[0])
         conv = p["frame_conv.w"]
@@ -251,7 +253,7 @@ class TestDegenerateCases:
 
 class TestGruDirections:
     def test_backward_pass_is_forward_on_reversed_input(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         params = build_params(cfg, seed=11)
         p, q = params.gru("gru_f"), params.gru("gru_b")
         rng = np.random.default_rng(12)
@@ -264,7 +266,7 @@ class TestGruDirections:
         assert np.array_equal(out[..., :h], flipped[..., h:])
 
     def test_zero_input_zero_state_stays_zero(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         params = build_params(cfg, seed=13)
         p, q = params.gru("gru_f"), params.gru("gru_b")
         for k in ("bz", "br", "bh"):
@@ -323,7 +325,7 @@ def _np_attend_pool(h, p, prefix):
 
 class TestAgainstHandwrittenPipeline:
     def test_hvector_inference_matches_plain_numpy(self):
-        cfg = ModelConfig.tiny(n_speakers=4)
+        cfg = tiny_config(n_speakers=4)
         p = build_params(cfg, seed=14)
         rng = np.random.default_rng(15)
         # non-trivial normalisation statistics so the check has teeth
@@ -366,7 +368,7 @@ class TestAgainstHandwrittenPipeline:
 
 class TestStageHelpers:
     def test_frame_encode_single_matches_batch_row(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = build_params(cfg, seed=16)
         rng = np.random.default_rng(17)
         stack = rng.standard_normal((3, cfg.frames_per_fragment, cfg.feat_dim))
@@ -376,7 +378,7 @@ class TestStageHelpers:
         np.testing.assert_allclose(single.data[0], batch.data[1], rtol=0, atol=1e-12)
 
     def test_segment_stages_single_matches_batch_row(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = build_params(cfg, seed=18)
         rng = np.random.default_rng(19)
         segs = rng.standard_normal((2, cfg.n_fragments, 2 * cfg.frame_out_dim))
@@ -392,7 +394,7 @@ class TestStageHelpers:
         np.testing.assert_allclose(pooled.data[0], pooled_all.data[0], rtol=0, atol=1e-12)
 
     def test_embed_batch_matches_per_utterance_forward(self):
-        cfg = ModelConfig.tiny(n_speakers=3)
+        cfg = tiny_config(n_speakers=3)
         p = build_params(cfg, seed=20)
         rng = np.random.default_rng(21)
         feats = [
@@ -429,7 +431,7 @@ class TestBatches:
     def test_batch_size_below_one_is_refused_by_every_caller(self, batch_size):
         # unchecked, embed_batch returned zeros and predict uninitialised class
         # indices at -1, and range() refused 0 with its own message
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         params = build_params(cfg, seed=0)
         feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment)
                  for f in random_frags(np.random.default_rng(4), cfg)]
@@ -445,7 +447,7 @@ class TestBatches:
 
 class TestTrainingMode:
     def test_training_updates_normalisation_buffers(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = build_params(cfg, seed=22)
         before = p.buffers["frame_bn.mean"].copy()
         rng = np.random.default_rng(23)
@@ -455,7 +457,7 @@ class TestTrainingMode:
         assert not np.array_equal(p.buffers["frame_bn.mean"], before)
 
     def test_inference_leaves_buffers_alone(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = build_params(cfg, seed=24)
         snap = {k: v.copy() for k, v in p.buffers.items()}
         rng = np.random.default_rng(25)
@@ -464,7 +466,7 @@ class TestTrainingMode:
             assert np.array_equal(p.buffers[k], v)
 
     def test_training_dropout_requires_generator(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = build_params(cfg, seed=26)
         rng = np.random.default_rng(27)
         with pytest.raises(ValueError, match="random generator"):
@@ -472,7 +474,7 @@ class TestTrainingMode:
                           p, cfg, training=True, rng=None)
 
     def test_training_forward_reproducible_with_same_generator_seed(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         rng = np.random.default_rng(28)
         frags = random_frags(rng, cfg, batch=2)
         outs = []
@@ -486,7 +488,7 @@ class TestTrainingMode:
 
 class TestCheckpoint:
     def test_roundtrip_is_exact(self, tmp_path):
-        cfg = ModelConfig.tiny(n_speakers=6, mode="xvector_attn")
+        cfg = tiny_config(n_speakers=6, mode="xvector_attn")
         p = labelled(build_params(cfg, seed=30), cfg)
         p.buffers["bn1.mean"][...] = 0.25
         path = tmp_path / "model.hvt"
@@ -502,7 +504,7 @@ class TestCheckpoint:
 
     def test_missing_config_file(self, tmp_path):
         # the older layout is refused, with its .cfg and .spk beside it
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=31), cfg)
         path = tmp_path / "model.hvt"
         save_legacy_checkpoint(path, p, cfg)
@@ -512,7 +514,7 @@ class TestCheckpoint:
                                    "single-file checkpoints, retrain it")
 
     def test_arrays_the_mode_lacks_are_refused(self, tmp_path):
-        cfg = ModelConfig.tiny(mode="xvector_attn")
+        cfg = tiny_config(mode="xvector_attn")
         path = tmp_path / "model.hvt"
         save_checkpoint(path, labelled(build_params(cfg, seed=39), cfg), cfg)
         records = hv.load_archive(path)
@@ -525,7 +527,7 @@ class TestCheckpoint:
             f"{path}: checkpoint holds att.w0, which a mode=xvector model does not have"
 
     def test_missing_tensor_detected(self, tmp_path):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=32), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
@@ -536,7 +538,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=33), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
@@ -553,7 +555,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_float32_roundtrip_keeps_the_dtype(self, tmp_path):
-        cfg = ModelConfig.tiny(n_speakers=3)
+        cfg = tiny_config(n_speakers=3)
         p = labelled(build_params(cfg, seed=35).astype(np.float32), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
@@ -567,7 +569,7 @@ class TestCheckpoint:
             assert np.array_equal(loaded.buffers[name], b)
 
     def test_mixed_dtypes_rejected(self, tmp_path):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         path = tmp_path / "model.hvt"
         save_checkpoint(path, labelled(build_params(cfg, seed=36).astype(np.float32), cfg), cfg)
         arrays = hv.load_archive(path)
@@ -578,7 +580,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("mode", ["hvector", "xvector"])
     def test_float64_checkpoint_embeds_in_float64(self, tmp_path, mode):
-        cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
+        cfg = tiny_config(n_speakers=3, mode=mode)
         p = labelled(build_params(cfg, seed=37), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
@@ -597,7 +599,7 @@ class TestCheckpoint:
         assert np.array_equal(embed_batch(feats, loaded, cfg), want.data)
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=34), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
@@ -609,7 +611,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded["out.w"].data, p["out.w"].data)
 
     def test_one_file_holds_config_and_speakers(self, tmp_path):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         path = tmp_path / "model.hvt"
         save_checkpoint(path, labelled(build_params(cfg, seed=40), cfg), cfg)
         assert [f.name for f in tmp_path.iterdir()] == ["model.hvt"]
@@ -618,25 +620,25 @@ class TestCheckpoint:
         assert records["speakers"] == "spk0\nspk1\nspk2\n"
 
     def test_stale_sidecars_are_ignored(self, tmp_path):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=41), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
-        (tmp_path / "model.cfg").write_text(ModelConfig.tiny(n_speakers=2).to_text())
+        (tmp_path / "model.cfg").write_text(tiny_config(n_speakers=2).to_text())
         (tmp_path / "model.spk").write_text("spk2\nspk1\nspk0\n")
         loaded, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
         assert loaded.speakers == p.speakers
 
     def test_astype_and_clone_copy_the_speakers(self):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         p = labelled(build_params(cfg, seed=42), cfg)
         for copy in (p.clone(), p.astype(np.float32)):
             assert copy.speakers == p.speakers and copy.speakers is not p.speakers
         assert build_params(cfg).clone().speakers is None
 
     def test_speaker_count_must_match_the_outputs(self, tmp_path):
-        cfg = ModelConfig.tiny(n_speakers=3)
+        cfg = tiny_config(n_speakers=3)
         p = build_params(cfg, seed=43)
         path = tmp_path / "model.hvt"
         with pytest.raises(ValueError, match="0 speaker ids for 3 model outputs"):
@@ -661,7 +663,7 @@ class TestCheckpoint:
     ], ids=["text under a tensor key", "config as an array", "speakers as an array",
             "no speakers"])
     def test_text_and_arrays_keep_their_places(self, tmp_path, key, value, message):
-        cfg = ModelConfig.tiny()
+        cfg = tiny_config()
         path = tmp_path / "model.hvt"
         save_checkpoint(path, labelled(build_params(cfg, seed=44), cfg), cfg)
         records = hv.load_archive(path)
@@ -678,7 +680,7 @@ class TestCheckpoint:
     ])
     def test_seeded_weights_are_pinned(self, mode, digest):
         """A seed keeps drawing the same weights, names and order."""
-        p = build_params(ModelConfig.tiny(n_speakers=3, mode=mode), seed=7)
+        p = build_params(tiny_config(n_speakers=3, mode=mode), seed=7)
         h = hashlib.sha256()
         for name, t in p.tensors.items():
             h.update(name.encode())
@@ -741,7 +743,7 @@ def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch,
     """The config, the speaker list and the weights, once model.cfg, model.spk
     and model.hvt, are records of one file: a tear inside any of them leaves
     the previous checkpoint whole, and no temporary file behind."""
-    cfg = ModelConfig.tiny()
+    cfg = tiny_config()
     ckpt = tmp_path / "model.hvt"
     save_checkpoint(ckpt, labelled(build_params(cfg, seed=1), cfg), cfg)
     before = ckpt.read_bytes()
@@ -760,7 +762,7 @@ def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch,
 
 
 def test_torn_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
-    cfg = ModelConfig.tiny()
+    cfg = tiny_config()
     ckpt = tmp_path / "model.hvt"
     save_checkpoint(ckpt, labelled(build_params(cfg, seed=1), cfg), cfg)
     before = ckpt.read_bytes()

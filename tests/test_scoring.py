@@ -354,7 +354,8 @@ def make_trials_oracle(enrol, eval_records, length_norm=False):
 
 def llr_oracle(model, e, t):
     """The LLR as two quadratic forms in u = (e+t)/sqrt(2), v = (e-t)/sqrt(2),
-    on row-stacked projected vectors."""
+    on row-stacked projected vectors, and the size of its terms,
+    |const| + |u'Pu/2| + |v'Qv/2|, to which its rounding error scales."""
     b, w = model.phi_b, model.phi_w
     t_inv = np.linalg.inv(b + w)
     p = t_inv - np.linalg.inv(w + 2.0 * b)
@@ -363,7 +364,25 @@ def llr_oracle(model, e, t):
              - 0.5 * (np.linalg.slogdet(w + 2.0 * b)[1] + np.linalg.slogdet(w)[1]))
     u = (e + t - 2.0 * model.mu) / np.sqrt(2.0)
     v = (e - t) / np.sqrt(2.0)
-    return const + 0.5 * np.sum((u @ p) * u, axis=1) + 0.5 * np.sum((v @ q) * v, axis=1)
+    u_term = 0.5 * np.sum((u @ p) * u, axis=1)
+    v_term = 0.5 * np.sum((v @ q) * v, axis=1)
+    return const + u_term + v_term, abs(const) + np.abs(u_term) + np.abs(v_term)
+
+
+def assert_plda_matches_oracle(model, trials, models, tests):
+    """plda_score on the (K, N) matrix and score_trials on the trial list
+    agree with llr_oracle within 1e-12 of the largest trial's terms: when
+    the terms cancel, the score is far smaller than their rounding error.
+    Returns the oracle's scores and term sizes."""
+    e = np.stack([tr.enrol_vector for tr in trials])
+    t = np.stack([tr.test_vector for tr in trials])
+    expected, terms = llr_oracle(model, model.project(e), model.project(t))
+    plda = plda_score(model, models[:, None], tests[None])
+    assert plda.shape == (len(models), len(tests))
+    bound = 1e-12 * np.max(terms)
+    assert np.max(np.abs(plda.ravel() - expected)) <= bound
+    assert np.max(np.abs(score_trials(model, trials) - expected)) <= bound
+    return expected, terms
 
 
 # ids the csv writer must quote, next to plain ones
@@ -418,12 +437,23 @@ class TestScoreMatrix:
         model = PldaModel(mean=rng.standard_normal(d), lda=rng.standard_normal((d, k)),
                           mu=rng.standard_normal(k), phi_b=a @ a.T + 0.1 * np.eye(k),
                           phi_w=c @ c.T + 0.1 * np.eye(k))
-        expected = llr_oracle(model, model.project(e), model.project(t))
-        plda = plda_score(model, models[:, None], tests[None])
-        assert plda.shape == targets.shape
-        bound = 1e-12 * np.max(np.abs(expected))
-        assert np.max(np.abs(plda.ravel() - expected)) <= bound
-        assert np.max(np.abs(score_trials(model, trials) - expected)) <= bound
+        assert_plda_matches_oracle(model, trials, models, tests)
+
+    def test_plda_score_whose_terms_cancel(self):
+        """At t = 0 with B = W = 1 in one dimension the LLR is
+        log 2 - log(3)/2 - e^2/12, zero at e^2 = 12 log 2 - 6 log 3: the
+        score is rounding noise, ~1e-16 against terms of ~0.4."""
+        model = PldaModel(mean=np.zeros(1), lda=np.eye(1), mu=np.zeros(1),
+                          phi_b=np.eye(1), phi_w=np.eye(1))
+        root = np.sqrt(12.0 * np.log(2.0) - 6.0 * np.log(3.0))
+        enrol = [EmbeddingRecord("e0", "a", np.array([root + 0.75])),
+                 EmbeddingRecord("e1", "a", np.array([root - 0.75]))]
+        eval_records = [EmbeddingRecord("t0", "b", np.zeros(1))]
+        _, models = enrolment_models(enrol)
+        expected, terms = assert_plda_matches_oracle(
+            model, make_trials_oracle(enrol, eval_records), models,
+            embedding_matrix(eval_records))
+        assert abs(expected[0]) <= 1e-12 * terms[0]
 
     @settings(max_examples=60, deadline=None)
     @given(_verification_sets())

@@ -28,6 +28,8 @@ from hvector.train import (
     train,
 )
 
+from helpers import tiny_config
+
 
 def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
     """Linearly separable random features: one mean offset per speaker."""
@@ -82,7 +84,7 @@ class TestCrossEntropy:
 
 
 def _single_param_setup(value):
-    cfg = ModelConfig.tiny(n_speakers=2)
+    cfg = tiny_config(n_speakers=2)
     params = build_params(cfg, seed=0)
     # keep only a known parameter to make the update arithmetic easy to follow
     theta = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
@@ -128,7 +130,7 @@ class TestAdam:
             adam_step(params, AdamState(params), TrainConfig())
 
     def test_nonfinite_gradient_changes_nothing(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         params = build_params(cfg, seed=0)
         state = AdamState(params)
         rng = np.random.default_rng(12)
@@ -237,7 +239,7 @@ def test_finished_step_is_freed_without_the_cycle_collector():
 def test_training_step_computes_in_the_parameters_dtype(mode, dtype):
     # numpy 2 upcasts float32 mixed with any float64 array, 0-d ones included,
     # so one stray float64 constant would show up on the tape
-    cfg = ModelConfig.tiny(n_speakers=3, mode=mode)
+    cfg = tiny_config(n_speakers=3, mode=mode)
     params = build_params(cfg, seed=0).astype(dtype)
     rng = np.random.default_rng(13)
     frags = rng.standard_normal((4, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
@@ -273,16 +275,16 @@ class TestTrainLoop:
 
         cfg = ModelConfig.desk(2)
         tcfg = TrainConfig(epochs=30, seed=0, stop_at_dev_acc=0.95)
-        _, history, _ = train(featurize(train_m), featurize(dev_m), cfg, tcfg)
+        _, history = train(featurize(train_m), featurize(dev_m), cfg, tcfg)
         assert len(history) <= 30
         assert max(h.dev_acc for h in history) >= 0.95
 
     def test_zero_learning_rate_keeps_parameters_bit_identical(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(3)
         feats = toy_features(rng, cfg, 6)
         tcfg = TrainConfig(lr=0.0, epochs=2, seed=5, batch_size=4)
-        params, history, _ = train(feats[:8], feats[8:], cfg, tcfg)
+        params, history = train(feats[:8], feats[8:], cfg, tcfg)
         # train draws the float64 build_params weights and computes in float32
         fresh = build_params(cfg, seed=5).astype(np.float32)
         assert len(history) == 2
@@ -291,13 +293,13 @@ class TestTrainLoop:
             assert np.array_equal(params[name].data, t.data), name
 
     def test_same_seed_reproduces_the_loss_trajectory(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(4)
         feats = toy_features(rng, cfg, 5)
         runs = []
         for _ in range(2):
             tcfg = TrainConfig(lr=1e-3, epochs=3, seed=7, batch_size=4)
-            _, history, _ = train(feats[:8], feats[8:], cfg, tcfg)
+            _, history = train(feats[:8], feats[8:], cfg, tcfg)
             runs.append(history)
         assert runs[0][0].line() == runs[1][0].line()
         for a, b in zip(runs[0], runs[1]):
@@ -305,7 +307,7 @@ class TestTrainLoop:
             assert a.dev_acc == b.dev_acc
 
     def test_empty_sets_rejected(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(5)
         feats = toy_features(rng, cfg, 2)
         with pytest.raises(ValueError, match="empty"):
@@ -314,7 +316,7 @@ class TestTrainLoop:
             train(feats, [], cfg, TrainConfig(epochs=1))
 
     def test_unknown_dev_speaker_rejected(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(6)
         feats = toy_features(rng, cfg, 3)
         stranger = toy_features(rng, cfg, 1, speakers=("zz",))
@@ -322,38 +324,37 @@ class TestTrainLoop:
             train(feats, stranger, cfg, TrainConfig(epochs=1))
 
     def test_speaker_count_mismatch_rejected(self):
-        cfg = ModelConfig.tiny(n_speakers=3)
+        cfg = tiny_config(n_speakers=3)
         rng = np.random.default_rng(7)
         feats = toy_features(rng, cfg, 3)
         with pytest.raises(ValueError, match="expects 3 speakers"):
             train(feats, feats, cfg, TrainConfig(epochs=1))
 
     def test_log_file_and_best_checkpoint(self, tmp_path):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(8)
         feats = toy_features(rng, cfg, 8, spread=2.0)
         dev = feats[12:]
         tcfg = TrainConfig(lr=1e-3, epochs=4, seed=1, batch_size=4)
         ckpt = tmp_path / "model.hvt"
         log = tmp_path / "train.log"
-        params, history, speakers = train(feats[:12], dev, cfg, tcfg,
-                                          checkpoint_path=ckpt, log_path=log)
+        params, history = train(feats[:12], dev, cfg, tcfg,
+                                checkpoint_path=ckpt, log_path=log)
         lines = log.read_text().splitlines()
         assert len(lines) == len(history)
         assert all(len(line.split("\t")) == 4 for line in lines)
         assert lines[0] == history[0].line()
 
-        assert speakers == ["a", "b"]
-        assert params.speakers == speakers
+        assert params.speakers == ["a", "b"]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["model.hvt", "train.log"]
         loaded, cfg2 = load_checkpoint(ckpt)
-        assert loaded.speakers == speakers
-        labels = np.array([speakers.index(u.speaker_id) for u in dev])
+        assert loaded.speakers == params.speakers
+        labels = np.array([params.speakers.index(u.speaker_id) for u in dev])
         best = max(h.dev_acc for h in history)
         assert classify_accuracy(dev, labels, loaded, cfg2) == best
 
     def test_log_is_replaced_whole_each_epoch(self, tmp_path, monkeypatch):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         feats = toy_features(np.random.default_rng(8), cfg, 8, spread=2.0)
         log = tmp_path / "train.log"
         log.write_text("a stale line\n")
@@ -367,9 +368,9 @@ class TestTrainLoop:
             written.append(Path(path).read_text())
 
         monkeypatch.setattr(hv, "atomic_write", spy)
-        _, history, _ = train(feats[:12], feats[12:], cfg,
-                              TrainConfig(lr=1e-3, epochs=3, seed=1, batch_size=4),
-                              log_path=log)
+        _, history = train(feats[:12], feats[12:], cfg,
+                           TrainConfig(lr=1e-3, epochs=3, seed=1, batch_size=4),
+                           log_path=log)
         lines = [h.line() + "\n" for h in history]
         assert len(history) == 3
         assert written == ["".join(lines[:k]) for k in range(1, 4)]
@@ -377,7 +378,7 @@ class TestTrainLoop:
 
     def test_failed_speaker_list_write_keeps_the_previous_checkpoint(
             self, tmp_path, monkeypatch):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         feats = toy_features(np.random.default_rng(8), cfg, 4, spread=2.0)
         ckpt = tmp_path / "model.hvt"
         train(feats, feats, cfg, TrainConfig(epochs=1, seed=1), checkpoint_path=ckpt)
@@ -414,31 +415,31 @@ class TestTrainLoop:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_early_stop_honours_threshold(self):
-        cfg = ModelConfig.tiny(n_speakers=2)
+        cfg = tiny_config(n_speakers=2)
         rng = np.random.default_rng(9)
         feats = toy_features(rng, cfg, 8, spread=3.0)
         tcfg = TrainConfig(lr=1e-2, epochs=30, seed=2, batch_size=8,
                            stop_at_dev_acc=1.0)
-        _, history, _ = train(feats[:12], feats[12:], cfg, tcfg)
+        _, history = train(feats[:12], feats[12:], cfg, tcfg)
         assert history[-1].dev_acc >= 1.0
         assert len(history) < 30
 
     def test_baseline_batches_group_by_frame_count(self):
-        cfg = ModelConfig.tiny(n_speakers=2, mode="xvector")
+        cfg = tiny_config(n_speakers=2, mode="xvector")
         rng = np.random.default_rng(10)
         feats = toy_features(rng, cfg, 6, spread=2.0)
         # two genuine lengths in one run: knock padding frames off half of them
         for u in feats[::2]:
             u.n_frames = cfg.n_fragments * cfg.frames_per_fragment - 3
         tcfg = TrainConfig(lr=1e-3, epochs=1, seed=3, batch_size=4)
-        params, history, speakers = train(feats[:10], feats[10:], cfg, tcfg)
+        params, history = train(feats[:10], feats[10:], cfg, tcfg)
         assert len(history) == 1
         preds = predict(feats[10:], params, cfg)
         assert preds.shape == (2,)
 
     @pytest.mark.parametrize("mode", ["hvector", "xvector"])
     def test_mixed_window_lengths_train_predict_and_embed(self, mode):
-        cfg = ModelConfig.tiny(n_speakers=2, mode=mode)
+        cfg = tiny_config(n_speakers=2, mode=mode)
         rng = np.random.default_rng(11)
         feats = toy_features(rng, cfg, 8, spread=2.0)
         # as from two `prepare` runs with different --len: half the windows
@@ -448,7 +449,7 @@ class TestTrainLoop:
             u.fragments = u.fragments[:, :short].copy()
             u.n_frames = cfg.n_fragments * short
         tcfg = TrainConfig(lr=1e-3, epochs=1, seed=3, batch_size=4)
-        params, history, _ = train(feats[:12], feats[12:], cfg, tcfg)
+        params, history = train(feats[:12], feats[12:], cfg, tcfg)
         assert len(history) == 1
 
         preds = predict(feats, params, cfg, batch_size=3)
