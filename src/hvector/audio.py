@@ -56,9 +56,13 @@ class UtteranceFeatures:
     """MFCC frames of one utterance, split into ordered fragments."""
 
     fragments: np.ndarray          # (N_FRAGMENTS, M, N_CEPSTRA)
-    n_frames: int                  # real frame count before zero padding
     utterance_id: str = ""
     speaker_id: str = ""
+
+    @property
+    def n_frames(self) -> int:
+        """Frames the fragments hold: N_FRAGMENTS x M."""
+        return self.fragments.shape[0] * self.fragments.shape[1]
 
 
 def load_wav(path) -> AudioClip:
@@ -225,23 +229,17 @@ def mfcc_frames(clip: AudioClip) -> np.ndarray:
 
 def split_fragments(frames: np.ndarray, utterance_id: str = "",
                     speaker_id: str = "") -> UtteranceFeatures:
-    """Split (T, 20) frames into 10 ordered fragments of ceil(T/10) frames.
+    """Split (T, 20) frames into 10 ordered fragments of floor(T/10) frames.
 
-    The tail is zero padded so every fragment has the same length; the real
-    frame count is kept so padding can be dropped later.
+    The last T mod 10 frames are dropped, as window_utterances drops the
+    samples after a clip's last window, so no fragment holds padding.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.array(frames, dtype=np.float64)  # a copy: no alias of the caller's array
     if frames.ndim != 2:
         raise ValueError(f"expected (T, F) frames, got shape {frames.shape}")
     t = frames.shape[0]
     if t < N_FRAGMENTS:
         raise ValueError(f"need at least {N_FRAGMENTS} frames to fragment, got {t}")
-    m = -(-t // N_FRAGMENTS)
-    padded = np.zeros((N_FRAGMENTS * m, frames.shape[1]))
-    padded[:t] = frames
-    return UtteranceFeatures(
-        fragments=padded.reshape(N_FRAGMENTS, m, frames.shape[1]),
-        n_frames=t,
-        utterance_id=utterance_id,
-        speaker_id=speaker_id,
-    )
+    m = t // N_FRAGMENTS
+    fragments = frames[:N_FRAGMENTS * m].reshape(N_FRAGMENTS, m, frames.shape[1])
+    return UtteranceFeatures(fragments, utterance_id, speaker_id)

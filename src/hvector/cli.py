@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as hv
 from .audio import (
+    N_FRAGMENTS,
     SAMPLE_RATE,
     AudioClip,
     UtteranceFeatures,
@@ -74,15 +75,17 @@ def save_features(path, utt: UtteranceFeatures):
 
 
 def load_features(path, utterance_id: str = "", speaker_id: str = "") -> UtteranceFeatures:
+    """The fragments of an archive's first n_frames frames, cut anew, so an
+    archive whose last fragment was zero padded loads as one without."""
     arrays = hv.load_archive(path)
     frags, n_frames = arrays.get("fragments"), arrays.get("n_frames")
     if not (getattr(frags, "ndim", 0) == 3 and np.isfinite(frags).all()
             and getattr(n_frames, "shape", None) == ()
-            and 1 <= n_frames <= frags.shape[0] * frags.shape[1]
+            and N_FRAGMENTS <= n_frames <= frags.shape[0] * frags.shape[1]
             and float(n_frames).is_integer()):
-        raise ValueError(f"{path}: not a feature archive: needs a finite 3-D fragments "
-                         "array and an integer n_frames in [1, fragments x frames]")
-    return UtteranceFeatures(frags, int(n_frames), utterance_id, speaker_id)
+        raise ValueError(f"{path}: not a feature archive: needs a finite 3-D fragments array "
+                         f"and an integer n_frames in [{N_FRAGMENTS}, fragments x frames]")
+    return split_fragments(np.concatenate(frags)[:int(n_frames)], utterance_id, speaker_id)
 
 
 # --- config resolution ------------------------------------------------------

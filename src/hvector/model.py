@@ -235,8 +235,7 @@ def attention_normalize(scores) -> Tensor:
     Both attention levels normalize through this one map, so its properties
     (weights sum to 1, constant score shifts change nothing) hold for each.
     """
-    x = scores if isinstance(scores, Tensor) else Tensor(scores)
-    return hv.softmax(x, axis=-1)
+    return hv.softmax(scores, axis=-1)
 
 
 def _attention_weights(h, params, name):
@@ -303,12 +302,9 @@ def _hvector_forward(frags, params, cfg, training, rng, trace):
     return _head(utt_vec, params, cfg, training, rng, trace)
 
 
-def _baseline_forward(frags, n_frames, params, cfg, training, rng, trace):
+def _baseline_forward(frags, params, cfg, training, rng, trace):
     batch, n_frag, m, feat = frags.shape
-    t_real = int(n_frames[0])
-    if any(int(t) != t_real for t in n_frames):
-        raise ValueError("baseline batches need a uniform real frame count")
-    h = Tensor(frags.reshape(batch, n_frag * m, feat)[:, :t_real, :])
+    h = Tensor(frags.reshape(batch, n_frag * m, feat))
     for i in range(1, 6):
         h = hv.conv1d(h, params[f"conv{i}.w"], params[f"conv{i}.b"])
         h = _batchnorm(hv.relu(h), params, f"bn{i}", training)
@@ -323,9 +319,8 @@ def _baseline_forward(frags, n_frames, params, cfg, training, rng, trace):
     return _head(pooled, params, cfg, training, rng, trace)
 
 
-def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
-                  cfg: ModelConfig, training: bool = False, rng=None,
-                  trace: dict | None = None):
+def forward_batch(frags: np.ndarray, params: ModelParams, cfg: ModelConfig,
+                  training: bool = False, rng=None, trace: dict | None = None):
     """Logits (B, K) and embeddings (B, fc1_dim) for stacked fragments.
 
     The fragments are cast to the parameters' dtype, which every layer then
@@ -341,29 +336,27 @@ def forward_batch(frags: np.ndarray, n_frames: np.ndarray, params: ModelParams,
     frags = frags.astype(params.dtype, copy=False)
     if cfg.mode == "hvector":
         return _hvector_forward(frags, params, cfg, training, rng, trace)
-    return _baseline_forward(frags, n_frames, params, cfg, training, rng, trace)
+    return _baseline_forward(frags, params, cfg, training, rng, trace)
 
 
 def batches(features: list, order, batch_size: int):
-    """Yield (indices, fragments, n_frames) for stacked chunks of ``features``.
+    """Yield (indices, fragments) for stacked chunks of ``features``.
 
-    Indices from ``order`` are grouped by (fragments.shape, n_frames) in order
-    of first appearance, keep their given order within each group, and are
-    cut into chunks of at most ``batch_size``, so every chunk stacks and mixed
-    inputs still form valid batches.  A batch_size below 1 is refused: this is
+    Indices from ``order`` are grouped by fragments.shape in order of first
+    appearance, keep their given order within each group, and are cut into
+    chunks of at most ``batch_size``, so every chunk stacks and mixed inputs
+    still form valid batches.  A batch_size below 1 is refused: this is
     the one rule for every batch size, and batches([], (), n) checks n alone.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     groups: dict = {}
     for i in order:
-        u = features[i]
-        groups.setdefault((u.fragments.shape, u.n_frames), []).append(i)
+        groups.setdefault(features[i].fragments.shape, []).append(i)
     for group in groups.values():
         for lo in range(0, len(group), batch_size):
             idx = np.array(group[lo:lo + batch_size])
-            yield (idx, np.stack([features[i].fragments for i in idx]),
-                   np.array([features[i].n_frames for i in idx]))
+            yield idx, np.stack([features[i].fragments for i in idx])
 
 
 def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
@@ -373,8 +366,8 @@ def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
     They are float64 whatever the parameters' dtype, as the back end expects.
     """
     out = np.zeros((len(features), cfg.fc1_dim))
-    for idx, frags, n_frames in batches(features, range(len(features)), batch_size):
-        _, emb = forward_batch(frags, n_frames, params, cfg, training=False)
+    for idx, frags in batches(features, range(len(features)), batch_size):
+        _, emb = forward_batch(frags, params, cfg, training=False)
         out[idx] = emb.data
     return out
 

@@ -115,8 +115,8 @@ def predict(features, params: ModelParams, cfg: ModelConfig,
             batch_size: int = 64) -> np.ndarray:
     """Inference-mode argmax class index per utterance."""
     out = np.empty(len(features), dtype=np.int64)
-    for idx, frags, n_frames in batches(features, range(len(features)), batch_size):
-        logits, _ = forward_batch(frags, n_frames, params, cfg, training=False)
+    for idx, frags in batches(features, range(len(features)), batch_size):
+        logits, _ = forward_batch(frags, params, cfg, training=False)
         out[idx] = np.argmax(logits.data, axis=1)
     return out
 
@@ -162,10 +162,10 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
         order = shuffle_rng.permutation(len(train_feats))
         loss_sum = 0.0
         correct = 0
-        for idx, frags, n_frames in batches(train_feats, order, cfg.batch_size):
+        for idx, frags in batches(train_feats, order, cfg.batch_size):
             params.zero_grads()
             with hv.record():
-                logits, _ = forward_batch(frags, n_frames, params, model_cfg,
+                logits, _ = forward_batch(frags, params, model_cfg,
                                           training=True, rng=dropout_rng)
                 loss = cross_entropy(logits, y_train[idx])
             hv.backward(loss)

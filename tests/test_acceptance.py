@@ -251,11 +251,10 @@ def test_criterion_1_gradient_suite():
         rng = np.random.default_rng(7)
         frags = rng.standard_normal(
             (3, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-        n_frames = np.full(3, cfg.n_fragments * cfg.frames_per_fragment)
         labels = np.array([0, 1, 2])
 
         def loss(_):
-            logits, _emb = forward_batch(frags, n_frames, params, cfg,
+            logits, _emb = forward_batch(frags, params, cfg,
                                          training=False)
             return cross_entropy(logits, labels)
 
@@ -278,7 +277,7 @@ def test_criterion_2_full_scale_shapes():
         params = build_params(cfg, seed=0)
         frags = np.random.default_rng(0).standard_normal((1, 10, 30, 20))
         trace = {}
-        logits, emb = forward_batch(frags, np.array([298]), params, cfg,
+        logits, emb = forward_batch(frags, params, cfg,
                                     trace=trace)
         assert trace["frame_encoded"].shape == (10, 30, 1024)
         assert trace["segments"].shape == (1, 10, 2048)
@@ -314,7 +313,7 @@ def test_criterion_3_attention_invariants():
         for _ in range(25):
             frags = rng.standard_normal((2, 10, 4, 20))
             trace = {}
-            forward_batch(frags, np.full(2, 40), params, cfg, trace=trace)
+            forward_batch(frags, params, cfg, trace=trace)
             for key in ("frame_alpha", "seg_alpha"):
                 sums = trace[key].data.sum(axis=-1)
                 assert np.abs(sums - 1.0).max() <= 1e-9

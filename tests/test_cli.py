@@ -31,8 +31,10 @@ import hvector
 from hvector import cli
 from hvector import scoring
 from hvector import tensor as hv
-from hvector.audio import AudioClip, save_wav
-from hvector.cli import _SCHEMAS, CliError, load_features, main, resolve_config
+from hvector.audio import AudioClip, save_wav, split_fragments
+from hvector.cli import (
+    _SCHEMAS, CliError, load_features, main, resolve_config, save_features,
+)
 from hvector.corpus import Manifest, split
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
@@ -155,11 +157,12 @@ class TestPrepare:
         # 3 s at half-window overlap -> 5 windows per clip
         assert len(manifest) == 2 * 3 * 5
         assert "prepared 30 windows from 6 clips (0 failed, 0 too short)" in out
+        # a 1 s window is 98 frames: 10 fragments of 9, the last 8 dropped
         entry = manifest.entries[0]
-        assert entry.n_frames == 98
+        assert entry.n_frames == 90
         utt = load_features(entry.path, entry.utterance_id, entry.speaker_id)
-        assert utt.fragments.shape == (10, 10, 20)
-        assert utt.n_frames == 98
+        assert utt.fragments.shape == (10, 9, 20)
+        assert utt.n_frames == 90
 
     def test_per_file_failure_continues(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -1128,6 +1131,7 @@ _BAD_FEATURE_ARCHIVES = {
     "n_frames is not a scalar": {"fragments": _FRAGMENTS, "n_frames": np.array([98.0, 1.0])},
     "n_frames is negative": {"fragments": _FRAGMENTS, "n_frames": -5.0},
     "n_frames is zero": {"fragments": _FRAGMENTS, "n_frames": 0.0},
+    "n_frames is below ten": {"fragments": _FRAGMENTS, "n_frames": 9.0},
     "n_frames exceeds the frames": {"fragments": _FRAGMENTS, "n_frames": 101.0},
     "n_frames is fractional": {"fragments": _FRAGMENTS, "n_frames": 97.5},
     "n_frames is nan": {"fragments": _FRAGMENTS, "n_frames": np.nan},
@@ -1146,7 +1150,7 @@ def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
     feats = tmp_path / "u.hvt"
     hv.save_archive(feats, _BAD_FEATURE_ARCHIVES[case])
     message = (f"{feats}: not a feature archive: needs a finite 3-D fragments array "
-               "and an integer n_frames in [1, fragments x frames]")
+               "and an integer n_frames in [10, fragments x frames]")
     with pytest.raises(ValueError) as info:
         load_features(feats)
     assert str(info.value) == message
@@ -1158,12 +1162,30 @@ def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
     assert (code, err) == (1, f"error: {message}\n")
 
 
-@pytest.mark.parametrize("n_frames", [1, 57, 100])
+@pytest.mark.parametrize("n_frames", [10, 57, 100])
 def test_feature_archive_n_frames_range_is_inclusive(tmp_path, n_frames):
     feats = tmp_path / "u.hvt"
     hv.save_archive(feats, {"fragments": _FRAGMENTS, "n_frames": float(n_frames)})
     utt = load_features(feats)
-    assert utt.n_frames == n_frames and type(utt.n_frames) is int
+    assert utt.fragments.shape == (10, n_frames // 10, 20)
+    assert utt.n_frames == 10 * (n_frames // 10) and type(utt.n_frames) is int
+
+
+@pytest.mark.parametrize("t", [98, 298])
+def test_zero_padded_archive_loads_as_a_fresh_prepare_writes(tmp_path, t):
+    # earlier releases padded the last fragment with zeros up to 10 x ceil(T/10)
+    frames = np.random.default_rng(t).standard_normal((t, 20))
+    m = -(-t // 10)
+    padded = np.zeros((10 * m, 20))
+    padded[:t] = frames
+    old, new = tmp_path / "old.hvt", tmp_path / "new.hvt"
+    hv.save_archive(old, {"fragments": padded.reshape(10, m, 20), "n_frames": float(t)})
+    want = split_fragments(frames)
+    save_features(new, want)
+    for path in (old, new):
+        got = load_features(path).fragments
+        assert got.shape == want.fragments.shape
+        assert got.tobytes() == want.fragments.tobytes()
 
 
 # --- loaders behind the boundary: arbitrary text in, ValueError/OSError out ----

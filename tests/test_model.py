@@ -61,10 +61,6 @@ def random_frags(rng, cfg, batch=3):
         (batch, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
 
 
-def full_frames(cfg, batch):
-    return np.full(batch, cfg.n_fragments * cfg.frames_per_fragment)
-
-
 class TestConfig:
     def test_text_roundtrip(self):
         cfg = ModelConfig.desk(7, mode="xvector_attn")
@@ -156,7 +152,7 @@ class TestForwardShapes:
         rng = np.random.default_rng(1)
         frags = random_frags(rng, cfg, batch=3)
         trace = {}
-        logits, emb = forward_batch(frags, full_frames(cfg, 3), p, cfg, trace=trace)
+        logits, emb = forward_batch(frags, p, cfg, trace=trace)
         assert logits.shape == (3, 5)
         assert emb.shape == (3, 64)
         assert trace["frame_encoded"].shape == (30, 10, 64)
@@ -172,10 +168,10 @@ class TestForwardShapes:
         rng = np.random.default_rng(1)
         frags = random_frags(rng, cfg, batch=2)
         trace = {}
-        logits, emb = forward_batch(frags, np.array([98, 98]), p, cfg, trace=trace)
+        logits, emb = forward_batch(frags, p, cfg, trace=trace)
         assert logits.shape == (2, 5)
         assert emb.shape == (2, 64)
-        assert trace["frame_encoded"].shape == (2, 98, 64)
+        assert trace["frame_encoded"].shape == (2, 100, 64)
         assert trace["frame_alpha"] is None
         assert trace["utterance_vector"].shape == (2, 128)
 
@@ -183,19 +179,13 @@ class TestForwardShapes:
         cfg = desk_cfg()
         p = build_params(cfg, seed=0)
         with pytest.raises(ValueError, match=r"\(B, N, M, F\)"):
-            forward_batch(np.zeros((10, 10, 20)), np.array([98]), p, cfg)
+            forward_batch(np.zeros((10, 10, 20)), p, cfg)
 
     def test_wrong_feat_dim_rejected(self):
         cfg = desk_cfg()
         p = build_params(cfg, seed=0)
         with pytest.raises(ValueError, match="feat_dim"):
-            forward_batch(np.zeros((1, 10, 10, 13)), np.array([98]), p, cfg)
-
-    def test_baseline_needs_uniform_frame_counts(self):
-        cfg = desk_cfg(mode="xvector")
-        p = build_params(cfg, seed=0)
-        with pytest.raises(ValueError, match="uniform"):
-            forward_batch(np.zeros((2, 10, 10, 20)), np.array([98, 97]), p, cfg)
+            forward_batch(np.zeros((1, 10, 10, 13)), p, cfg)
 
 
 class TestDegenerateCases:
@@ -207,7 +197,7 @@ class TestDegenerateCases:
             t.data[...] = 0.0
         rng = np.random.default_rng(3)
         frags = random_frags(rng, cfg, batch=2)
-        logits, emb = forward_batch(frags, full_frames(cfg, 2), p, cfg)
+        logits, emb = forward_batch(frags, p, cfg)
         assert np.all(logits.data == 0.0)
         assert np.all(emb.data == 0.0)
 
@@ -244,9 +234,8 @@ class TestDegenerateCases:
             t.data[...] = pa[name].data
         rng = np.random.default_rng(10)
         frags = random_frags(rng, cfg_x, batch=3)
-        n = np.full(3, 95)
-        la, ea = forward_batch(frags, n, pa, cfg_a)
-        lx, ex = forward_batch(frags, n, px, cfg_x)
+        la, ea = forward_batch(frags, pa, cfg_a)
+        lx, ex = forward_batch(frags, px, cfg_x)
         assert np.array_equal(la.data, lx.data)
         assert np.array_equal(ea.data, ex.data)
 
@@ -339,7 +328,7 @@ class TestAgainstHandwrittenPipeline:
                 t.data[...] = rng.uniform(0.5, 1.5, t.shape)
 
         frags = random_frags(rng, cfg, batch=2)
-        got_logits, got_emb = forward_batch(frags, full_frames(cfg, 2), p, cfg)
+        got_logits, got_emb = forward_batch(frags, p, cfg)
 
         def bn(x, name):
             return _np_bn_inference(
@@ -398,33 +387,29 @@ class TestStageHelpers:
         p = build_params(cfg, seed=20)
         rng = np.random.default_rng(21)
         feats = [
-            UtteranceFeatures(
-                fragments=random_frags(rng, cfg, batch=1)[0],
-                n_frames=cfg.n_fragments * cfg.frames_per_fragment,
-            )
+            UtteranceFeatures(fragments=random_frags(rng, cfg, batch=1)[0])
             for _ in range(5)
         ]
         table = embed_batch(feats, p, cfg, batch_size=2)
         assert table.shape == (5, cfg.fc1_dim)
         frags = np.stack([u.fragments for u in feats])
-        n_frames = np.array([u.n_frames for u in feats])
-        _, emb = forward_batch(frags, n_frames, p, cfg)
+        _, emb = forward_batch(frags, p, cfg)
         np.testing.assert_allclose(table, emb.data, rtol=0, atol=1e-12)
 
 
 class TestBatches:
     def test_groups_by_shape_in_first_seen_order_and_keeps_given_order(self):
-        def utt(m, n_frames, tag):
-            return UtteranceFeatures(np.full((2, m, 3), float(tag)), n_frames)
-        feats = [utt(4, 8, 0), utt(2, 4, 1), utt(4, 8, 2), utt(4, 7, 3),
-                 utt(2, 4, 4), utt(4, 8, 5), utt(4, 8, 6)]
+        def utt(m, tag):
+            return UtteranceFeatures(np.full((2, m, 3), float(tag)))
+        feats = [utt(4, 0), utt(2, 1), utt(4, 2), utt(3, 3),
+                 utt(2, 4), utt(4, 5), utt(4, 6)]
         order = [6, 1, 3, 0, 5, 4, 2]
-        got = [(idx.tolist(), frags[:, 0, 0, 0].tolist(), n.tolist())
-               for idx, frags, n in batches(feats, order, batch_size=2)]
+        got = [(idx.tolist(), frags[:, 0, 0, 0].tolist(), frags.shape[2])
+               for idx, frags in batches(feats, order, batch_size=2)]
         assert got == [
-            ([6, 0], [6.0, 0.0], [8, 8]), ([5, 2], [5.0, 2.0], [8, 8]),
-            ([1, 4], [1.0, 4.0], [4, 4]),
-            ([3], [3.0], [7]),
+            ([6, 0], [6.0, 0.0], 4), ([5, 2], [5.0, 2.0], 4),
+            ([1, 4], [1.0, 4.0], 2),
+            ([3], [3.0], 3),
         ]
 
     @pytest.mark.parametrize("batch_size", [0, -1])
@@ -433,8 +418,7 @@ class TestBatches:
         # indices at -1, and range() refused 0 with its own message
         cfg = tiny_config(n_speakers=2)
         params = build_params(cfg, seed=0)
-        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment)
-                 for f in random_frags(np.random.default_rng(4), cfg)]
+        feats = [UtteranceFeatures(f) for f in random_frags(np.random.default_rng(4), cfg)]
         labels = np.zeros(len(feats), dtype=np.int64)
         for call in (lambda: embed_batch(feats, params, cfg, batch_size),
                      lambda: predict(feats, params, cfg, batch_size),
@@ -452,7 +436,7 @@ class TestTrainingMode:
         before = p.buffers["frame_bn.mean"].copy()
         rng = np.random.default_rng(23)
         frags = random_frags(rng, cfg, batch=2) + 1.5
-        forward_batch(frags, full_frames(cfg, 2), p, cfg, training=True,
+        forward_batch(frags, p, cfg, training=True,
                       rng=np.random.default_rng(0))
         assert not np.array_equal(p.buffers["frame_bn.mean"], before)
 
@@ -461,7 +445,7 @@ class TestTrainingMode:
         p = build_params(cfg, seed=24)
         snap = {k: v.copy() for k, v in p.buffers.items()}
         rng = np.random.default_rng(25)
-        forward_batch(random_frags(rng, cfg, batch=2), full_frames(cfg, 2), p, cfg)
+        forward_batch(random_frags(rng, cfg, batch=2), p, cfg)
         for k, v in snap.items():
             assert np.array_equal(p.buffers[k], v)
 
@@ -470,8 +454,7 @@ class TestTrainingMode:
         p = build_params(cfg, seed=26)
         rng = np.random.default_rng(27)
         with pytest.raises(ValueError, match="random generator"):
-            forward_batch(random_frags(rng, cfg, batch=1), full_frames(cfg, 1),
-                          p, cfg, training=True, rng=None)
+            forward_batch(random_frags(rng, cfg, batch=1), p, cfg, training=True, rng=None)
 
     def test_training_forward_reproducible_with_same_generator_seed(self):
         cfg = tiny_config()
@@ -480,7 +463,7 @@ class TestTrainingMode:
         outs = []
         for _ in range(2):
             p = build_params(cfg, seed=29)
-            logits, _ = forward_batch(frags, full_frames(cfg, 2), p, cfg,
+            logits, _ = forward_batch(frags, p, cfg,
                                       training=True, rng=np.random.default_rng(9))
             outs.append(logits.data)
         assert np.array_equal(outs[0], outs[1])
@@ -592,9 +575,8 @@ class TestCheckpoint:
         assert loaded.dtype == np.float64
         rng = np.random.default_rng(38)
         frags = random_frags(rng, cfg, batch=4)
-        feats = [UtteranceFeatures(f, cfg.n_fragments * cfg.frames_per_fragment,
-                                   f"u{i}", "s") for i, f in enumerate(frags)]
-        _, want = forward_batch(frags, full_frames(cfg, 4), p, cfg, training=False)
+        feats = [UtteranceFeatures(f, f"u{i}", "s") for i, f in enumerate(frags)]
+        _, want = forward_batch(frags, p, cfg, training=False)
         assert want.dtype == np.float64
         assert np.array_equal(embed_batch(feats, loaded, cfg), want.data)
 
@@ -816,7 +798,7 @@ from hvector.audio import UtteranceFeatures
 from hvector.model import embed_batch, load_checkpoint
 params, cfg = load_checkpoint(sys.argv[1])
 frags = np.load(sys.argv[2])
-feats = [UtteranceFeatures(f, f.shape[0] * f.shape[1]) for f in frags]
+feats = [UtteranceFeatures(f) for f in frags]
 np.save(sys.argv[3], embed_batch(feats, params, cfg))
 """
 

@@ -175,6 +175,13 @@ def _out_and_grads(op, inputs, probe):
 _ORACLE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
+def _term_err(got, want, size):
+    """Error over the largest of ``size``, the oracle run on the inputs'
+    absolute values: rounding scales with the terms of a sum, so where they
+    cancel, error over the sum itself can exceed one rounding."""
+    return np.max(np.abs(got - want)) / max(np.max(size), 1e-300)
+
+
 class TestOneGemmOracles:
     @settings(deadline=None)
     @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -188,15 +195,19 @@ class TestOneGemmOracles:
         g = rng.normal(size=(*lead, n)).astype(dtype)
         got = _out_and_grads(hv.matmul, (a, b), g)
         want = _stacked_matmul_ref(a, b, g)
-        for x, y in zip(got, want):
+        sizes = _stacked_matmul_ref(abs(a), abs(b), abs(g))
+        for x, y, size in zip(got, want, sizes):
             assert x.shape == y.shape and x.dtype == dtype
-            assert _rel_err(x, y) <= _ORACLE_TOL[dtype]
+            assert _term_err(x, y, size) <= _ORACLE_TOL[dtype]
 
     @settings(deadline=None)
     @given(batch=st.integers(0, 4), t=st.integers(1, 9), cin=st.integers(1, 5),
            cout=st.integers(1, 5), w=st.sampled_from([1, 3, 5]),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**32 - 1))
+    # the input gradient is five products that cancel: -0.00251043 against
+    # -0.00251046, 1.2e-5 of the sum but 2.1e-8 of the terms' magnitude
+    @example(batch=0, t=1, cin=1, cout=5, w=5, dtype=np.float32, seed=5)
     def test_conv1d_matches_per_tap(self, batch, t, cin, cout, w, dtype, seed):
         """batch 0 stands for the 2-D (T, C_in) input."""
         rng = np.random.default_rng(seed)
@@ -207,9 +218,10 @@ class TestOneGemmOracles:
         g = rng.normal(size=(*lead, t, cout)).astype(dtype)
         got = _out_and_grads(hv.conv1d, (x, k, bias), g)
         (out, gx), gk, gb = _per_tap_conv1d_ref(x, k, bias, g)
-        for x, y in zip(got, (out, gx, gk, gb)):
+        (s_out, s_gx), s_gk, s_gb = _per_tap_conv1d_ref(abs(x), abs(k), abs(bias), abs(g))
+        for x, y, size in zip(got, (out, gx, gk, gb), (s_out, s_gx, s_gk, s_gb)):
             assert x.shape == y.shape and x.dtype == dtype
-            assert _rel_err(x, y) <= _ORACLE_TOL[dtype]
+            assert _term_err(x, y, size) <= _ORACLE_TOL[dtype]
 
 
 def _gru_params(d, h, rng=None, zero=False):

@@ -40,9 +40,7 @@ def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
             frags = rng.standard_normal(
                 (cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim)) + offset
             feats.append(UtteranceFeatures(
-                fragments=frags,
-                n_frames=cfg.n_fragments * cfg.frames_per_fragment,
-                utterance_id=f"{spk}-{j}", speaker_id=spk))
+                fragments=frags, utterance_id=f"{spk}-{j}", speaker_id=spk))
     return feats
 
 
@@ -172,7 +170,6 @@ class TestFixedBatchDescent:
             rng.standard_normal((8, 10, cfg.frames_per_fragment, 20)) + 0.5,
             rng.standard_normal((8, 10, cfg.frames_per_fragment, 20)) - 0.5,
         ])
-        n_frames = np.full(16, 10 * cfg.frames_per_fragment)
         labels = np.array([0] * 8 + [1] * 8)
 
         # With β₁=0.95 > √β₂ the per-entry step can legitimately exceed lr
@@ -183,7 +180,7 @@ class TestFixedBatchDescent:
             params.zero_grads()
             before = {k: t.data.copy() for k, t in params.tensors.items()}
             with hv.record():
-                logits, _ = forward_batch(frags, n_frames, params, cfg, training=True)
+                logits, _ = forward_batch(frags, params, cfg, training=True)
                 loss = cross_entropy(logits, labels)
             hv.backward(loss)
             adam_step(params, state, tcfg)
@@ -203,9 +200,8 @@ def test_desk_training_step_tape_stays_small():
     params = build_params(cfg, seed=0)
     rng = np.random.default_rng(8)
     frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-    n_frames = np.full(8, cfg.n_fragments * cfg.frames_per_fragment)
     with hv.record() as graph:
-        logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+        logits, _ = forward_batch(frags, params, cfg, training=True,
                                   rng=np.random.default_rng(9))
         loss = cross_entropy(logits, np.arange(8) % 4)
     hv.backward(loss)
@@ -217,13 +213,12 @@ def test_finished_step_is_freed_without_the_cycle_collector():
     params = build_params(cfg, seed=0)
     rng = np.random.default_rng(8)
     frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-    n_frames = np.full(8, cfg.n_fragments * cfg.frames_per_fragment)
     # with the cycle collector off, only reference counting can free the step
     gc.disable()
     try:
         trace = {}
         with hv.record():
-            logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+            logits, _ = forward_batch(frags, params, cfg, training=True,
                                       rng=np.random.default_rng(9), trace=trace)
             loss = cross_entropy(logits, np.arange(8) % 4)
         hv.backward(loss)
@@ -243,14 +238,13 @@ def test_training_step_computes_in_the_parameters_dtype(mode, dtype):
     params = build_params(cfg, seed=0).astype(dtype)
     rng = np.random.default_rng(13)
     frags = rng.standard_normal((4, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-    n_frames = np.full(4, cfg.n_fragments * cfg.frames_per_fragment)
     with hv.record() as graph:
-        logits, _ = forward_batch(frags, n_frames, params, cfg, training=True,
+        logits, _ = forward_batch(frags, params, cfg, training=True,
                                   rng=np.random.default_rng(14))
         loss = cross_entropy(logits, np.arange(4) % 3)
     assert {node.out.dtype for node in graph.nodes} == {np.dtype(dtype)}
     # the features are cast before the first layer, not mixed into it
-    same, _ = forward_batch(frags.astype(dtype), n_frames, params, cfg, training=True,
+    same, _ = forward_batch(frags.astype(dtype), params, cfg, training=True,
                             rng=np.random.default_rng(14))
     assert np.array_equal(same.data, logits.data)
     hv.backward(loss)
@@ -424,19 +418,6 @@ class TestTrainLoop:
         assert history[-1].dev_acc >= 1.0
         assert len(history) < 30
 
-    def test_baseline_batches_group_by_frame_count(self):
-        cfg = tiny_config(n_speakers=2, mode="xvector")
-        rng = np.random.default_rng(10)
-        feats = toy_features(rng, cfg, 6, spread=2.0)
-        # two genuine lengths in one run: knock padding frames off half of them
-        for u in feats[::2]:
-            u.n_frames = cfg.n_fragments * cfg.frames_per_fragment - 3
-        tcfg = TrainConfig(lr=1e-3, epochs=1, seed=3, batch_size=4)
-        params, history = train(feats[:10], feats[10:], cfg, tcfg)
-        assert len(history) == 1
-        preds = predict(feats[10:], params, cfg)
-        assert preds.shape == (2,)
-
     @pytest.mark.parametrize("mode", ["hvector", "xvector"])
     def test_mixed_window_lengths_train_predict_and_embed(self, mode):
         cfg = tiny_config(n_speakers=2, mode=mode)
@@ -447,7 +428,6 @@ class TestTrainLoop:
         short = cfg.frames_per_fragment // 2
         for u in feats[::2]:
             u.fragments = u.fragments[:, :short].copy()
-            u.n_frames = cfg.n_fragments * short
         tcfg = TrainConfig(lr=1e-3, epochs=1, seed=3, batch_size=4)
         params, history = train(feats[:12], feats[12:], cfg, tcfg)
         assert len(history) == 1
@@ -457,7 +437,6 @@ class TestTrainLoop:
         for idx in (np.arange(0, len(feats), 2), np.arange(1, len(feats), 2)):
             group = [feats[i] for i in idx]
             logits, emb = forward_batch(np.stack([u.fragments for u in group]),
-                                        np.array([u.n_frames for u in group]),
                                         params, cfg)
             np.testing.assert_array_equal(preds[idx], np.argmax(logits.data, axis=1))
             np.testing.assert_allclose(table[idx], emb.data, rtol=0, atol=1e-12)
