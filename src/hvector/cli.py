@@ -36,8 +36,8 @@ from .audio import (
     window_utterances,
 )
 from .corpus import (
-    Manifest, ManifestEntry, check_synth_args, open_text, parse_setting, read_settings,
-    split, synth_corpus,
+    CLIP_FORK_FLOOR, Manifest, ManifestEntry, check_synth_args, open_text, parse_setting,
+    read_settings, split, synth_corpus,
 )
 from .model import MODES, ModelConfig, batches, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
@@ -275,35 +275,48 @@ def cmd_prepare(args) -> int:
     feat_dir = out_dir / "feats"
     feat_dir.mkdir(parents=True, exist_ok=True)
 
-    entries, failures, skipped = [], [], 0
-    for e in manifest.entries:
-        try:
-            clip = load_wav(e.path)
-            if clip.sample_rate != SAMPLE_RATE:
-                raise ValueError(f"{e.path}: sample rate {clip.sample_rate} "
-                                 f"not supported; expected {SAMPLE_RATE}")
-            windows = window_utterances(vad_filter(clip), cfg["len"])
-        except (ValueError, OSError) as exc:
-            failures.append(e.utterance_id)
-            print(f"error: {e.utterance_id}: {exc}", file=sys.stderr)
-            continue
-        if not windows:
-            skipped += 1
-            continue
-        for k, win in enumerate(windows):
-            utt_id = f"{e.utterance_id}-w{k:03d}"
-            feats = split_fragments(mfcc_frames(win), utt_id, e.speaker_id)
-            path = feat_dir / f"{utt_id}.hvt"
-            save_features(path, feats)
-            entries.append(ManifestEntry(utt_id, e.speaker_id, str(path),
-                                         feats.n_frames))
+    clips = manifest.entries
+
+    def prepare_share(share):
+        # per clip: its feature rows, or its error line
+        out = []
+        for e in map(clips.__getitem__, share):
+            try:
+                clip = load_wav(e.path)
+                if clip.sample_rate != SAMPLE_RATE:
+                    raise ValueError(f"{e.path}: sample rate {clip.sample_rate} "
+                                     f"not supported; expected {SAMPLE_RATE}")
+                windows = window_utterances(vad_filter(clip), cfg["len"])
+            except (ValueError, OSError) as exc:
+                out.append(f"error: {e.utterance_id}: {exc}")
+                continue
+            rows = []
+            for k, win in enumerate(windows):
+                utt_id = f"{e.utterance_id}-w{k:03d}"
+                feats = split_fragments(mfcc_frames(win), utt_id, e.speaker_id)
+                path = feat_dir / f"{utt_id}.hvt"
+                save_features(path, feats)
+                rows.append((utt_id, e.speaker_id, str(path), feats.n_frames))
+            out.append(rows)
+        return out
+
+    entries, failures, skipped = [], 0, 0
+    for share in hv.forked_map(prepare_share, len(clips), CLIP_FORK_FLOOR,
+                               f"{args.manifest}: the process preparing clips"):
+        for result in share:
+            if isinstance(result, str):
+                failures += 1
+                print(result, file=sys.stderr)
+            else:
+                skipped += not result
+                entries.extend(ManifestEntry(*row) for row in result)
     if not entries:
         raise CliError("no usable windows were produced from "
-                       f"{len(manifest)} clips ({len(failures)} failed)")
+                       f"{len(manifest)} clips ({failures} failed)")
     Manifest(entries).save(out_dir / "manifest.tsv")
     print(f"prepared {len(entries)} windows from "
-          f"{len(manifest) - len(failures) - skipped} clips "
-          f"({len(failures)} failed, {skipped} too short)")
+          f"{len(manifest) - failures - skipped} clips "
+          f"({failures} failed, {skipped} too short)")
     print(f"manifest: {out_dir / 'manifest.tsv'}")
     return 1 if failures else 0
 

@@ -1,7 +1,6 @@
 """Identification accuracy, verification EER, and an LDA/PLDA back-end."""
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -15,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import open_text
-from .tensor import atomic_write, worker_count
+from .tensor import atomic_write, forked_map
 
 __all__ = [
     "EmbeddingRecord", "Trial", "PldaModel",
@@ -534,24 +533,17 @@ def _csv_field(value) -> str:
 _FORK_FLOOR = 5_000
 _TARGET_ENDS = (",0\n", ",1\n")
 
-# Python 3.12 warns when a process forks while another thread runs, because
-# the child may wait on a lock that thread held; a writer child only formats
-# strings and writes its own file.  Only this module's forks are matched
-warnings.filterwarnings(
-    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
-    DeprecationWarning, module=rf"{__name__}\Z")
-
 
 def save_score_matrix(path, speakers, test_utterances, scores, targets):
     """The trials CSV of a (K, N) score matrix, row-major: the file
     `save_trials` writes for `make_trials`' list.
 
     Past _FORK_FLOOR trials per extra process, contiguous shares of the
-    enrolment rows are written at once by up to `worker_count()` processes:
-    this one writes the header and the first share, a forked child writes
-    each other share to a part file, and the parts are appended in order,
-    so the bytes never depend on the CPU count.  A child's failure is
-    raised here as an OSError."""
+    enrolment rows are written at once by `forked_map`'s processes: this one
+    writes the header and the first share, a forked child writes each other
+    share to a part file, and the parts are appended in order, so the bytes
+    never depend on the CPU count.  A child's failure is raised here as an
+    OSError."""
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=bool)
     if not scores.shape == targets.shape == (len(speakers), len(test_utterances)):
@@ -571,83 +563,29 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
             fh.write("".join(parts))
 
     n_rows, n_tests = scores.shape
-    writers = min(worker_count(), n_rows)
-    while writers > 1 and n_rows // writers * n_tests < _FORK_FLOOR:
-        writers -= 1
-    bounds = [n_rows * i // writers for i in range(writers + 1)]
-    shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_TRIALS_HEADER) + "\n")
-        _write_forked(fh, path, shares, write_rows)
+        part_dir = f"{fh.name}.parts"
 
-
-def _write_forked(fh, path, shares, write_rows):
-    """write_rows(fh, shares[0]) in this process while a forked child writes
-    each other share to a part file beside fh's, then append the parts to fh
-    in order; one share forks nothing.  Every child is reaped and every part
-    file removed on every path."""
-    parts = [f"{fh.name}.part{i}" for i in range(1, len(shares))]
-    children = []
-    try:
-        try:
-            for part, rows in zip(parts, shares[1:]):
-                children.append(_fork_writer(part, write_rows, rows))
-            write_rows(fh, shares[0])
-        finally:
-            failures = [_reap(*child, path) for child in children]
-        for failure in filter(None, failures):
-            raise OSError(failure)
-        fh.flush()
-        for part in parts:
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, fh.buffer)
-    finally:
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(part)
-
-
-def _fork_writer(part, write_rows, rows) -> tuple[int, int, range]:
-    """Fork a child that runs write_rows(file, rows) into a new file `part`
-    and exits; return its pid, the read end of a pipe that carries its error
-    message, if any, and rows."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(part, "w", encoding="utf-8", newline="") as fh:
+        def write_share(rows):
+            if rows.start == 0:
                 write_rows(fh, rows)
-            status = 0
-        except BaseException as exc:
-            with contextlib.suppress(BaseException):
-                os.write(write_end, str(exc).encode("utf-8", "replace"))
+                return None
+            part = os.path.join(part_dir, str(rows.start))
+            with open(part, "w", encoding="utf-8", newline="") as out:
+                write_rows(out, rows)
+            return part
+
+        os.mkdir(part_dir)
+        try:
+            parts = forked_map(write_share, n_rows, -(-_FORK_FLOOR // max(n_tests, 1)),
+                               f"{path}: the process writing enrolment rows")
+            fh.flush()
+            for part in parts[1:]:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
         finally:
-            # leave without unwinding the caller's stack or flushing the
-            # buffers this process inherited from it, stdout's among them
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end, rows
-
-
-def _reap(pid, read_end, rows, path) -> str | None:
-    """Wait for a writer child; its failure as one line, or None."""
-    with os.fdopen(read_end, "rb") as pipe:
-        message = pipe.read().decode("utf-8", "replace")
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    if message:
-        return message
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return (f"{path}: the process writing enrolment rows "
-            f"{rows.start + 1}-{rows.stop} {how}")
+            shutil.rmtree(part_dir, ignore_errors=True)
 
 
 def load_trials(path) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,9 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
 import struct
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -848,6 +850,86 @@ def worker_count() -> int:
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), 4)
+
+
+# Python 3.12 warns when a process forks while another thread runs, such as
+# the BiGRU's worker after `train`, because the child may wait on a lock
+# that thread held; a forked_map child runs numpy and file I/O only, and
+# leaves through os._exit.  Only this module's forks are matched
+warnings.filterwarnings(
+    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+    DeprecationWarning, module=rf"{__name__}\Z")
+
+
+def forked_map(fn, n: int, floor: int, what: str) -> list:
+    """[fn(share) for share in shares]: range(n) split into contiguous
+    shares, one per process, at most worker_count() and only as many as
+    give each extra process `floor` items or more.
+
+    This process runs the first share while a forked child runs each other
+    one and sends back its pickled result.  Every child is reaped on every
+    path; a child's failure is raised here as one OSError, its error text
+    or `what` followed by its items, 1-based, and how it ended."""
+    workers = max(1, min(worker_count(), n))
+    while workers > 1 and n // workers < floor:
+        workers -= 1
+    bounds = [n * i // workers for i in range(workers + 1)]
+    shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append((_fork_child(fn, share), share))
+        results = [fn(shares[0])]
+    finally:
+        outcomes = [_reap_child(pid, read_end) for (pid, read_end), _ in children]
+    for (code, data), (_, share) in zip(outcomes, children):
+        if code == 0:
+            results.append(pickle.loads(data))
+        elif code > 0 and data:
+            raise OSError(data.decode("utf-8", "replace"))
+        else:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise OSError(f"{what} {share.start + 1}-{share.stop} {how}")
+    return results
+
+
+def _fork_child(fn, share) -> tuple[int, int]:
+    """Fork a child that writes pickle(fn(share)) to a pipe and exits 0, or
+    writes its error text and exits 1; return its pid and the read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                data, ok = pickle.dumps(fn(share)), True
+            except BaseException as exc:
+                data, ok = str(exc).encode("utf-8", "replace"), False
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0 if ok else 1
+        finally:
+            # leave without unwinding the caller's stack or flushing the
+            # buffers this process inherited from it, stdout's among them
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap_child(pid, read_end) -> tuple[int, bytes]:
+    """Read a child's pipe to EOF and wait for it: (exit code, bytes)."""
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code, data
 
 
 def _threaded() -> bool:

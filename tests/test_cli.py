@@ -17,10 +17,12 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 import wave
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -689,20 +691,20 @@ class TestForkedTrialsWriter:
                                            ("parent", "raise")])
     def test_failed_writer_leaves_nothing(self, tmp_path, monkeypatch, where, how):
         enrol, evals = _verification_csvs(tmp_path, 4, 2, 2, 3, seed=0)
-        write_forked, parent = scoring._write_forked, os.getpid()
+        forked_map, parent = hv.forked_map, os.getpid()
 
-        def failing_write_forked(fh, path, shares, write_rows):
-            def rows_or_fail(out, rows):
+        def failing_forked_map(fn, n, floor, what):
+            def share_or_fail(rows):
                 if (os.getpid() == parent) == (where == "parent"):
                     if how == "kill":
                         os.kill(os.getpid(), signal.SIGKILL)
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                write_rows(out, rows)
-            write_forked(fh, path, shares, rows_or_fail)
+                return fn(rows)
+            return forked_map(share_or_fail, n, floor, what)
 
-        monkeypatch.setattr(scoring, "worker_count", lambda: 2)
+        monkeypatch.setattr(hv, "worker_count", lambda: 2)
         monkeypatch.setattr(scoring, "_FORK_FLOOR", 1)
-        monkeypatch.setattr(scoring, "_write_forked", failing_write_forked)
+        monkeypatch.setattr(scoring, "forked_map", failing_forked_map)
         out = tmp_path / "ver"
         code, _, err = run_cli("score-ver", "--enrol", str(enrol), "--eval", str(evals),
                                "--out", str(out), "--set", "backend=cosine")
@@ -749,7 +751,7 @@ class TestForkedTrialsWriter:
                          (cwd / "ver/eer.txt").read_bytes())
         pinned, unpinned = runs.values()
         # the unpinned run forks one writer per usable CPU after the first
-        assert (pinned[0], unpinned[0]) == ("forks=0", f"forks={scoring.worker_count() - 1}")
+        assert (pinned[0], unpinned[0]) == ("forks=0", f"forks={hv.worker_count() - 1}")
         assert pinned[1:] == unpinned[1:]
 
     def test_fork_beside_a_live_thread(self, tmp_path):
@@ -772,19 +774,19 @@ class TestForkedTrialsWriter:
             hv.bigru_sequence(hv.Tensor(rng.normal(size=(2, 5, 3))), params, params)
             assert any(t.name.startswith("hvector-gru") for t in threading.enumerate())
 
-            # the message Python 3.12's os.fork gives here, from scoring's
+            # the message Python 3.12's os.fork gives here, from forked_map's
             # fork, is ignored on every Python version
             warnings.warn_explicit(
                 f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
                 "may lead to deadlocks in the child.", DeprecationWarning,
-                scoring.__file__, 1, module=scoring.__name__)
+                hv.__file__, 1, module=hv.__name__)
 
             scoring._FORK_FLOOR = 1
             forks = []
             os.register_at_fork(before=lambda: forks.append(1))
             results = []
             for workers in (1, 3):
-                scoring.worker_count = lambda: workers
+                hv.worker_count = lambda: workers
                 for backend in ("cosine", "plda"):
                     out = f"{backend}{workers}"
                     err = io.StringIO()
@@ -803,6 +805,181 @@ class TestForkedTrialsWriter:
                                script, str(enrol), str(evals)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def _tree(root) -> dict:
+    """Every file under root, by relative path: its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def _synth_and_prepare(cwd, workers, speakers, utts, manifest=None):
+    """`synth` then `prepare` (0.2 s clips, 0.115 s windows) in cwd with
+    `workers` usable CPUs, on relative paths; each command's (exit status,
+    stdout, stderr) and the forks made.  `manifest`, if given, gets the
+    corpus Manifest and may rewrite its file before `prepare` reads it."""
+    os.makedirs(cwd)
+    with _chdir(cwd), \
+            mock.patch.object(hv, "worker_count", return_value=workers), \
+            mock.patch.object(hv.os, "fork", wraps=os.fork) as fork:
+        runs = [run_cli("synth", "--out", "corpus", "--speakers", str(speakers),
+                        "--utts", str(utts), "--dur", "0.2", "--seed", "3")]
+        if manifest is not None:
+            manifest(Manifest.load("corpus/manifest.tsv"))
+        runs.append(run_cli("prepare", "--manifest", "corpus/manifest.tsv",
+                            "--out", "feats", "--len", "0.115"))
+    return runs, fork.call_count
+
+
+@contextlib.contextmanager
+def _chdir(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+class TestForkedClipStages:
+    """`synth` and `prepare` on forked_map's processes, held to one process."""
+
+    # (speakers, utts, usable CPUs, processes per stage): the floor is 32
+    # clips per extra process
+    @pytest.mark.parametrize("speakers,utts,workers,processes", [
+        (3, 21, 2, 1), (2, 32, 2, 2), (2, 32, 4, 2), (5, 19, 3, 2), (3, 32, 3, 3),
+        (127, 1, 4, 3), (4, 32, 4, 4),
+    ])
+    def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, speakers, utts,
+                                                     workers, processes):
+        assert cli.CLIP_FORK_FLOOR == 32
+        serial, forks = _synth_and_prepare(tmp_path / "one", 1, speakers, utts)
+        assert forks == 0
+        assert [code for code, _, _ in serial] == [0, 0]
+        forked, forks = _synth_and_prepare(tmp_path / "all", workers, speakers, utts)
+        assert forks == 2 * (processes - 1)
+        assert forked == serial
+        assert _tree(tmp_path / "all") == _tree(tmp_path / "one")
+        assert f"from {speakers * utts} clips (0 failed, 0 too short)" in serial[1][1]
+
+    @settings(max_examples=8, deadline=None)
+    @given(bad=st.sets(st.integers(0, 63), min_size=1, max_size=5))
+    @example(bad={0, 31, 32, 63})       # both ends of both shares
+    def test_unreadable_clips_are_reported_in_manifest_order(self, bad):
+        def break_clips(manifest):
+            for k in bad:
+                manifest.entries[k].path = f"empty-{k}.wav"
+                Path(f"empty-{k}.wav").write_bytes(b"")
+            manifest.save("corpus/manifest.tsv")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            serial, _ = _synth_and_prepare(f"{tmp}/one", 1, 2, 32, break_clips)
+            forked, forks = _synth_and_prepare(f"{tmp}/all", 2, 2, 32, break_clips)
+            assert forks == 2
+            assert forked == serial
+            assert _tree(f"{tmp}/all") == _tree(f"{tmp}/one")
+        code, out, err = serial[1]
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: s3_{k // 32:03d}-u{k % 32:03d}: empty-{k}.wav: truncated WAV header"
+            for k in sorted(bad)]
+        assert f"({len(bad)} failed, 0 too short)" in out
+
+    @pytest.mark.parametrize("stage", ["synth", "prepare"])
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_a_failed_child_stops_the_stage(self, tmp_path, monkeypatch, stage, how):
+        parent = os.getpid()
+        module, name = (hvector.corpus, "save_wav") if stage == "synth" else (cli, "save_features")
+        write = getattr(module, name)
+
+        def write_or_fail(path, *args):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(path, *args)
+
+        if stage == "prepare":
+            assert run_cli("synth", "--out", str(tmp_path / "corpus"), "--speakers", "2",
+                           "--utts", "32", "--dur", "0.2")[0] == 0
+        monkeypatch.setattr(hv, "worker_count", lambda: 2)
+        monkeypatch.setattr(module, name, write_or_fail)
+        if stage == "synth":
+            out = tmp_path / "corpus"
+            code, _, err = run_cli("synth", "--out", str(out), "--speakers", "2",
+                                   "--utts", "32", "--dur", "0.2")
+            doing = f"{out}: the process rendering clips"
+        else:
+            out, manifest = tmp_path / "feats", str(tmp_path / "corpus/manifest.tsv")
+            code, _, err = run_cli("prepare", "--manifest", manifest, "--out", str(out),
+                                   "--len", "0.115")
+            doing = f"{manifest}: the process preparing clips"
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {doing} 33-64 was killed by signal {signal.SIGKILL.value}"
+            if how == "kill" else f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert not (out / "manifest.tsv").exists()
+        with pytest.raises(ChildProcessError):      # no child left unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forks_after_train_beside_a_live_thread(self, tmp_path):
+        # `synth` and `prepare` fork after `train` in one process, with the
+        # BiGRU's worker thread alive, under -W error::DeprecationWarning:
+        # Python 3.12 warns about such a fork, and only forked_map's is
+        # ignored.  stdout is a pipe, so a child that flushed the buffer it
+        # inherited would print its lines twice
+        script = textwrap.dedent("""
+            import os, sys, threading, warnings
+            import hvector.tensor as hv
+            from hvector.cli import main
+
+            hv._THREADED = True
+            for argv in (["synth", "--out", "c", "--speakers", "2", "--utts", "4"],
+                         ["prepare", "--manifest", "c/manifest.tsv", "--out", "f"],
+                         ["train", "--manifest", "f/manifest.tsv", "--out", "r",
+                          "--set", "preset=desk", "--epochs", "1"]):
+                assert main(argv) == 0
+            assert any(t.name.startswith("hvector-gru") for t in threading.enumerate())
+            sys.stdout.flush()
+            print("trained")
+
+            forks = []
+            os.register_at_fork(before=lambda: forks.append(1))
+            hv.worker_count = lambda: 2
+            for argv in (["synth", "--out", "h", "--speakers", "2", "--utts", "32",
+                          "--dur", "0.2"],
+                         ["prepare", "--manifest", "h/manifest.tsv", "--out", "hf",
+                          "--len", "0.115"]):
+                assert main(argv) == 0
+            assert len(forks) == 2, forks
+
+            message = (f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                       "fork() may lead to deadlocks in the child.")
+            warnings.warn_explicit(message, DeprecationWarning, hv.__file__, 1,
+                                   module=hv.__name__)
+            try:        # another module's fork still warns
+                warnings.warn_explicit(message, DeprecationWarning, "elsewhere.py", 1,
+                                       module="elsewhere")
+            except DeprecationWarning:
+                print("ok")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(hvector.__file__).resolve().parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)       # stdout must hold what a child could flush
+        done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c",
+                               script], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "ok"
+        after = lines[lines.index("trained") + 1:-1]
+        assert after == [
+            "config synth.dur=0.2", "config synth.out=h", "config synth.seed=0",
+            "config synth.speakers=2", "config synth.utts=32",
+            "wrote 64 utterances for 2 speakers under h", "manifest: h/manifest.tsv",
+            "config prepare.len=0.115", "config prepare.manifest=h/manifest.tsv",
+            "config prepare.out=hf",
+            "prepared 128 windows from 64 clips (0 failed, 0 too short)",
+            "manifest: hf/manifest.tsv"]
 
 
 _SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hvector.scoring as scoring
+import hvector.tensor as hv
 from hvector.scoring import (
     EmbeddingRecord,
     PldaModel,
@@ -483,7 +484,7 @@ class TestScoreMatrix:
 def _save_matrix(path, *args, workers, floor=1) -> int:
     """save_score_matrix with `workers` usable CPUs and a fork floor of
     `floor` trials; returns how many writer processes it forked."""
-    with mock.patch.object(scoring, "worker_count", return_value=workers), \
+    with mock.patch.object(hv, "worker_count", return_value=workers), \
             mock.patch.object(scoring, "_FORK_FLOOR", floor), \
             mock.patch.object(scoring.os, "fork", wraps=os.fork) as fork:
         save_score_matrix(path, *args)

@@ -1,5 +1,6 @@
 """Tensor core: op semantics, tape replay, and finite-difference checks."""
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import warnings
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +448,67 @@ class TestBigruSequence:
         done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+class TestForkedMap:
+    """forked_map: contiguous shares, results in share order, one error path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 20), workers=st.integers(1, 4), floor=st.integers(1, 6))
+    @example(n=0, workers=4, floor=1)
+    @example(n=3, workers=4, floor=1)       # fewer items than workers
+    def test_shares_cover_the_items_in_order(self, n, workers, floor):
+        parent = os.getpid()
+        with mock.patch.object(hv, "worker_count", return_value=workers), \
+                mock.patch.object(hv.os, "fork", wraps=os.fork) as fork:
+            results = hv.forked_map(lambda share: (list(share), os.getpid() == parent),
+                                    n, floor, "items")
+        # the largest process count, up to `workers`, that gives each process
+        # `floor` items; one process when none does
+        expected = max([w for w in range(1, min(workers, n) + 1) if n // w >= floor],
+                       default=1)
+        assert fork.call_count == len(results) - 1 == expected - 1
+        assert [here for _, here in results] == [True] + [False] * (expected - 1)
+        shares = [items for items, _ in results]
+        assert sum(shares, []) == list(range(n))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+    @pytest.mark.parametrize("how", ["raise", "kill", "exit"])
+    def test_a_failed_child_is_one_os_error(self, how):
+        parent = os.getpid()
+
+        def fn(share):
+            if os.getpid() != parent and share.start == 6:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if how == "exit":
+                    os._exit(3)
+                raise ValueError("no good")
+            return len(share)
+
+        with mock.patch.object(hv, "worker_count", return_value=3):
+            with pytest.raises(OSError) as err:
+                hv.forked_map(fn, 9, 1, "the process doing items")
+        assert str(err.value) == {
+            "raise": "no good",
+            "kill": f"the process doing items 7-9 was killed by signal {signal.SIGKILL.value}",
+            "exit": "the process doing items 7-9 exited with status 3"}[how]
+        with pytest.raises(ChildProcessError):      # no child left unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failure_here_still_reaps_every_child(self):
+        parent = os.getpid()
+
+        def fn(share):
+            if os.getpid() == parent:
+                raise KeyError("here")
+            return list(share)
+
+        with mock.patch.object(hv, "worker_count", return_value=4):
+            with pytest.raises(KeyError):
+                hv.forked_map(fn, 8, 1, "items")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSoftmax:
