@@ -59,11 +59,6 @@ class UtteranceFeatures:
     utterance_id: str = ""
     speaker_id: str = ""
 
-    @property
-    def n_frames(self) -> int:
-        """Frames the fragments hold: N_FRAGMENTS x M."""
-        return self.fragments.shape[0] * self.fragments.shape[1]
-
 
 def load_wav(path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file; anything else is rejected."""

@@ -68,24 +68,34 @@ class CliError(Exception):
     """User-facing failure: printed as `error: ...`, exit status 1."""
 
 
-# --- feature archives -------------------------------------------------------
+# --- feature stores ---------------------------------------------------------
 
-def save_features(path, utt: UtteranceFeatures):
-    hv.save_archive(path, {"fragments": utt.fragments, "n_frames": float(utt.n_frames)})
+def save_features(path, utts):
+    """One feature store: every window's fragments stacked, row k holding utts[k]'s."""
+    hv.save_archive(path, {"fragments": np.stack([u.fragments for u in utts])})
 
 
-def load_features(path, utterance_id: str = "", speaker_id: str = "") -> UtteranceFeatures:
-    """The fragments of an archive's first n_frames frames, cut anew, so an
-    archive whose last fragment was zero padded loads as one without."""
-    arrays = hv.load_archive(path)
-    frags, n_frames = arrays.get("fragments"), arrays.get("n_frames")
-    if not (getattr(frags, "ndim", 0) == 3 and np.isfinite(frags).all()
-            and getattr(n_frames, "shape", None) == ()
-            and N_FRAGMENTS <= n_frames <= frags.shape[0] * frags.shape[1]
-            and float(n_frames).is_integer()):
-        raise ValueError(f"{path}: not a feature archive: needs a finite 3-D fragments array "
-                         f"and an integer n_frames in [{N_FRAGMENTS}, fragments x frames]")
-    return split_fragments(np.concatenate(frags)[:int(n_frames)], utterance_id, speaker_id)
+def load_features(entries) -> list[UtteranceFeatures]:
+    """Each manifest entry's window: a view of row `row` of the store at
+    `path`.  Each store is read and checked once, however many rows are taken."""
+    stores, feats = {}, []
+    for e in entries:
+        if e.path not in stores:
+            if not Path(e.path).exists():
+                raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
+            frags = hv.load_archive(e.path).get("fragments")
+            if not (getattr(frags, "ndim", 0) == 4 and frags.shape[1] == N_FRAGMENTS
+                    and frags.shape[2] > 0 and np.isfinite(frags).all()):
+                raise ValueError(
+                    f"{e.path}: not a feature store of finite (windows, {N_FRAGMENTS}, frames, "
+                    "coefficients) fragments, as `hvector prepare` writes; rerun it "
+                    "(per-window feature files are no longer read)")
+            stores[e.path] = frags
+        frags = stores[e.path]
+        if not 0 <= e.row < len(frags):
+            raise ValueError(f"{e.path}: no row {e.row}: the store holds {len(frags)} windows")
+        feats.append(UtteranceFeatures(frags[e.row], e.utterance_id, e.speaker_id))
+    return feats
 
 
 # --- config resolution ------------------------------------------------------
@@ -230,15 +240,6 @@ def _load_manifest(path, hint: str) -> Manifest:
     return manifest
 
 
-def _load_feature_set(manifest: Manifest) -> list:
-    feats = []
-    for e in manifest.entries:
-        if not Path(e.path).exists():
-            raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
-        feats.append(load_features(e.path, e.utterance_id, e.speaker_id))
-    return feats
-
-
 def _load_ckpt(path):
     try:
         return load_checkpoint(path)
@@ -272,13 +273,12 @@ def cmd_prepare(args) -> int:
     manifest = _load_manifest(args.manifest, "run `hvector synth` first")
     out_dir = Path(args.out)
     _guard_outputs([out_dir], args.force)
-    feat_dir = out_dir / "feats"
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     clips = manifest.entries
 
     def prepare_share(share):
-        # per clip: its feature rows, or its error line
+        # per clip: its windows' features, or its error line
         out = []
         for e in map(clips.__getitem__, share):
             try:
@@ -290,17 +290,13 @@ def cmd_prepare(args) -> int:
             except (ValueError, OSError) as exc:
                 out.append(f"error: {e.utterance_id}: {exc}")
                 continue
-            rows = []
-            for k, win in enumerate(windows):
-                utt_id = f"{e.utterance_id}-w{k:03d}"
-                feats = split_fragments(mfcc_frames(win), utt_id, e.speaker_id)
-                path = feat_dir / f"{utt_id}.hvt"
-                save_features(path, feats)
-                rows.append((utt_id, e.speaker_id, str(path), feats.n_frames))
-            out.append(rows)
+            out.append([split_fragments(mfcc_frames(win), f"{e.utterance_id}-w{k:03d}",
+                                        e.speaker_id) for k, win in enumerate(windows)])
         return out
 
-    entries, failures, skipped = [], 0, 0
+    # this process alone writes the store, so its bytes do not depend on
+    # how many processes made the windows
+    utts, failures, skipped = [], 0, 0
     for share in hv.forked_map(prepare_share, len(clips), CLIP_FORK_FLOOR,
                                f"{args.manifest}: the process preparing clips"):
         for result in share:
@@ -309,12 +305,15 @@ def cmd_prepare(args) -> int:
                 print(result, file=sys.stderr)
             else:
                 skipped += not result
-                entries.extend(ManifestEntry(*row) for row in result)
-    if not entries:
+                utts += result
+    if not utts:
         raise CliError("no usable windows were produced from "
                        f"{len(manifest)} clips ({failures} failed)")
-    Manifest(entries).save(out_dir / "manifest.tsv")
-    print(f"prepared {len(entries)} windows from "
+    store = out_dir / "features.hvt"
+    save_features(store, utts)
+    Manifest([ManifestEntry(u.utterance_id, u.speaker_id, str(store), row)
+              for row, u in enumerate(utts)]).save(out_dir / "manifest.tsv")
+    print(f"prepared {len(utts)} windows from "
           f"{len(manifest) - failures - skipped} clips "
           f"({failures} failed, {skipped} too short)")
     print(f"manifest: {out_dir / 'manifest.tsv'}")
@@ -333,8 +332,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
-    train_feats = _load_feature_set(train_man)
-    dev_feats = _load_feature_set(dev_man)
+    feats = load_features(train_man.entries + dev_man.entries)
+    train_feats, dev_feats = feats[:len(train_man)], feats[len(train_man):]
 
     n_speakers = len(manifest.speakers())
     frames_per_fragment = train_feats[0].fragments.shape[1]
@@ -368,7 +367,7 @@ def cmd_embed(args) -> int:
     _guard_outputs([out_path], args.force)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    feats = _load_feature_set(manifest)
+    feats = load_features(manifest.entries)
     vectors = embed_batch(feats, params, model_cfg, cfg["batch_size"])
     records = [EmbeddingRecord(u.utterance_id, u.speaker_id, vectors[i])
                for i, u in enumerate(feats)]
@@ -382,7 +381,7 @@ def cmd_score_id(args) -> int:
     echo_config("score-id", cfg, {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     params, model_cfg = _load_ckpt(args.ckpt)
-    feats = _load_feature_set(manifest)
+    feats = load_features(manifest.entries)
     indices = predict(feats, params, model_cfg, cfg["batch_size"])
     predicted = [params.speakers[i] for i in indices]
     acc = accuracy(predicted, [u.speaker_id for u in feats])

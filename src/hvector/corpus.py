@@ -85,7 +85,7 @@ class ManifestEntry:
     utterance_id: str
     speaker_id: str
     path: str
-    n_frames: int = 0
+    row: int = 0    # the window's row in the feature store at path; 0 for a WAV
 
 
 @dataclass
@@ -107,7 +107,7 @@ class Manifest:
     def save(self, path):
         with atomic_write(path, "w", encoding="utf-8") as fh:
             for e in self.entries:
-                fh.write(f"{e.utterance_id}\t{e.speaker_id}\t{e.path}\t{e.n_frames}\n")
+                fh.write(f"{e.utterance_id}\t{e.speaker_id}\t{e.path}\t{e.row}\n")
 
     @classmethod
     def load(cls, path, check_paths: bool = True) -> "Manifest":
@@ -120,16 +120,18 @@ class Manifest:
                 parts = line.split("\t")
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-                utt, spk, p, n_frames = parts
+                utt, spk, p, row = parts
                 # os.path.exists: False, not OSError, for a name too long to stat
                 if check_paths and not os.path.exists(p):
                     raise FileNotFoundError(f"{path}:{lineno}: missing file {p}")
                 try:
-                    n_frames = int(n_frames)
+                    index = int(row)
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: n_frames {n_frames!r} "
-                                     "is not an integer") from None
-                entries.append(ManifestEntry(utt, spk, p, n_frames))
+                    index = -1
+                if index < 0:
+                    raise ValueError(f"{path}:{lineno}: row {row!r} "
+                                     "is not a non-negative integer")
+                entries.append(ManifestEntry(utt, spk, p, index))
         return cls(entries)
 
 

@@ -1051,7 +1051,7 @@ def _write_value(fh, value):
     fh.write(struct.pack("<q", arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<q", dim))
-    fh.write(arr.tobytes())
+    fh.write(np.ascontiguousarray(arr).reshape(-1).view(np.uint8).data)   # no copy
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -1098,11 +1098,14 @@ def _read_value(fh, name: str):
     if nbytes > left:
         raise ValueError(f"{fh.name}: truncated tensor file: shape {shape} needs "
                          f"{nbytes} bytes, {left} left")
-    data = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype)
     try:
-        return data.reshape(shape).copy()
+        data = np.empty(shape, dtype)
     except ValueError as exc:  # an empty shape whose other dims overflow numpy
         raise ValueError(f"{fh.name}: implausible tensor shape {shape}: {exc}") from None
+    # read straight into the array: a feature store is megabytes
+    if fh.readinto(data.reshape(-1).view(np.uint8)) != nbytes:
+        raise IOError(f"{fh.name}: truncated tensor file: wanted {nbytes} bytes")
+    return data
 
 
 @contextmanager

@@ -199,7 +199,7 @@ class TestWindowing:
     def test_shortest_window_splits_into_fragments(self):
         wins = audio.window_utterances(AudioClip(tone(440, 1.0)), 0.115)
         assert len(wins) == 16 and all(len(w.samples) == 920 for w in wins)
-        assert audio.split_fragments(audio.mfcc_frames(wins[0])).n_frames == 10
+        assert audio.split_fragments(audio.mfcc_frames(wins[0])).fragments.shape == (10, 1, 20)
 
     def test_count_formula(self):
         rng = np.random.default_rng(1)
@@ -270,7 +270,6 @@ class TestFragments:
         frames = np.random.default_rng(4).normal(size=(298, 20))
         uf = audio.split_fragments(frames)
         assert uf.fragments.shape == (10, 29, 20)
-        assert uf.n_frames == 290
         np.testing.assert_array_equal(uf.fragments[9, -1], frames[289])
 
     def test_98_frames(self):

@@ -37,7 +37,7 @@ from hvector.audio import AudioClip, save_wav, split_fragments
 from hvector.cli import (
     _SCHEMAS, CliError, load_features, main, resolve_config, save_features,
 )
-from hvector.corpus import Manifest, split
+from hvector.corpus import Manifest, ManifestEntry, split
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
     EmbeddingRecord,
@@ -159,12 +159,14 @@ class TestPrepare:
         # 3 s at half-window overlap -> 5 windows per clip
         assert len(manifest) == 2 * 3 * 5
         assert "prepared 30 windows from 6 clips (0 failed, 0 too short)" in out
+        # one store, whatever the clip count, and the manifest addresses its rows
+        assert sorted(p.name for p in feats.iterdir()) == ["features.hvt", "manifest.tsv"]
+        assert [(e.path, e.row) for e in manifest.entries] == \
+            [(str(feats / "features.hvt"), row) for row in range(30)]
         # a 1 s window is 98 frames: 10 fragments of 9, the last 8 dropped
-        entry = manifest.entries[0]
-        assert entry.n_frames == 90
-        utt = load_features(entry.path, entry.utterance_id, entry.speaker_id)
+        utt, = load_features(manifest.entries[:1])
         assert utt.fragments.shape == (10, 9, 20)
-        assert utt.n_frames == 90
+        assert (utt.utterance_id, utt.speaker_id) == ("s2_000-u000-w000", "s2_000")
 
     def test_per_file_failure_continues(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -214,7 +216,8 @@ class TestPrepare:
                                  "--out", str(feats), "--len", "0.115")
         assert code == 0, err
         entries = Manifest.load(feats / "manifest.tsv").entries
-        assert entries and all(e.n_frames == 10 for e in entries)
+        assert entries
+        assert all(u.fragments.shape == (10, 1, 20) for u in load_features(entries))
 
     def test_empty_manifest_is_an_error(self, tmp_path):
         empty = tmp_path / "manifest.tsv"
@@ -240,7 +243,7 @@ class TestPrepare:
                 "--out", str(feats))
         assert run_cli(*args)[0] == 0
         manifest_bytes = (feats / "manifest.tsv").read_bytes()
-        feat_file = sorted((feats / "feats").iterdir())[0]
+        feat_file = feats / "features.hvt"
         feat_bytes = feat_file.read_bytes()
 
         assert run_cli(*args)[0] == 1  # refuses without --force
@@ -377,7 +380,7 @@ class TestEmbed:
         short.write_bytes(raw[:-16])
         bad_manifest = tmp_path / "manifest.tsv"
         bad_manifest.write_text(
-            f"{entry.utterance_id}\t{entry.speaker_id}\t{short}\t{entry.n_frames}\n")
+            f"{entry.utterance_id}\t{entry.speaker_id}\t{short}\t{entry.row}\n")
         code, _, err = run_cli("embed", "--manifest", str(bad_manifest),
                                "--ckpt", str(pipeline["ckpt"]),
                                "--out", str(tmp_path / "emb.csv"))
@@ -428,7 +431,7 @@ class TestScoreId:
         # that accuracy is 1 with the checkpoint's labels and 0 with any
         # derangement of them
         manifest = Manifest.load(pipeline["feats_manifest"], check_paths=False)
-        feats = [load_features(e.path) for e in manifest.entries]
+        feats = load_features(manifest.entries)
         predicted = [params.speakers[i] for i in predict(feats, params, cfg)]
         relabelled = tmp_path / "predicted.tsv"
         Manifest([dataclasses.replace(e, speaker_id=s)
@@ -889,21 +892,22 @@ class TestForkedClipStages:
     @pytest.mark.parametrize("how", ["raise", "kill"])
     def test_a_failed_child_stops_the_stage(self, tmp_path, monkeypatch, stage, how):
         parent = os.getpid()
-        module, name = (hvector.corpus, "save_wav") if stage == "synth" else (cli, "save_features")
-        write = getattr(module, name)
+        # a function each child calls: prepare's parent alone writes the store
+        module, name = (hvector.corpus, "save_wav") if stage == "synth" else (cli, "mfcc_frames")
+        work = getattr(module, name)
 
-        def write_or_fail(path, *args):
+        def work_or_fail(*args):
             if os.getpid() != parent:
                 if how == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            write(path, *args)
+            return work(*args)
 
         if stage == "prepare":
             assert run_cli("synth", "--out", str(tmp_path / "corpus"), "--speakers", "2",
                            "--utts", "32", "--dur", "0.2")[0] == 0
         monkeypatch.setattr(hv, "worker_count", lambda: 2)
-        monkeypatch.setattr(module, name, write_or_fail)
+        monkeypatch.setattr(module, name, work_or_fail)
         if stage == "synth":
             out = tmp_path / "corpus"
             code, _, err = run_cli("synth", "--out", str(out), "--speakers", "2",
@@ -1107,10 +1111,12 @@ def _case_undecodable_config(p):
         f"{config}:2: not UTF-8 text"
 
 
-def _case_bad_n_frames(p):
-    p["manifest"].write_text("a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\tmany\n")
-    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
-        f"{p['manifest']}:2: n_frames 'many' is not an integer"
+def _case_bad_row(row):
+    def case(p):
+        p["manifest"].write_text(f"a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\t{row}\n")
+        return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
+            f"{p['manifest']}:2: row {row!r} is not a non-negative integer"
+    return case
 
 
 def _case_empty_wav(p):
@@ -1142,15 +1148,11 @@ def _case_batch_size(command, pair):
 
 
 def _case_training_diverges(p):
+    store = p["dir"] / "features.hvt"
     rng = np.random.default_rng(0)
-    lines = []
-    for s in "ab":
-        for j in range(3):
-            path = p["dir"] / f"{s}-u{j}.hvt"
-            hv.save_archive(path, {"fragments": rng.standard_normal((10, 10, 20)),
-                                   "n_frames": 100.0})
-            lines.append(f"{s}-u{j}\t{s}\t{path}\t100\n")
-    p["manifest"].write_text("".join(lines))
+    hv.save_archive(store, {"fragments": rng.standard_normal((6, 10, 10, 20))})
+    p["manifest"].write_text("".join(f"{s}-u{j}\t{s}\t{store}\t{3 * i + j}\n"
+                                     for i, s in enumerate("ab") for j in range(3)))
     return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run",
             "--epochs", "2", "--set", "lr=1e300"), "training diverged at lr=1e+300"
 
@@ -1187,7 +1189,8 @@ _BOUNDARY_CASES = {
         "config", np.ones(3), "checkpoint record config should be text"),
     "checkpoint config record is empty": _case_checkpoint_record(
         "config", "", "missing config key 'n_speakers'"),
-    "manifest n_frames is not an integer": _case_bad_n_frames,
+    "manifest row is not an integer": _case_bad_row("many"),
+    "manifest row is negative": _case_bad_row("-1"),
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
     "--config is not UTF-8": _case_undecodable_config,
@@ -1294,75 +1297,134 @@ def test_refused_score_ver_creates_no_output_directory(tmp_path):
     assert not out_dir.exists()
 
 
-_FRAGMENTS = np.zeros((10, 10, 20))
+_STORE = np.zeros((2, 10, 3, 20))
 
 
-def _fragments_with(value):
-    frags = _FRAGMENTS.copy()
-    frags[3, 4, 5] = value
+def _store_with(value):
+    frags = _STORE.copy()
+    frags[1, 3, 2, 5] = value
     return frags
 
 
-# name -> feature archive records, each refused with one error naming the file
-_BAD_FEATURE_ARCHIVES = {
-    "n_frames is not a scalar": {"fragments": _FRAGMENTS, "n_frames": np.array([98.0, 1.0])},
-    "n_frames is negative": {"fragments": _FRAGMENTS, "n_frames": -5.0},
-    "n_frames is zero": {"fragments": _FRAGMENTS, "n_frames": 0.0},
-    "n_frames is below ten": {"fragments": _FRAGMENTS, "n_frames": 9.0},
-    "n_frames exceeds the frames": {"fragments": _FRAGMENTS, "n_frames": 101.0},
-    "n_frames is fractional": {"fragments": _FRAGMENTS, "n_frames": 97.5},
-    "n_frames is nan": {"fragments": _FRAGMENTS, "n_frames": np.nan},
-    "n_frames is inf": {"fragments": _FRAGMENTS, "n_frames": np.inf},
-    "n_frames is text": {"fragments": _FRAGMENTS, "n_frames": "98"},
-    "n_frames is missing": {"fragments": _FRAGMENTS},
-    "fragments are 2-D": {"fragments": _FRAGMENTS[0], "n_frames": 10.0},
-    "fragments are text": {"fragments": "0 0 0", "n_frames": 98.0},
-    "fragments hold nan": {"fragments": _fragments_with(np.nan), "n_frames": 98.0},
-    "fragments hold inf": {"fragments": _fragments_with(-np.inf), "n_frames": 98.0},
+def _not_a_store(path):
+    return (f"{path}: not a feature store of finite (windows, 10, frames, coefficients) "
+            "fragments, as `hvector prepare` writes; rerun it "
+            "(per-window feature files are no longer read)")
+
+
+# a per-window archive from before feature stores: 3-D fragments and an
+# n_frames record, whatever that holds, or none; each is refused whole
+_PRE_STORE_N_FRAMES = {
+    "is not a scalar": np.array([98.0, 1.0]), "is negative": -5.0, "is zero": 0.0,
+    "is below ten": 9.0, "exceeds the frames": 101.0, "is fractional": 97.5,
+    "is nan": np.nan, "is inf": np.inf, "is text": "98",
+}
+
+# name -> (the store's records, or None for a good store cut short; the
+# manifest's row; the error after the store's name, or None for _not_a_store's)
+_BAD_FEATURE_STORES = {
+    **{f"n_frames {name}": ({"fragments": _STORE[0], "n_frames": value}, 0, None)
+       for name, value in _PRE_STORE_N_FRAMES.items()},
+    "n_frames is missing": ({"fragments": _STORE[0]}, 0, None),
+    "fragments are 2-D": ({"fragments": _STORE[0, 0]}, 0, None),
+    "fragments have 9 on axis 1": ({"fragments": _STORE[:, :9]}, 0, None),
+    "fragments have no frames": ({"fragments": _STORE[:, :, :0]}, 0, None),
+    "fragments are text": ({"fragments": "0 0 0"}, 0, None),
+    "fragments are missing": ({"windows": _STORE}, 0, None),
+    "fragments hold nan": ({"fragments": _store_with(np.nan)}, 0, None),
+    "fragments hold inf": ({"fragments": _store_with(-np.inf)}, 1, None),
+    "file is truncated": (None, 0, "truncated tensor file"),
+    "row is the window count": ({"fragments": _STORE}, 2, "no row 2: the store holds 2 windows"),
 }
 
 
-@pytest.mark.parametrize("case", list(_BAD_FEATURE_ARCHIVES))
+@pytest.mark.parametrize("case", list(_BAD_FEATURE_STORES))
 def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
-    feats = tmp_path / "u.hvt"
-    hv.save_archive(feats, _BAD_FEATURE_ARCHIVES[case])
-    message = (f"{feats}: not a feature archive: needs a finite 3-D fragments array "
-               "and an integer n_frames in [10, fragments x frames]")
-    with pytest.raises(ValueError) as info:
-        load_features(feats)
-    assert str(info.value) == message
+    records, row, expected = _BAD_FEATURE_STORES[case]
+    store = tmp_path / "features.hvt"
+    if records is None:
+        hv.save_archive(store, {"fragments": _STORE})
+        store.write_bytes(store.read_bytes()[:-8])
+    else:
+        hv.save_archive(store, records)
     manifest = tmp_path / "manifest.tsv"
-    manifest.write_text(f"u\ta\t{feats}\t98\n")
+    manifest.write_text(f"u\ta\t{store}\t{row}\n")
+    with pytest.raises(ValueError) as info:
+        load_features(Manifest.load(manifest).entries)
+    message = str(info.value)
+    if expected is None:
+        assert message == _not_a_store(store)
+    else:
+        assert message.startswith(f"{store}: {expected}"), message
     code, _, err = run_cli("embed", "--manifest", str(manifest), "--ckpt",
                            str(_tiny_checkpoint(tmp_path / "run")),
                            "--out", str(tmp_path / "e.csv"))
     assert (code, err) == (1, f"error: {message}\n")
 
 
-@pytest.mark.parametrize("n_frames", [10, 57, 100])
-def test_feature_archive_n_frames_range_is_inclusive(tmp_path, n_frames):
-    feats = tmp_path / "u.hvt"
-    hv.save_archive(feats, {"fragments": _FRAGMENTS, "n_frames": float(n_frames)})
-    utt = load_features(feats)
-    assert utt.fragments.shape == (10, n_frames // 10, 20)
-    assert utt.n_frames == 10 * (n_frames // 10) and type(utt.n_frames) is int
+def test_pre_store_feature_directory_is_refused(pipeline, tmp_path):
+    # the layout `prepare` wrote before feature stores: feats/<window>.hvt,
+    # each with its window's 3-D fragments and n_frames, and n_frames in the
+    # manifest's 4th column
+    entries = Manifest.load(pipeline["feats_manifest"]).entries
+    old = tmp_path / "feats"
+    (old / "feats").mkdir(parents=True)
+    lines = []
+    for u in load_features(entries):
+        path = old / "feats" / f"{u.utterance_id}.hvt"
+        hv.save_archive(path, {"fragments": u.fragments, "n_frames": 90.0})
+        lines.append(f"{u.utterance_id}\t{u.speaker_id}\t{path}\t90\n")
+    (old / "manifest.tsv").write_text("".join(lines))
+    first = old / "feats" / f"{entries[0].utterance_id}.hvt"
+    for argv in (("embed", "--out", str(tmp_path / "e.csv")), ("score-id",)):
+        code, _, err = run_cli(argv[0], "--manifest", str(old / "manifest.tsv"),
+                               "--ckpt", str(pipeline["ckpt"]), *argv[1:])
+        assert (code, err) == (1, f"error: {_not_a_store(first)}\n")
+    assert not (tmp_path / "e.csv").exists()
 
 
-@pytest.mark.parametrize("t", [98, 298])
-def test_zero_padded_archive_loads_as_a_fresh_prepare_writes(tmp_path, t):
-    # earlier releases padded the last fragment with zeros up to 10 x ceil(T/10)
-    frames = np.random.default_rng(t).standard_normal((t, 20))
-    m = -(-t // 10)
-    padded = np.zeros((10 * m, 20))
-    padded[:t] = frames
-    old, new = tmp_path / "old.hvt", tmp_path / "new.hvt"
-    hv.save_archive(old, {"fragments": padded.reshape(10, m, 20), "n_frames": float(t)})
-    want = split_fragments(frames)
-    save_features(new, want)
-    for path in (old, new):
-        got = load_features(path).fragments
-        assert got.shape == want.fragments.shape
-        assert got.tobytes() == want.fragments.tobytes()
+@settings(max_examples=40, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(10, 39)),
+                       min_size=1, max_size=3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=1,
+                      max_size=12),
+       awk=st.booleans())
+@example(shapes=[(8, 98)], picks=[], awk=True)
+def test_load_features_returns_each_row_as_prepare_cut_it(shapes, picks, awk):
+    """For stores of any window count and frame count, and manifest rows in
+    any subset or order, each window comes back with split_fragments' bytes,
+    as a view of the one array its store was read into, once."""
+    rng = np.random.default_rng(len(picks))
+    with tempfile.TemporaryDirectory() as tmp:
+        windows, paths = [], []
+        for a, (n, t) in enumerate(shapes):
+            utts = [split_fragments(rng.standard_normal((t, 20)), f"a{a}-w{k}", f"s{k // 4}")
+                    for k in range(n)]
+            paths.append(os.path.join(tmp, f"store{a}.hvt"))
+            save_features(paths[a], utts)
+            windows.append(utts)
+        if awk:     # the README's `awk` split: the first half of each speaker's rows
+            picks = [(0, k) for k in range(len(windows[0])) if k % 4 < 2]
+        picks = [(a % len(shapes), r % len(windows[a % len(shapes)])) for a, r in picks]
+        entries = [ManifestEntry(windows[a][r].utterance_id, windows[a][r].speaker_id,
+                                 paths[a], r) for a, r in picks]
+        with mock.patch.object(hv, "load_archive", wraps=hv.load_archive) as load:
+            got = load_features(entries)
+        assert sorted(c.args[0] for c in load.call_args_list) == \
+            sorted({paths[a] for a, _ in picks})
+        # a row counted from the end is not a row: Manifest.load refuses it
+        # from a file, and the loader from an entry built in code
+        with pytest.raises(ValueError, match=f"no row -1: the store holds {shapes[0][0]} "):
+            load_features([ManifestEntry("u", "s", paths[0], -1)])
+    bases = {}
+    for (a, r), u in zip(picks, got, strict=True):
+        want = windows[a][r]
+        assert (u.utterance_id, u.speaker_id) == (want.utterance_id, want.speaker_id)
+        assert u.fragments.dtype == np.float64 and u.fragments.shape == want.fragments.shape
+        assert u.fragments.tobytes() == want.fragments.tobytes()
+        base = bases.setdefault(a, u.fragments.base)
+        assert base is not None and u.fragments.base is base
+    assert len({id(b) for b in bases.values()}) == len(bases)
 
 
 # --- loaders behind the boundary: arbitrary text in, ValueError/OSError out ----

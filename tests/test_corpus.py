@@ -152,7 +152,7 @@ class TestManifest:
         m.save(path)
         loaded = corpus.Manifest.load(path)
         assert loaded.entries[0].utterance_id == "u0"
-        assert loaded.entries[0].n_frames == 98
+        assert loaded.entries[0].row == 98
 
     def test_missing_path_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -863,14 +863,20 @@ class TestSerialisation:
 
     def test_float64_layout_is_unchanged(self, tmp_path):
         arr = np.arange(6.0).reshape(2, 3)
+        # a transposed view, a big-endian array and an empty one are stored
+        # as the bytes of their little-endian C-ordered copies, and load back
+        records = {"x": arr, "n": 2, "t": arr.T, "b": arr.astype(">f8"), "e": np.zeros((2, 0))}
         path = tmp_path / "f8.hvt"
-        hv.save_archive(path, {"x": arr, "n": 2})
+        hv.save_archive(path, records)
         array_bytes = [b"HVT1" + struct.pack("<q", a.ndim)
                        + b"".join(struct.pack("<q", n) for n in a.shape)
-                       + a.astype("<f8").tobytes() for a in (arr, np.array(2.0))]
-        assert path.read_bytes() == (b"HVTA" + struct.pack("<q", 2)
-                                     + struct.pack("<q", 1) + b"x" + array_bytes[0]
-                                     + struct.pack("<q", 1) + b"n" + array_bytes[1])
+                       + a.astype("<f8").tobytes() for a in map(np.asarray, records.values())]
+        assert path.read_bytes() == b"HVTA" + struct.pack("<q", 5) + b"".join(
+            struct.pack("<q", 1) + name.encode() + raw
+            for name, raw in zip(records, array_bytes))
+        got = hv.load_archive(path)
+        for name, want in records.items():
+            assert got[name].dtype == "<f8" and np.array_equal(got[name], want), name
 
     def test_float32_roundtrip_keeps_the_dtype(self, tmp_path):
         rng = np.random.default_rng(23)
