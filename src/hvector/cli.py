@@ -6,11 +6,11 @@ flags, all three through the same per-key parsers; the final values are
 echoed before any work starts.  Existing output files are never overwritten
 unless --force is given, and every stage is deterministic given its inputs
 and seed, so a --force rerun reproduces the previous outputs byte for byte on
-the same BLAS build and BLAS thread count (another thread count can change
-the last bits of weights and embeddings).  A failure that stops a command
-prints one `error: <message>` line on stderr and exits with status 1, and
-only `main` turns exceptions into that line (`prepare` also reports each
-clip it cannot read on such a line, goes on, and exits 1).
+the same BLAS build, whatever OPENBLAS_NUM_THREADS says (hvector.tensor
+sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
+one `error: <message>` line on stderr and exits with status 1, and only
+`main` turns exceptions into that line (`prepare` also reports each clip it
+cannot read on such a line, goes on, and exits 1).
 """
 
 from __future__ import annotations
@@ -525,8 +525,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError,   # LinAlgError is a ValueError
-            TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            TrainingDiverged, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

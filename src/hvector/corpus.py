@@ -243,9 +243,16 @@ def _resonate(x: np.ndarray, poles) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, size) * (gain / den), size)[:n]
 
 
+# a WAV's RIFF size field, 32 bits, counts 36 header bytes and 2 per sample
+_MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
+
+
 def _sample_count(duration_s: float) -> int:
     if not math.isfinite(duration_s):
         raise ValueError(f"duration must be finite, got {duration_s}")
+    if duration_s > _MAX_WAV_SAMPLES / SAMPLE_RATE:
+        raise ValueError(f"duration {duration_s} s does not fit a WAV file, "
+                         f"at most {_MAX_WAV_SAMPLES / SAMPLE_RATE} s")
     n = int(round(duration_s * SAMPLE_RATE))
     if n < 1:
         raise ValueError(f"duration {duration_s} s holds no samples")
@@ -277,7 +284,7 @@ def check_synth_args(n_speakers: int = 2, utts_per_speaker: int = 1,
         raise ValueError(f"need at least 2 speakers, got {n_speakers}")
     if utts_per_speaker < 1:
         raise ValueError(f"need at least 1 utterance per speaker, got {utts_per_speaker}")
-    _sample_count(duration_s)   # refuses a clip too short to hold one sample
+    _sample_count(duration_s)   # refuses a clip too short or long for a WAV
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

@@ -478,6 +478,8 @@ def _load_embedding_rows(path) -> list[EmbeddingRecord]:
             if not header or header[:2] != ["utterance_id", "speaker_id"]:
                 raise ValueError(f"{path} is not an embedding CSV")
             dim = len(header) - 2
+            if not dim:
+                raise ValueError(f"{path} has no embedding value columns")
             out, lines = [], []
             for row in reader:
                 if not row:

@@ -3,11 +3,13 @@
 The op set covers exactly what the speaker-embedding models need: matrix
 products, 1-D convolution, a whole-sequence bidirectional GRU
 (:func:`bigru_sequence`, one tape node for both directions, which runs
-them at once on two threads where that pays, with :func:`gru_cell` as its
-step-by-step reference), softmax, statistics pooling, and a small family
-of elementwise/reduction ops.  Gradients are recorded on an
-explicit tape (:class:`Graph`) whose insertion order is already a
-topological order; :func:`backward` replays the tape once in reverse.
+them at once on two threads where two CPUs are usable, with :func:`gru_cell`
+as its step-by-step reference), softmax, statistics pooling, and a small
+family of elementwise/reduction ops.  Gradients are recorded on an explicit
+tape (:class:`Graph`) whose insertion order is already a topological order;
+:func:`backward` replays the tape once in reverse.  Importing this module
+sets numpy's OpenBLAS to one thread, so an op's bits depend on the BLAS
+build alone, not on OPENBLAS_NUM_THREADS.
 
 Every forward and backward product of :func:`matmul` and :func:`conv1d` is
 one 2-D GEMM over all leading rows: the models multiply (batch x segments x
@@ -794,8 +796,8 @@ def bigru_sequence(seq, fwd_params: dict, bwd_params: dict) -> Tensor:
     every bias is added after the sum of its two products, so each
     direction's forward equals a gru_cell chain; the reverse direction
     accumulates first, a fixed order.  The backward pass through time is
-    written by hand from the gates saved per step.  Where a second thread
-    pays (see `_threaded`), the reverse direction runs its forward and its
+    written by hand from the gates saved per step.  Where a second CPU is
+    usable (see `_THREADED`), the reverse direction runs its forward and its
     backward pass on a worker thread while the calling thread runs the
     forward direction's.
     """
@@ -819,14 +821,8 @@ def bigru_sequence(seq, fwd_params: dict, bwd_params: dict) -> Tensor:
     return _make(out, (seq, *fwd.params, *rev.params), bwd)
 
 
-# bigru_sequence's worker thread, created on first use, and whether to use
-# it: decided on first use by _threaded
-_WORKER = None
-_THREADED: bool | None = None
-
-
-def _blas_threads() -> int | None:
-    """Thread count numpy's OpenBLAS reports, or None when it cannot be read."""
+def _pin_blas_threads() -> bool:
+    """Set numpy's OpenBLAS to one thread; False where it cannot be found."""
     import ctypes
     import glob
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -835,13 +831,13 @@ def _blas_threads() -> int | None:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
             fn = getattr(handle, symbol, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn()
-    return None
+                fn(ctypes.c_int(1))
+                return True
+    return False
 
 
 def worker_count() -> int:
@@ -850,6 +846,12 @@ def worker_count() -> int:
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), 4)
+
+
+# one BLAS thread, so bytes do not depend on the environment; bigru_sequence
+# runs its reverse direction on _WORKER, made on first use, if 2 CPUs are usable
+_THREADED = _pin_blas_threads() and worker_count() >= 2
+_WORKER = None
 
 
 # Python 3.12 warns when a process forks while another thread runs, such as
@@ -932,28 +934,17 @@ def _reap_child(pid, read_end) -> tuple[int, bytes]:
     return code, data
 
 
-def _threaded() -> bool:
-    """Whether bigru_sequence runs its reverse direction on the worker: only
-    with 2 or more CPUs and a BLAS that runs one thread, since a
-    multi-threaded BLAS and the worker fight for the same cores.  Read once
-    per process."""
-    global _THREADED
-    if _THREADED is None:
-        _THREADED = worker_count() >= 2 and _blas_threads() == 1
-    return _THREADED
-
-
 def _run_both(here, there):
     """Run two (allocate, compute, release) triples of callables, allocate
-    and release in this thread.  When _threaded(), there's compute runs on
+    and release in this thread.  When _THREADED, there's compute runs on
     the worker while here runs in this thread; otherwise here runs, then
-    there.  An error in either compute is raised.  The worker frees no
-    array that this thread allocated, so this thread's heap sees the same
-    allocations and frees in the same order on every run: frees from the
-    worker, at times that vary from run to run, spread the peak RSS of
-    full-preset training over +1% to +8%."""
+    there, to the same bytes.  An error in either compute is raised.  The
+    worker frees no array that this thread allocated, so this thread's heap
+    sees the same allocations and frees in the same order on every run:
+    frees from the worker, at times that vary from run to run, spread the
+    peak RSS of full-preset training over +1% to +8%."""
     global _WORKER
-    if not _threaded():
+    if not _THREADED:
         for step in (*here, *there):
             step()
         return

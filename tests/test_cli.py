@@ -725,7 +725,8 @@ class TestForkedTrialsWriter:
     @pytest.mark.parametrize("backend", ["plda", "cosine"])
     def test_output_does_not_depend_on_the_cpu_count(self, tmp_path, backend):
         # 200 models x 1,000 tests: 100k trials for the second process at 2
-        # CPUs, none at 1.  One BLAS thread in both, so the scores are the same
+        # CPUs, none at 1.  hvector runs one BLAS thread in both, even under
+        # OPENBLAS_NUM_THREADS=2, so the scores are the same
         enrol, evals = _verification_csvs(tmp_path, 200, 2, 5, 64, seed=8)
         script = textwrap.dedent("""
             import os, sys
@@ -738,7 +739,7 @@ class TestForkedTrialsWriter:
             print(f"forks={len(forks)}", file=sys.stderr)
             sys.exit(code)
         """)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                    PYTHONPATH=str(Path(hvector.__file__).resolve().parent.parent))
         runs = {}
         for pin in (str(min(os.sched_getaffinity(0))), "-"):
@@ -1104,6 +1105,17 @@ def _case_undecodable_enrol_csv(p):
             "--out", p["dir"] / "ver"), f"{p['emb']}:3: not UTF-8 text"
 
 
+def _case_no_value_columns(backend):
+    # the cosine back end scored the empty vectors as 0, and PLDA's refusal
+    # named lda_dim, a setting the command line did not give
+    def case(p):
+        p["emb"].write_text("utterance_id,speaker_id\na-u0,a\na-u1,a\nb-u0,b\nb-u1,b\n")
+        return ("score-ver", "--enrol", p["emb"], "--eval", p["emb"], "--out",
+                p["dir"] / "ver", "--set", f"backend={backend}"), \
+            f"error: {p['emb']} has no embedding value columns\n"
+    return case
+
+
 def _case_undecodable_config(p):
     config = p["dir"] / "synth.cfg"
     config.write_bytes(b"# settings\nseed=\xff\n")
@@ -1194,6 +1206,8 @@ _BOUNDARY_CASES = {
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
     "--config is not UTF-8": _case_undecodable_config,
+    "--enrol CSV has no value columns, cosine": _case_no_value_columns("cosine"),
+    "--enrol CSV has no value columns, plda": _case_no_value_columns("plda"),
     "a manifest's WAV is empty": _case_empty_wav,
     **{f"train --set {pair}": _case_train_setting(pair)
        for pair in ["lr=nan", "lr=inf", "lr=-1", "beta1=nan", "beta2=-inf", "eps=0",
@@ -1234,6 +1248,7 @@ _FLAG_CASES = [
     ("synth", ["--out", "c"], "speakers", "abc"),
     ("synth", ["--out", "c"], "dur", "inf"),
     ("synth", ["--out", "c"], "dur", "nan"),
+    ("synth", ["--out", "c"], "dur", "1e305"),
     ("synth", ["--out", "c"], "speakers", "1"),
     # -2, since the id "--seed -1" is train's case below
     ("synth", ["--out", "c"], "seed", "-2"),
@@ -1266,12 +1281,29 @@ def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
     # each refusal comes before synth_corpus creates a directory
     for bad, expected in [(["--speakers", "1"], "at least 2 speakers"),
                           (["--dur", "0.00001"], "duration 1e-05 s holds no samples"),
+                          (["--dur", "1e9"], "duration 1000000000.0 s does not fit a WAV "
+                                             "file, at most 268435.453625 s"),
                           (["--seed", "-1"], "seed must be non-negative, got -1")]:
         code, _, err = run_cli(*good, *bad)
-        assert code == 1 and expected in err, err
+        assert code == 1 and len(err.splitlines()) == 1 and expected in err, err
         assert not out_dir.exists()
     code, _, err = run_cli(*good)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 1.41 TiB for an array with shape (194000000000,) "
+                "and data type float64"),
+    MemoryError()], ids=["numpy's", "bare"])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("hvector.corpus.synth_utterance", fail)
+    code, out, err = run_cli("synth", "--out", str(tmp_path / "c"), "--speakers", "2",
+                             "--utts", "1")
+    assert code == 1
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
 def test_refused_score_ver_creates_no_output_directory(tmp_path):

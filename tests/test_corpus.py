@@ -117,6 +117,16 @@ class TestSynth:
             with pytest.raises(ValueError, match="duration must be finite"):
                 corpus.synth_utterance(spec, duration, 0, 0, 0)
 
+    def test_duration_must_fit_a_wav_file(self):
+        # the RIFF size field, 36 header bytes plus 2 per sample, is 32 bits;
+        # only the check runs here, nothing is rendered
+        longest = (2**32 - 1 - 36) // 2
+        corpus.check_synth_args(duration_s=longest / audio.SAMPLE_RATE)
+        for duration in ((longest + 1) / audio.SAMPLE_RATE, 1e9, 1e305):
+            with pytest.raises(ValueError, match=r"does not fit a WAV file, at most "
+                                                 r"268435\.453625 s$"):
+                corpus.check_synth_args(duration_s=duration)
+
     def test_too_few_speakers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2"):
             corpus.synth_corpus(1, 5, 1.0, seed=0, out_dir=tmp_path)

@@ -790,9 +790,12 @@ def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, name
     assert path.read_bytes() == before
 
 
-# embeds the fragments in argv[2] with the checkpoint in argv[1] into argv[3]
+# embeds the fragments in argv[2] with the checkpoint in argv[1] into
+# argv[3], on CPU argv[4] alone unless it is "-"
 _EMBED_PROBE = """
-import sys
+import os, sys
+if sys.argv[4] != "-":
+    os.sched_setaffinity(0, {int(sys.argv[4])})
 import numpy as np
 from hvector.audio import UtteranceFeatures
 from hvector.model import embed_batch, load_checkpoint
@@ -804,24 +807,31 @@ np.save(sys.argv[3], embed_batch(feats, params, cfg))
 
 
 def test_embeddings_agree_across_blas_thread_counts(tmp_path):
-    """Bytes are reproducible only at a fixed BLAS thread count (criterion 9).
-    On these inputs, 1 and 2 OpenBLAS 0.3.31 threads on a 2-CPU machine gave
-    full-preset float32 embeddings 7.1e-8 of their largest |value| apart (the
-    desk preset's were identical); this holds them within 1e-5."""
+    """Importing hvector.tensor sets numpy's OpenBLAS to one thread, so
+    full-preset float32 embeddings are the same bytes whatever
+    OPENBLAS_NUM_THREADS says and on one CPU, where the BiGRU runs its two
+    directions in turn.  Before that, 1 and 2 OpenBLAS 0.3.31 threads on a
+    2-CPU machine gave these embeddings 7.1e-8 of their largest |value|
+    apart."""
     cfg = ModelConfig(n_speakers=4)
     ckpt = tmp_path / "model.hvt"
     save_checkpoint(ckpt, labelled(build_params(cfg, seed=0).astype(np.float32), cfg), cfg)
     frags = tmp_path / "frags.npy"
     np.save(frags, random_frags(np.random.default_rng(30), cfg, batch=4))
-    src = str(Path(hvector.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(hvector.__file__).resolve().parent.parent)
+    runs = [(None, "-"), ("1", "-"), ("2", "-")]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("2", str(min(os.sched_getaffinity(0)))))
     tables = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"emb{threads}.npy"
+    for threads, cpu in runs:
+        out = tmp_path / f"emb{len(tables)}.npy"
         done = subprocess.run(
-            [sys.executable, "-c", _EMBED_PROBE, str(ckpt), str(frags), str(out)],
+            [sys.executable, "-c", _EMBED_PROBE, str(ckpt), str(frags), str(out), cpu],
             capture_output=True, text=True, timeout=300,
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+            env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads))
         assert done.returncode == 0, done.stderr
         tables.append(np.load(out))
     assert tables[0].shape == (4, cfg.fc1_dim)
-    assert np.abs(tables[0] - tables[1]).max() <= 1e-5 * np.abs(tables[0]).max()
+    for table in tables[1:]:
+        assert table.tobytes() == tables[0].tobytes()

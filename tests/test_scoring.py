@@ -1050,6 +1050,10 @@ class TestFileFormats:
         path.write_text("utterance_id,speaker_id,e0\n")
         with pytest.raises(ValueError, match="no embeddings"):
             load_embeddings(path)
+        path.write_text("utterance_id,speaker_id\nu0,s0\nu1,s1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has no embedding "
+                                             "value columns$"):
+            load_embeddings(path)
 
     @pytest.mark.parametrize("value", ["x", "", "nan", "-inf", "1e999"])
     def test_bad_value_names_file_and_line(self, tmp_path, value):

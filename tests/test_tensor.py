@@ -449,6 +449,43 @@ class TestBigruSequence:
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_import_pins_one_blas_thread(self, threads):
+        # numpy's OpenBLAS starts with the environment's thread count, and
+        # importing hvector.tensor leaves it at 1 whatever that count was;
+        # the worker runs wherever a second CPU is usable
+        script = textwrap.dedent("""
+            import ctypes, glob, os
+            import numpy as np
+            libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+            names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads")
+            get = None
+            for lib in glob.glob(os.path.join(libs, "*openblas*")):
+                handle = ctypes.CDLL(lib)
+                get = get or next((getattr(handle, n) for n in names if hasattr(handle, n)),
+                                  None)
+            count = get or (lambda: None)
+            before = count()
+            import hvector.tensor as hv
+            print(before, count(), hv._THREADED, hv.worker_count())
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(hv.__file__).resolve().parent.parent)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        before, after, threaded, workers = done.stdout.split()
+        if before == "None":        # no OpenBLAS of numpy's own to set
+            assert threaded == "False"
+            return
+        if threads is not None:
+            assert before == threads
+        assert after == "1"
+        assert threaded == str(int(workers) >= 2)
+
 
 class TestForkedMap:
     """forked_map: contiguous shares, results in share order, one error path."""
