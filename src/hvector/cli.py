@@ -10,15 +10,18 @@ the same BLAS build, whatever OPENBLAS_NUM_THREADS says (hvector.tensor
 sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
 one `error: <message>` line on stderr and exits with status 1, and only
 `main` turns exceptions into that line (`prepare` also reports each clip it
-cannot read on such a line, goes on, and exits 1).
+cannot read on such a line, goes on, and exits 1).  A failed `synth` or
+`prepare` removes the output directory it created.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +235,24 @@ def _guard_outputs(paths, force: bool):
                        + " (pass --force to overwrite)")
 
 
+@contextmanager
+def _removed_on_failure(out_dir: Path):
+    """Remove out_dir, with the parents made for it, if the block fails
+    where out_dir did not exist before it, so that no failed stage blocks
+    its rerun without --force."""
+    made = None
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            break
+        made = path
+    try:
+        yield
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+
+
 def _load_manifest(path, hint: str) -> Manifest:
     _require_input(path, "manifest", hint)
     manifest = Manifest.load(path, check_paths=False)
@@ -259,24 +280,19 @@ def cmd_synth(args) -> int:
     echo_config("synth", cfg, {"out": args.out})
     out_dir = Path(args.out)
     _guard_outputs([out_dir], args.force)
-    manifest = synth_corpus(cfg["speakers"], cfg["utts"], cfg["dur"],
-                            cfg["seed"], out_dir)
+    with _removed_on_failure(out_dir):
+        manifest = synth_corpus(cfg["speakers"], cfg["utts"], cfg["dur"],
+                                cfg["seed"], out_dir)
     print(f"wrote {len(manifest)} utterances for {len(manifest.speakers())} "
           f"speakers under {out_dir}")
     print(f"manifest: {out_dir / 'manifest.tsv'}")
     return 0
 
 
-def cmd_prepare(args) -> int:
-    cfg = resolve_config("prepare", args)
-    echo_config("prepare", cfg, {"manifest": args.manifest, "out": args.out})
-    manifest = _load_manifest(args.manifest, "run `hvector synth` first")
-    out_dir = Path(args.out)
-    _guard_outputs([out_dir], args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    clips = manifest.entries
-
+def _featurize_clips(clips, length: float, what: str) -> tuple[list, int, int]:
+    """Every clip's windows' features, in manifest order, with the counts of
+    clips that failed and of clips too short for a window.  Each failure is
+    printed as one `error:` line."""
     def prepare_share(share):
         # per clip: its windows' features, or its error line
         out = []
@@ -286,7 +302,7 @@ def cmd_prepare(args) -> int:
                 if clip.sample_rate != SAMPLE_RATE:
                     raise ValueError(f"{e.path}: sample rate {clip.sample_rate} "
                                      f"not supported; expected {SAMPLE_RATE}")
-                windows = window_utterances(vad_filter(clip), cfg["len"])
+                windows = window_utterances(vad_filter(clip), length)
             except (ValueError, OSError) as exc:
                 out.append(f"error: {e.utterance_id}: {exc}")
                 continue
@@ -294,11 +310,8 @@ def cmd_prepare(args) -> int:
                                         e.speaker_id) for k, win in enumerate(windows)])
         return out
 
-    # this process alone writes the store, so its bytes do not depend on
-    # how many processes made the windows
     utts, failures, skipped = [], 0, 0
-    for share in hv.forked_map(prepare_share, len(clips), CLIP_FORK_FLOOR,
-                               f"{args.manifest}: the process preparing clips"):
+    for share in hv.forked_map(prepare_share, len(clips), CLIP_FORK_FLOOR, what):
         for result in share:
             if isinstance(result, str):
                 failures += 1
@@ -306,13 +319,28 @@ def cmd_prepare(args) -> int:
             else:
                 skipped += not result
                 utts += result
-    if not utts:
-        raise CliError("no usable windows were produced from "
-                       f"{len(manifest)} clips ({failures} failed)")
-    store = out_dir / "features.hvt"
-    save_features(store, utts)
-    Manifest([ManifestEntry(u.utterance_id, u.speaker_id, str(store), row)
-              for row, u in enumerate(utts)]).save(out_dir / "manifest.tsv")
+    return utts, failures, skipped
+
+
+def cmd_prepare(args) -> int:
+    cfg = resolve_config("prepare", args)
+    echo_config("prepare", cfg, {"manifest": args.manifest, "out": args.out})
+    manifest = _load_manifest(args.manifest, "run `hvector synth` first")
+    out_dir = Path(args.out)
+    _guard_outputs([out_dir], args.force)
+    with _removed_on_failure(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        utts, failures, skipped = _featurize_clips(
+            manifest.entries, cfg["len"], f"{args.manifest}: the process preparing clips")
+        if not utts:
+            raise CliError("no usable windows were produced from "
+                           f"{len(manifest)} clips ({failures} failed)")
+        # this process alone writes the store, so its bytes do not depend on
+        # how many processes made the windows
+        store = out_dir / "features.hvt"
+        save_features(store, utts)
+        Manifest([ManifestEntry(u.utterance_id, u.speaker_id, str(store), row)
+                  for row, u in enumerate(utts)]).save(out_dir / "manifest.tsv")
     print(f"prepared {len(utts)} windows from "
           f"{len(manifest) - failures - skipped} clips "
           f"({failures} failed, {skipped} too short)")

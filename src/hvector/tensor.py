@@ -9,7 +9,9 @@ family of elementwise/reduction ops.  Gradients are recorded on an explicit
 tape (:class:`Graph`) whose insertion order is already a topological order;
 :func:`backward` replays the tape once in reverse.  Importing this module
 sets numpy's OpenBLAS to one thread, so an op's bits depend on the BLAS
-build alone, not on OPENBLAS_NUM_THREADS.
+build alone, not on OPENBLAS_NUM_THREADS, and sets glibc's malloc to one
+arena, so the BiGRU's worker thread frees into the heap the calling thread
+allocates from.
 
 Every forward and backward product of :func:`matmul` and :func:`conv1d` is
 one 2-D GEMM over all leading rows: the models multiply (batch x segments x
@@ -646,12 +648,11 @@ class _GruDirection:
     """One GRU direction over a whole sequence, forward and backward through
     time on raw arrays: bigru_sequence runs one per direction.
 
-    The methods that may run on bigru_sequence's worker thread, `forward`
-    and `backward`, create no Tensor, touch no tape and fill arrays that
-    the calling thread allocates (`allocate_*`) and frees (`release_*`):
-    large arrays that a worker thread allocates stay in that thread's own
-    malloc arena once freed, and a version that let the worker allocate
-    them raised the peak RSS of full-preset training by 14%.
+    `forward` and `backward`, which may run on bigru_sequence's worker
+    thread, create no Tensor and touch no tape.  They allocate and free
+    their own arrays on whichever thread runs them: the process has one
+    malloc arena (see `_THREADED`), so the worker's frees return memory to
+    the heap that the calling thread allocates from.
     """
 
     def __init__(self, seq: Tensor, params: dict, reverse: bool):
@@ -670,79 +671,47 @@ class _GruDirection:
         self.hidden = hidden
         self.dtype = np.result_type(seq.data, *(p.data for p in self.params[:3]))
 
-    def allocate_forward(self, keep: bool):
-        """Allocate what forward fills: call it in the calling thread.
-
-        ``keep`` says whether backward will run; only then does forward
-        keep the input and the gates of every step for it."""
+    def forward(self, out, keep: bool):
+        """Run the steps and copy the hidden states (B, T, H) into ``out`` in
+        input order.  ``keep`` says whether backward will run; only then is
+        the input kept, with the gates of every step."""
+        wz, wr, wh, uz, ur, uh, bz, br, bh = (p.data for p in self.params)
         batch, steps, d = self.seq.shape
-        hidden, dtype = self.hidden, self.dtype
-        uz, ur = self.params[3].data, self.params[4].data
-        self.keep = keep
+        hidden, h2, dtype = self.hidden, 2 * self.hidden, self.dtype
         # Time-major input in the order the steps run, and the input
         # projection xs @ [Wz|Wr|Wh] of all steps.
-        self.xs = np.empty((steps * batch, d), dtype=self.seq.dtype)
-        self.w = np.empty((d, 3 * hidden), dtype=dtype)
-        self.u_zr = np.empty((hidden, 2 * hidden), dtype=np.result_type(uz, ur))
-        self.proj = np.empty((steps * batch, 3 * hidden), dtype=dtype)
-        self.hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)  # hs[s] feeds step s
-        if keep:
-            self.zr = np.empty((steps, batch, 2 * hidden), dtype=dtype)
-            self.cand = np.empty((steps, batch, hidden), dtype=dtype)
-
-    def forward(self) -> np.ndarray:
-        """Run the steps; return the hidden states (B, T, H) in input order."""
-        wz, wr, wh, uz, ur, uh, bz, br, bh = (p.data for p in self.params)
-        batch, steps, _ = self.seq.shape
-        hidden, h2 = self.hidden, 2 * self.hidden
         x = self.seq.data[:, ::-1] if self.reverse else self.seq.data
-        np.copyto(self.xs.reshape(steps, batch, -1), x.transpose(1, 0, 2))
-        np.concatenate([wz, wr, wh], axis=1, out=self.w)
-        u_zr = np.concatenate([uz, ur], axis=1, out=self.u_zr)
+        xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(steps * batch, d)
+        w = np.concatenate([wz, wr, wh], axis=1, dtype=dtype)
+        u_zr = np.concatenate([uz, ur], axis=1)
         b_zr = np.concatenate([bz, br])
-        proj = np.matmul(self.xs, self.w, out=self.proj).reshape(steps, batch, 3 * hidden)
-        hs = self.hs
+        proj = (xs @ w).reshape(steps, batch, 3 * hidden)
+        hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)     # hs[s] feeds step s
+        if keep:
+            zrs = np.empty((steps, batch, h2), dtype=dtype)
+            cands = np.empty((steps, batch, hidden), dtype=dtype)
         for s in range(steps):
             h = hs[s]
             zr = 1.0 / (1.0 + np.exp(-((proj[s, :, :h2] + h @ u_zr) + b_zr)))
             cand = np.tanh((proj[s, :, h2:] + (zr[:, hidden:] * h) @ uh) + bh)
             hs[s + 1] = cand + zr[:, :hidden] * (h - cand)
-            if self.keep:
-                self.zr[s], self.cand[s] = zr, cand
-        out = hs[1:].transpose(1, 0, 2)
-        return out[:, ::-1] if self.reverse else out
-
-    def release_forward(self):
-        """Free what backward does not read: the projection and, if backward
-        will not run, the input.  Call it in the calling thread."""
-        self.proj = None
-        if not self.keep:
-            self.xs = self.w = None
-
-    def forward_steps(self, keep: bool, out) -> tuple:
-        """The (allocate, compute, release) steps of the forward pass, for
-        _run_both; compute copies the hidden states into ``out``."""
-        return (lambda: self.allocate_forward(keep), lambda: np.copyto(out, self.forward()),
-                self.release_forward)
-
-    def allocate_backward(self):
-        """Allocate what backward fills: call it in the calling thread."""
-        steps, batch, hidden = self.cand.shape
-        rows, d = self.xs.shape
-        self.da = np.empty((rows, 3 * hidden), dtype=self.dtype)
-        self.gw = np.empty((d, 3 * hidden), dtype=self.dtype)
-        self.gu_zr = np.empty((hidden, 2 * hidden), dtype=self.dtype)
-        self.guh = np.empty((hidden, hidden), dtype=self.dtype)
-        self.gx = np.empty((rows, d), dtype=self.dtype) if self.seq.requires_grad else None
+            if keep:
+                zrs[s], cands[s] = zr, cand
+        states = hs[1:].transpose(1, 0, 2)
+        np.copyto(out, states[:, ::-1] if self.reverse else states)
+        if keep:
+            self.kept = xs, w, u_zr, hs, zrs, cands
 
     def backward(self, g):
-        """Fill the gradients from g, the gradient of forward's output."""
+        """Compute the gradients from g, the gradient of forward's output,
+        and drop what forward kept."""
+        xs, w, u_zr, hs, zr, cand = self.kept
+        self.kept = None
         uh = self.params[5].data
-        steps, batch, hidden = self.cand.shape
+        steps, batch, hidden = cand.shape
         h2 = 2 * hidden
-        hs, zr, cand, u_zr = self.hs, self.zr, self.cand, self.u_zr
         g = (g[:, ::-1] if self.reverse else g).transpose(1, 0, 2)
-        da = self.da.reshape(steps, batch, 3 * hidden)
+        da = np.empty((steps, batch, 3 * hidden), dtype=self.dtype)
         carry = np.zeros((batch, hidden), dtype=self.dtype)
         for s in range(steps - 1, -1, -1):
             dh = g[s] + carry
@@ -754,25 +723,14 @@ class _GruDirection:
             carry = dh * z + d_rh * r + da[s, :, :h2] @ u_zr.T
         # Weight and bias gradients: one GEMM or sum each over all B*T rows.
         # r * h_prev takes the place of the candidates, which the loop read last.
-        da = self.da
+        da = da.reshape(steps * batch, 3 * hidden)
         h_prev = hs[:-1].reshape(steps * batch, hidden)
         r_h = np.multiply(zr[:, :, hidden:], hs[:-1], out=cand).reshape(-1, hidden)
-        np.matmul(self.xs.T, da, out=self.gw)
-        np.matmul(h_prev.T, da[:, :h2], out=self.gu_zr)
-        np.matmul(r_h.T, da[:, h2:], out=self.guh)
+        self.gw = xs.T @ da
+        self.gu_zr = h_prev.T @ da[:, :h2]
+        self.guh = r_h.T @ da[:, h2:]
         self.gb = da.sum(axis=0)
-        if self.gx is not None:
-            np.matmul(da, self.w.T, out=self.gx)
-
-    def release_backward(self):
-        """Free all but the gradients, which accumulate reads.  Call it in
-        the calling thread."""
-        self.xs = self.w = self.u_zr = self.hs = self.zr = self.cand = self.da = None
-
-    def backward_steps(self, g) -> tuple:
-        """The (allocate, compute, release) steps of the backward pass from
-        g, for _run_both."""
-        return self.allocate_backward, lambda: self.backward(g), self.release_backward
+        self.gx = da @ w.T if self.seq.requires_grad else None
 
     def accumulate(self):
         """Add backward's gradients to the parameters' and the input's."""
@@ -808,11 +766,11 @@ def bigru_sequence(seq, fwd_params: dict, bwd_params: dict) -> Tensor:
     batch, steps, _ = seq.shape
     out = np.empty((batch, steps, split + rev.hidden), dtype=np.result_type(fwd.dtype, rev.dtype))
     keep = _records((seq, *fwd.params, *rev.params))
-    _run_both(fwd.forward_steps(keep, out[..., :split]),
-              rev.forward_steps(keep, out[..., split:]))
+    _run_both(lambda: fwd.forward(out[..., :split], keep),
+              lambda: rev.forward(out[..., split:], keep))
 
     def bwd(g):
-        _run_both(fwd.backward_steps(g[..., :split]), rev.backward_steps(g[..., split:]))
+        _run_both(lambda: fwd.backward(g[..., :split]), lambda: rev.backward(g[..., split:]))
         # reverse first, always: an input gradient summed with one from
         # another use of seq keeps its bits from run to run
         rev.accumulate()
@@ -840,6 +798,14 @@ def _pin_blas_threads() -> bool:
     return False
 
 
+def _one_malloc_arena() -> bool:
+    """Set glibc's malloc to one arena; False where there is no glibc."""
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    # -8 is M_ARENA_MAX; mallopt returns 1 where the setting took
+    return mallopt is not None and mallopt(ctypes.c_int(-8), ctypes.c_int(1)) == 1
+
+
 def worker_count() -> int:
     """How many threads or processes may work at once: the CPUs this process
     may run on, at most 4, and 1 where that set cannot be read."""
@@ -848,9 +814,11 @@ def worker_count() -> int:
     return min(len(os.sched_getaffinity(0)), 4)
 
 
-# one BLAS thread, so bytes do not depend on the environment; bigru_sequence
-# runs its reverse direction on _WORKER, made on first use, if 2 CPUs are usable
-_THREADED = _pin_blas_threads() and worker_count() >= 2
+# one BLAS thread, so bytes do not depend on the environment, and one malloc
+# arena, so the worker thread allocates from the calling thread's heap;
+# bigru_sequence runs its reverse direction on _WORKER, made on first use,
+# only where the program owns both settings and 2 CPUs are usable
+_THREADED = _pin_blas_threads() and _one_malloc_arena() and worker_count() >= 2
 _WORKER = None
 
 
@@ -935,36 +903,28 @@ def _reap_child(pid, read_end) -> tuple[int, bytes]:
 
 
 def _run_both(here, there):
-    """Run two (allocate, compute, release) triples of callables, allocate
-    and release in this thread.  When _THREADED, there's compute runs on
-    the worker while here runs in this thread; otherwise here runs, then
-    there, to the same bytes.  An error in either compute is raised.  The
-    worker frees no array that this thread allocated, so this thread's heap
-    sees the same allocations and frees in the same order on every run:
-    frees from the worker, at times that vary from run to run, spread the
-    peak RSS of full-preset training over +1% to +8%."""
+    """Run two callables.  When _THREADED, there runs on the worker while
+    here runs in this thread; otherwise here runs, then there, to the same
+    bytes.  An error in either is raised."""
     global _WORKER
     if not _THREADED:
-        for step in (*here, *there):
-            step()
+        here()
+        there()
         return
     if _WORKER is None:
         from concurrent.futures import ThreadPoolExecutor
         _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hvector-gru")
-    there[0]()
     errors = np.geterr()    # numpy's error state does not follow a thread
 
     def task():
         with np.errstate(**errors):
-            there[1]()
+            there()
 
     done = _WORKER.submit(task)
     try:
-        for step in here:
-            step()
+        here()
     finally:
         done.result()
-    there[2]()
 
 
 def _forget_worker():

@@ -1306,6 +1306,45 @@ def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, exc):
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
+def test_synth_that_fails_while_rendering_leaves_no_out(tmp_path, monkeypatch):
+    # the --out that synth made, with the parents made for it, goes; one that
+    # existed before (--force) stays, with what it held
+    def fail(*args):
+        raise MemoryError
+
+    args = ("--speakers", "2", "--utts", "2", "--dur", "0.5")
+    out_dir = tmp_path / "a" / "b" / "c"
+    with monkeypatch.context() as patch:
+        patch.setattr("hvector.corpus.synth_utterance", fail)
+        code, _, err = run_cli("synth", "--out", str(out_dir), *args)
+        assert (code, err) == (1, "error: MemoryError\n")
+        assert sorted(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        (kept / "mine.txt").parent.mkdir()
+        (kept / "mine.txt").write_text("mine\n")
+        assert run_cli("synth", "--out", str(kept), "--force", *args)[0] == 1
+        assert (kept / "mine.txt").read_text() == "mine\n"
+    code, _, err = run_cli("synth", "--out", str(out_dir), *args)
+    assert code == 0, err
+
+
+def test_prepare_without_windows_makes_no_out(tmp_path):
+    corpus, feats = tmp_path / "corpus", tmp_path / "x" / "feats"
+    assert run_cli("synth", "--out", str(corpus), "--speakers", "2", "--utts", "2",
+                   "--dur", "1")[0] == 0
+    manifest = str(corpus / "manifest.tsv")
+    wavs = corpus / "wav"
+    wavs.rename(tmp_path / "away")
+    code, _, err = run_cli("prepare", "--manifest", manifest, "--out", str(feats))
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 5 and all(x.startswith("error: ") for x in lines), err
+    assert lines[-1] == "error: no usable windows were produced from 4 clips (4 failed)"
+    assert not feats.parent.exists()
+    (tmp_path / "away").rename(wavs)
+    code, _, err = run_cli("prepare", "--manifest", manifest, "--out", str(feats))
+    assert code == 0, err
+
+
 def test_refused_score_ver_creates_no_output_directory(tmp_path):
     # plda_fit owns the rule, and the error names the setting: 2 speakers in
     # 3 dimensions allow lda_dim 1 alone

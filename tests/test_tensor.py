@@ -346,6 +346,33 @@ class TestGruSequence:
                 hv.bigru_sequence(_t(np.zeros((2, 5, 3))), *pair)
 
 
+# one bigru_sequence forward and backward, as the body of a child script
+# that imported hvector.tensor as hv
+_ONE_BIGRU_STEP = """
+    import numpy as np
+    rng = np.random.default_rng(0)
+    shapes = {"wz": (30, 64), "wr": (30, 64), "wh": (30, 64), "uz": (64, 64),
+              "ur": (64, 64), "uh": (64, 64), "bz": (64,), "br": (64,), "bh": (64,)}
+    params = [{k: hv.Tensor(rng.normal(size=s), requires_grad=True)
+               for k, s in shapes.items()} for _ in range(2)]
+    seq = hv.Tensor(rng.normal(size=(4, 300, 30)), requires_grad=True)
+    with hv.record():
+        loss = hv.tsum(hv.bigru_sequence(seq, *params))
+    hv.backward(loss)
+"""
+
+
+def _run_python(*parts, allowed=(0,)):
+    """Run the script made of parts, each dedented, in a fresh interpreter
+    that imports this checkout's hvector."""
+    script = "".join(map(textwrap.dedent, parts))
+    env = dict(os.environ, PYTHONPATH=str(Path(hv.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode in allowed, done.stderr
+    return done
+
+
 @contextmanager
 def _reverse_on_worker(threaded):
     """bigru_sequence with its reverse direction on the worker thread, under
@@ -453,7 +480,8 @@ class TestBigruSequence:
     def test_import_pins_one_blas_thread(self, threads):
         # numpy's OpenBLAS starts with the environment's thread count, and
         # importing hvector.tensor leaves it at 1 whatever that count was;
-        # the worker runs wherever a second CPU is usable
+        # the worker runs wherever malloc has one arena and a second CPU is
+        # usable
         script = textwrap.dedent("""
             import ctypes, glob, os
             import numpy as np
@@ -468,7 +496,7 @@ class TestBigruSequence:
             count = get or (lambda: None)
             before = count()
             import hvector.tensor as hv
-            print(before, count(), hv._THREADED, hv.worker_count())
+            print(before, count(), hv._THREADED, hv._one_malloc_arena(), hv.worker_count())
         """)
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env["PYTHONPATH"] = str(Path(hv.__file__).resolve().parent.parent)
@@ -477,14 +505,64 @@ class TestBigruSequence:
         done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        before, after, threaded, workers = done.stdout.split()
+        before, after, threaded, arena, workers = done.stdout.split()
         if before == "None":        # no OpenBLAS of numpy's own to set
             assert threaded == "False"
             return
         if threads is not None:
             assert before == threads
         assert after == "1"
-        assert threaded == str(int(workers) >= 2)
+        assert threaded == str(arena == "True" and int(workers) >= 2)
+
+    def test_no_worker_without_one_malloc_arena(self):
+        # where mallopt cannot be found, as without glibc, the directions
+        # run in turn and no worker thread starts
+        _run_python("""
+            import ctypes
+
+            class NoMallopt(ctypes.CDLL):
+                def __getattr__(self, name):
+                    if name == "mallopt":
+                        raise AttributeError(name)
+                    return super().__getattr__(name)
+
+            ctypes.CDLL = NoMallopt
+            import hvector.tensor as hv
+            assert not hv._one_malloc_arena() and not hv._THREADED
+        """, _ONE_BIGRU_STEP, """
+            assert hv._WORKER is None
+        """)
+
+    def test_threaded_step_keeps_one_malloc_arena(self):
+        # memory the worker frees goes back to the calling thread's heap:
+        # after a threaded forward and backward, glibc's malloc_info, read
+        # through an in-memory stream, reports one arena
+        done = _run_python("""
+            import ctypes, re, sys
+            libc = ctypes.CDLL(None)
+            if not all(hasattr(libc, f) for f in ("malloc_info", "open_memstream", "mallopt")):
+                sys.exit(77)
+            libc.open_memstream.restype = ctypes.c_void_p
+            libc.open_memstream.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                                            ctypes.POINTER(ctypes.c_size_t)]
+            libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+            libc.fclose.argtypes = [ctypes.c_void_p]
+            libc.free.argtypes = [ctypes.c_void_p]
+            import hvector.tensor as hv
+            hv._THREADED = True
+        """, _ONE_BIGRU_STEP, """
+            assert hv._WORKER is not None
+            buf, size = ctypes.c_void_p(), ctypes.c_size_t()
+            stream = libc.open_memstream(ctypes.byref(buf), ctypes.byref(size))
+            libc.malloc_info(0, stream)
+            libc.fclose(stream)
+            info = ctypes.string_at(buf, size.value).decode()
+            libc.free(buf)
+            arenas = len(re.findall(r'<heap nr="\\d+"', info))
+            assert arenas == 1, info
+        """, allowed=(0, 77))
+        if done.returncode == 77:
+            pytest.skip("no glibc malloc_info, open_memstream or mallopt")
 
 
 class TestForkedMap:
