@@ -86,13 +86,17 @@ def load_features(entries) -> list[UtteranceFeatures]:
         if e.path not in stores:
             if not Path(e.path).exists():
                 raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
-            frags = hv.load_archive(e.path).get("fragments")
+            try:
+                frags = hv.load_archive(e.path).get("fragments")
+            except ValueError as exc:
+                raise ValueError(f"{exc}; rerun `hvector prepare` (feature files from "
+                                 "earlier versions, per-window ones too, are no longer "
+                                 "read)") from None
             if not (getattr(frags, "ndim", 0) == 4 and frags.shape[1] == N_FRAGMENTS
                     and frags.shape[2] > 0 and np.isfinite(frags).all()):
                 raise ValueError(
                     f"{e.path}: not a feature store of finite (windows, {N_FRAGMENTS}, frames, "
-                    "coefficients) fragments, as `hvector prepare` writes; rerun it "
-                    "(per-window feature files are no longer read)")
+                    "coefficients) fragments, as `hvector prepare` writes; rerun it")
             stores[e.path] = frags
         frags = stores[e.path]
         if not 0 <= e.row < len(frags):
@@ -229,6 +233,11 @@ def _require_input(path, what: str, hint: str):
 
 
 def _guard_outputs(paths, force: bool):
+    # a file where a directory must go is refused now, not after the work
+    for p in map(Path, paths):
+        blocked = next((a for a in p.parents if a.exists() and not a.is_dir()), None)
+        if blocked is not None:
+            raise CliError(f"cannot write {p}: {blocked} is not a directory")
     existing = [str(p) for p in paths if Path(p).exists()]
     if existing and not force:
         raise CliError("output already exists: " + ", ".join(existing)
@@ -357,7 +366,6 @@ def cmd_train(args) -> int:
     log_path = out_dir / "train.log"
     outputs = [ckpt_path, log_path]
     _guard_outputs(outputs, args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
     feats = load_features(train_man.entries + dev_man.entries)
@@ -371,7 +379,9 @@ def cmd_train(args) -> int:
                                     dropout=cfg["dropout"])
     train_cfg = TrainConfig(**{f.name: cfg[f.name]
                                for f in dataclasses.fields(TrainConfig)})
-    # only now that the inputs and settings are valid may the old run go
+    # only now that the inputs and settings are valid may --out be made and
+    # the old run go
+    out_dir.mkdir(parents=True, exist_ok=True)
     for p in outputs:
         p.unlink(missing_ok=True)
     # a diverging run overflows before its gradients go non-finite; train
@@ -393,12 +403,13 @@ def cmd_embed(args) -> int:
     params, model_cfg = _load_ckpt(args.ckpt)
     out_path = Path(args.out)
     _guard_outputs([out_path], args.force)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     feats = load_features(manifest.entries)
     vectors = embed_batch(feats, params, model_cfg, cfg["batch_size"])
     records = [EmbeddingRecord(u.utterance_id, u.speaker_id, vectors[i])
                for i, u in enumerate(feats)]
+    # made only now, so a refused input leaves no --out behind
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(out_path, records)
     print(f"wrote {len(records)} embeddings of dim {vectors.shape[1]} to {out_path}")
     return 0

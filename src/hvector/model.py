@@ -391,8 +391,13 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Parameters, speaker list included, and config from one archive that
     holds the config's arrays, no others, in one dtype.  An archive without
     a config record (the older layout, with the config and the speakers in
-    files beside it) is refused, and no file beside it is read."""
-    arrays = hv.load_archive(path)
+    files beside it) is refused, and no file beside it is read; so is one
+    load_archive cannot read, such as one from an earlier version."""
+    try:
+        arrays = hv.load_archive(path)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; rerun `hvector train` (checkpoints from earlier "
+                         "versions are no longer read)") from None
     if "config" not in arrays:
         raise ValueError(f"{path}: no config record; this checkpoint predates "
                          "single-file checkpoints, retrain it")

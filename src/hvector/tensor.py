@@ -30,8 +30,8 @@ import contextlib
 import math
 import os
 import pickle
-import struct
 import warnings
+import zipfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -977,86 +977,55 @@ def grad_check(f, theta: Tensor, h: float = 1e-5) -> float:
 # binary serialisation
 # ---------------------------------------------------------------------------
 
-# Each array's magic names its element type.  float32 arrays are stored as
-# float32; anything else as float64 under the original HVT1 magic, so float64
-# files keep their bytes.  A str value is a UTF-8 text record under HVS1.
-_MAGIC_DTYPE = {b"HVT1": np.dtype("<f8"), b"HVF4": np.dtype("<f4")}
-_TEXT_MAGIC = b"HVS1"
-_ARCHIVE_MAGIC = b"HVTA"
+# An archive is a zip of stored (uncompressed) `<name>.npy` members, the
+# container np.savez writes, so np.load(path, allow_pickle=False) opens it and
+# zipfile checks each member's CRC-32.  float32 arrays are stored as float32,
+# any other number as little-endian float64, and a str as a 0-d unicode array.
+_READ_CHUNK = 1 << 20      # bytes read at a time into an array being loaded
+# what zipfile and np.lib.format raise on a cut or corrupted archive
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError,
+                   ValueError, OSError)
 
 
-def _write_text(fh, text: str):
-    raw = text.encode("utf-8")
-    fh.write(struct.pack("<q", len(raw)))
-    fh.write(raw)
+def _text(arr) -> str:
+    """The str a 0-d unicode array holds, as np.load reads it: its UTF-32 code
+    points without trailing NULs.  One that is not a character is refused."""
+    return arr.tobytes().decode("utf-32-le").rstrip("\0")
 
 
-def _write_value(fh, value):
-    if isinstance(value, str):
-        fh.write(_TEXT_MAGIC)
-        return _write_text(fh, value)
-    arr = np.asarray(value)
-    magic = b"HVF4" if arr.dtype == np.float32 else b"HVT1"
-    arr = arr.astype(_MAGIC_DTYPE[magic], copy=False)
-    fh.write(magic)
-    fh.write(struct.pack("<q", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<q", dim))
-    fh.write(np.ascontiguousarray(arr).reshape(-1).view(np.uint8).data)   # no copy
-
-
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise IOError(f"{fh.name}: truncated tensor file: wanted {n} bytes, "
-                      f"got {len(buf)}")
-    return buf
-
-
-def _bytes_left(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def _read_text(fh, what: str) -> str:
-    n, = struct.unpack("<q", _read_exact(fh, 8))
-    if not 0 <= n <= _bytes_left(fh):
-        raise ValueError(f"{fh.name}: implausible {what} length {n}")
-    raw = _read_exact(fh, n)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{fh.name}: {what} {raw[:40]!r} is not UTF-8") from None
-
-
-def _read_value(fh, name: str):
-    magic = _read_exact(fh, 4)
-    if magic == _TEXT_MAGIC:
-        return _read_text(fh, f"text record {name!r}")
-    if magic not in _MAGIC_DTYPE:
-        raise ValueError(f"{fh.name}: bad tensor magic {magic!r}, expected "
-                         f"{' or '.join(map(repr, [*_MAGIC_DTYPE, _TEXT_MAGIC]))}")
-    dtype = _MAGIC_DTYPE[magic]
-    rank, = struct.unpack("<q", _read_exact(fh, 8))
-    if rank < 0 or rank > 32:
-        raise ValueError(f"{fh.name}: implausible tensor rank {rank}")
-    shape = tuple(struct.unpack("<q", _read_exact(fh, 8))[0] for _ in range(rank))
-    if any(dim < 0 for dim in shape):
-        raise ValueError(f"{fh.name}: negative dimension in tensor shape {shape}")
-    # Check the header against the file before allocating, so a corrupt
-    # shape cannot ask for more memory than the file could hold.
-    nbytes = dtype.itemsize * math.prod(shape)
-    left = _bytes_left(fh)
-    if nbytes > left:
-        raise ValueError(f"{fh.name}: truncated tensor file: shape {shape} needs "
-                         f"{nbytes} bytes, {left} left")
-    try:
+def _read_record(zf, info):
+    """One member's array, or str, read to the member's end, where zipfile
+    checks its CRC-32.  Its header is checked against the member's size
+    before anything is allocated."""
+    what = f"member {info.filename!r}"
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{what} is compressed; hvector stores its records")
+    fmt = np.lib.format
+    with zf.open(info) as fh:
+        version = fmt.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{what}: .npy format version {version} is not read")
+        read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran_order, dtype = read(fh)
+        if fortran_order or not (dtype.str in ("<f4", "<f8")
+                                 or dtype.str.startswith("<U") and shape == ()):
+            raise ValueError(f"{what}: a{' Fortran-ordered' * fortran_order} {dtype.str} "
+                             f"array of shape {shape}, not a C-ordered <f4 or <f8 array "
+                             "or 0-d <U text")
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{what}: negative dimension in shape {shape}")
+        nbytes = dtype.itemsize * math.prod(shape)
+        left = info.file_size - fh.tell()
+        if nbytes != left:
+            raise ValueError(f"{what}: shape {shape} of {dtype.str} needs {nbytes} bytes, "
+                             f"the member holds {left}")
         data = np.empty(shape, dtype)
-    except ValueError as exc:  # an empty shape whose other dims overflow numpy
-        raise ValueError(f"{fh.name}: implausible tensor shape {shape}: {exc}") from None
-    # read straight into the array: a feature store is megabytes
-    if fh.readinto(data.reshape(-1).view(np.uint8)) != nbytes:
-        raise IOError(f"{fh.name}: truncated tensor file: wanted {nbytes} bytes")
-    return data
+        view = data.reshape(-1).view(np.uint8)
+        for start in range(0, nbytes, _READ_CHUNK):
+            chunk = view[start:start + _READ_CHUNK]
+            if fh.readinto(chunk) != len(chunk):
+                raise EOFError(f"{what} ends inside its array")
+    return _text(data) if dtype.kind == "U" else data
 
 
 @contextmanager
@@ -1080,33 +1049,43 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
 
 
 def save_archive(path, records: dict):
-    """Write a keyed archive of arrays (float32 or float64 each) and str values
-    (UTF-8 text records), replaced whole or not at all."""
-    with atomic_write(path) as fh:
-        fh.write(_ARCHIVE_MAGIC)
-        fh.write(struct.pack("<q", len(records)))
+    """Write a keyed archive of arrays (float32 or float64 each) and str
+    values, replaced whole or not at all."""
+    fmt = np.lib.format
+    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w") as zf:
         for name, value in records.items():
-            _write_text(fh, name)
-            _write_value(fh, value)
+            if isinstance(value, str):
+                arr = np.asarray(value, "<U")
+            else:
+                arr = np.asarray(value)
+                arr = np.asarray(arr, "<f4" if arr.dtype == np.float32 else "<f8", order="C")
+            info = zipfile.ZipInfo(name + ".npy")     # dated 1980-01-01: fixed bytes
+            info.file_size = arr.nbytes    # so a member past 2 GiB gets ZIP64 sizes
+            if info.filename != name + ".npy" or arr.dtype.kind == "U" and _text(arr) != value:
+                raise ValueError(f"{path}: record {name!r} cannot be stored as .npy")
+            with zf.open(info, "w") as out:
+                fmt.write_array_header_1_0(out, fmt.header_data_from_array_1_0(arr))
+                out.write(arr.reshape(-1).view(np.uint8).data)   # no copy
 
 
 def load_archive(path) -> dict:
-    """The records save_archive wrote, by name, in the order written."""
+    """The records save_archive wrote, by name, in the order written.  A cut
+    or corrupted archive raises one ValueError that names the file."""
     out = {}
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != _ARCHIVE_MAGIC:
-            raise ValueError(f"{path}: bad archive magic {magic!r}, "
-                             f"expected {_ARCHIVE_MAGIC!r}")
-        count, = struct.unpack("<q", _read_exact(fh, 8))
-        if count < 0:
-            raise ValueError(f"{path}: negative tensor count {count}")
-        for _ in range(count):
-            name = _read_text(fh, "tensor name")
-            if name in out:
-                raise ValueError(f"{path}: record {name} appears twice")
-            out[name] = _read_value(fh, name)
-        if _bytes_left(fh):
-            raise ValueError(f"{path}: {_bytes_left(fh)} bytes after the last of "
-                             f"{count} tensors")
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                for info in zf.infolist():
+                    name = info.filename.removesuffix(".npy")
+                    if name == info.filename:
+                        raise ValueError(f"member {info.filename!r} is not a .npy record")
+                    # no writer gives a member a comment; a corrupt comment
+                    # length would hide the members after it
+                    if info.comment:
+                        raise ValueError(f"member {info.filename!r} has a comment")
+                    if name in out:
+                        raise ValueError(f"record {name!r} appears twice")
+                    out[name] = _read_record(zf, info)
+        except _ARCHIVE_ERRORS as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return out

@@ -54,7 +54,7 @@ from hvector.scoring import (
 )
 from hvector.train import TrainConfig, predict
 
-from helpers import tiny_config
+from helpers import save_old_archive, tiny_config
 
 
 def run_cli(*argv):
@@ -1379,8 +1379,12 @@ def _store_with(value):
 
 def _not_a_store(path):
     return (f"{path}: not a feature store of finite (windows, 10, frames, coefficients) "
-            "fragments, as `hvector prepare` writes; rerun it "
-            "(per-window feature files are no longer read)")
+            "fragments, as `hvector prepare` writes; rerun it")
+
+
+def _refused_store(path, why):
+    return (f"{path}: {why}; rerun `hvector prepare` (feature files from earlier "
+            "versions, per-window ones too, are no longer read)")
 
 
 # a per-window archive from before feature stores: 3-D fragments and an
@@ -1404,7 +1408,7 @@ _BAD_FEATURE_STORES = {
     "fragments are missing": ({"windows": _STORE}, 0, None),
     "fragments hold nan": ({"fragments": _store_with(np.nan)}, 0, None),
     "fragments hold inf": ({"fragments": _store_with(-np.inf)}, 1, None),
-    "file is truncated": (None, 0, "truncated tensor file"),
+    "file is truncated": (None, 0, "File is not a zip file; rerun `hvector prepare`"),
     "row is the window count": ({"fragments": _STORE}, 2, "no row 2: the store holds 2 windows"),
 }
 
@@ -1443,15 +1447,59 @@ def test_pre_store_feature_directory_is_refused(pipeline, tmp_path):
     lines = []
     for u in load_features(entries):
         path = old / "feats" / f"{u.utterance_id}.hvt"
-        hv.save_archive(path, {"fragments": u.fragments, "n_frames": 90.0})
+        save_old_archive(path, {"fragments": u.fragments, "n_frames": 90.0})
         lines.append(f"{u.utterance_id}\t{u.speaker_id}\t{path}\t90\n")
     (old / "manifest.tsv").write_text("".join(lines))
     first = old / "feats" / f"{entries[0].utterance_id}.hvt"
-    for argv in (("embed", "--out", str(tmp_path / "e.csv")), ("score-id",)):
+    for argv in (("embed", "--out", str(tmp_path / "out" / "e.csv")), ("score-id",)):
         code, _, err = run_cli(argv[0], "--manifest", str(old / "manifest.tsv"),
                                "--ckpt", str(pipeline["ckpt"]), *argv[1:])
-        assert (code, err) == (1, f"error: {_not_a_store(first)}\n")
-    assert not (tmp_path / "e.csv").exists()
+        assert (code, err) == \
+            (1, f"error: {_refused_store(first, 'File is not a zip file')}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_archives_from_earlier_versions_are_refused(pipeline, tmp_path):
+    # a feature store and a checkpoint as hvector wrote them before archives
+    # were zips of .npy records: each is one error line that names the file
+    # and the command that writes it anew
+    store, ckpt = tmp_path / "features.hvt", tmp_path / "model.hvt"
+    frags = np.stack([u.fragments for u in
+                      load_features(Manifest.load(pipeline["feats_manifest"]).entries)])
+    save_old_archive(store, {"fragments": frags})
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{store}\t{k}\n" for k in range(4)))
+    code, _, err = run_cli("train", "--manifest", str(manifest), "--out", str(tmp_path / "run"))
+    assert (code, err) == (1, f"error: {_refused_store(store, 'File is not a zip file')}\n")
+    assert not (tmp_path / "run").exists()
+    params, cfg = load_checkpoint(pipeline["ckpt"])
+    save_old_archive(ckpt, {"config": cfg.to_text(), **{
+        name: t.data for name, t in params.tensors.items()}})
+    code, _, err = run_cli("score-id", "--manifest", str(pipeline["feats_manifest"]),
+                           "--ckpt", str(ckpt))
+    assert (code, err) == (1, f"error: {ckpt}: File is not a zip file; rerun `hvector train` "
+                              "(checkpoints from earlier versions are no longer read)\n")
+
+
+def test_refused_train_and_embed_create_no_out(pipeline, tmp_path):
+    # train refuses a split without two clips per speaker, and train and
+    # embed a manifest whose store is missing, before either makes --out
+    one_each = tmp_path / "one.tsv"
+    one_each.write_text("".join(line for line in
+                                pipeline["feats_manifest"].read_text().splitlines(True)
+                                if "-u000-" in line))
+    missing = tmp_path / "missing.tsv"
+    missing.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{tmp_path / 'gone.hvt'}\t{k}\n"
+                               for k in range(4)))
+    out = tmp_path / "a" / "b"
+    for argv, expected in [
+            (("train", "--manifest", one_each, "--out", out), "need at least 2 to split"),
+            (("train", "--manifest", missing, "--out", out), "gone.hvt missing"),
+            (("embed", "--manifest", missing, "--ckpt", pipeline["ckpt"],
+              "--out", out / "e.csv"), "gone.hvt missing")]:
+        code, _, err = run_cli(*map(str, argv))
+        assert code == 1 and len(err.splitlines()) == 1 and expected in err, err
+        assert not (tmp_path / "a").exists()
 
 
 @settings(max_examples=40, deadline=None)

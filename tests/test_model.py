@@ -567,10 +567,11 @@ class TestCheckpoint:
         p = labelled(build_params(cfg, seed=37), cfg)
         path = tmp_path / "model.hvt"
         save_checkpoint(path, p, cfg)
-        # written in the float64 format every earlier checkpoint has
-        raw = path.read_bytes()
-        assert raw.count(b"HVT1") == len(p.tensors) + len(p.buffers)
-        assert b"HVF4" not in raw
+        # every array is stored as float64, beside the two text records
+        with np.load(path, allow_pickle=False) as npz:
+            dtypes = sorted(npz[k].dtype.str for k in npz.files)
+        assert [d[:2] for d in dtypes[:2]] == ["<U", "<U"]
+        assert dtypes[2:] == ["<f8"] * (len(p.tensors) + len(p.buffers))
         loaded, _ = load_checkpoint(path)
         assert loaded.dtype == np.float64
         rng = np.random.default_rng(38)
@@ -735,7 +736,8 @@ def test_failed_checkpoint_write_keeps_the_previous_files(tmp_path, monkeypatch,
         ".spk": "".join(f"{s}\n" for s in new.speakers),
         ".hvt": next(iter(new.tensors.values())).data,
     }[torn]
-    at = payload.encode() if isinstance(payload, str) else payload.tobytes()
+    # the chunk that holds the record's value: text is stored as UTF-32
+    at = np.asarray(payload, "<U" if isinstance(payload, str) else None).tobytes()
     _tear(monkeypatch, ".model.hvt.", at=at)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(ckpt, new, new_cfg)
@@ -759,8 +761,8 @@ def test_torn_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
         # no temporary file is left behind, and the old file is whole
         assert [p.name for p in tmp_path.iterdir()] == ["model.hvt"], intact
         assert ckpt.read_bytes() == before, intact
-    # a tear was tried inside every record: name, magic and payload each
-    assert intact > 3 * (2 + len(new.tensors) + len(new.buffers))
+    # a tear was tried at least once for every record
+    assert intact > 2 + len(new.tensors) + len(new.buffers)
     loaded, cfg2 = load_checkpoint(ckpt)
     assert (loaded.speakers, cfg2) == (new.speakers, new_cfg)
 

@@ -394,7 +394,7 @@ class TestTrainLoop:
                 self.fh.close()
 
             def write(self, data):
-                if data == b"a\nb\n":
+                if data == "a\nb\n".encode("utf-32-le"):   # stored as .npy unicode
                     raise OSError("no space left on device")
                 return self.fh.write(data)
 
