@@ -245,10 +245,10 @@ def _guard_outputs(paths, force: bool):
 
 
 @contextmanager
-def _removed_on_failure(out_dir: Path):
-    """Remove out_dir, with the parents made for it, if the block fails
-    where out_dir did not exist before it, so that no failed stage blocks
-    its rerun without --force."""
+def _removed_on_failure(out_dir: Path, files=()):
+    """If the block fails, remove out_dir, with the parents made for it,
+    where out_dir did not exist before it, and `files` where it did, so
+    that no failed stage blocks its rerun without --force."""
     made = None
     for path in (out_dir, *out_dir.parents):
         if path.exists():
@@ -259,6 +259,8 @@ def _removed_on_failure(out_dir: Path):
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
+        for path in files:
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -381,14 +383,15 @@ def cmd_train(args) -> int:
                                for f in dataclasses.fields(TrainConfig)})
     # only now that the inputs and settings are valid may --out be made and
     # the old run go
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for p in outputs:
-        p.unlink(missing_ok=True)
-    # a diverging run overflows before its gradients go non-finite; train
-    # reports that as TrainingDiverged, so numpy's own warnings stay quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, history = train(train_feats, dev_feats, model_cfg, train_cfg,
-                           checkpoint_path=ckpt_path, log_path=log_path)
+    with _removed_on_failure(out_dir, outputs):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for p in outputs:
+            p.unlink(missing_ok=True)
+        # a diverging run overflows before its gradients go non-finite; train
+        # reports that as TrainingDiverged, so numpy's own warnings stay quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, history = train(train_feats, dev_feats, model_cfg, train_cfg,
+                               checkpoint_path=ckpt_path, log_path=log_path)
     print(f"best_dev_acc={max(h.dev_acc for h in history):.4f}")
     print(f"checkpoint: {ckpt_path}")
     print(f"log: {log_path}")

@@ -240,7 +240,7 @@ def attention_normalize(scores) -> Tensor:
 
 def _attention_weights(h, params, name):
     """Score each row with relu(h W0 + b0) W1 and softmax over the rows."""
-    z = hv.relu(hv.add(hv.matmul(h, params[f"{name}.w0"]), params[f"{name}.b0"]))
+    z = hv.relu(hv.matmul(h, params[f"{name}.w0"], params[f"{name}.b0"]))
     scores = hv.matmul(z, params[f"{name}.w1"])
     return attention_normalize(hv.reshape(scores, h.shape[:-1]))
 
@@ -277,13 +277,13 @@ def segment_attention(s, params: ModelParams):
 
 
 def _head(pooled, params, cfg, training, rng, trace):
-    z = hv.add(hv.matmul(pooled, params["fc1.w"]), params["fc1.b"])
+    z = hv.matmul(pooled, params["fc1.w"], params["fc1.b"])
     emb = _batchnorm(hv.relu(z), params, "fc1_bn", training)
     if trace is not None:
         trace["emb"] = emb
     dropped = hv.dropout(emb, cfg.dropout, rng=rng, training=training)
-    z2 = hv.relu(hv.add(hv.matmul(dropped, params["fc2.w"]), params["fc2.b"]))
-    logits = hv.add(hv.matmul(z2, params["out.w"]), params["out.b"])
+    z2 = hv.relu(hv.matmul(dropped, params["fc2.w"], params["fc2.b"]))
+    logits = hv.matmul(z2, params["out.w"], params["out.b"])
     return logits, emb
 
 
@@ -390,17 +390,17 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     """Parameters, speaker list included, and config from one archive that
     holds the config's arrays, no others, in one dtype.  An archive without
-    a config record (the older layout, with the config and the speakers in
-    files beside it) is refused, and no file beside it is read; so is one
-    load_archive cannot read, such as one from an earlier version."""
+    a config record, such as a feature store, is not a checkpoint and is
+    refused, and no file beside it is read; so is one load_archive cannot
+    read, such as one from an earlier version."""
     try:
         arrays = hv.load_archive(path)
     except ValueError as exc:
         raise ValueError(f"{exc}; rerun `hvector train` (checkpoints from earlier "
                          "versions are no longer read)") from None
     if "config" not in arrays:
-        raise ValueError(f"{path}: no config record; this checkpoint predates "
-                         "single-file checkpoints, retrain it")
+        raise ValueError(f"{path}: no config record, so not a checkpoint that "
+                         "`hvector train` wrote (its <out>/model.hvt)")
     text = {key: arrays.pop(key, None) for key in ("config", "speakers")}
     for key, value in [*text.items(), *arrays.items()]:
         if isinstance(value, str) != (key in text):

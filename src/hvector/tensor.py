@@ -1,17 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The op set covers exactly what the speaker-embedding models need: matrix
-products, 1-D convolution, a whole-sequence bidirectional GRU
-(:func:`bigru_sequence`, one tape node for both directions, which runs
-them at once on two threads where two CPUs are usable, with :func:`gru_cell`
-as its step-by-step reference), softmax, statistics pooling, and a small
-family of elementwise/reduction ops.  Gradients are recorded on an explicit
-tape (:class:`Graph`) whose insertion order is already a topological order;
-:func:`backward` replays the tape once in reverse.  Importing this module
-sets numpy's OpenBLAS to one thread, so an op's bits depend on the BLAS
-build alone, not on OPENBLAS_NUM_THREADS, and sets glibc's malloc to one
-arena, so the BiGRU's worker thread frees into the heap the calling thread
-allocates from.
+products (a dense layer's bias in the same node), 1-D convolution, a
+whole-sequence bidirectional GRU (:func:`bigru_sequence`, one tape node for
+both directions, which runs them at once on two threads where two CPUs are
+usable, with :func:`gru_cell` as its step-by-step reference), softmax,
+statistics pooling, and a small family of elementwise/reduction ops.
+Gradients are recorded on an explicit tape (:class:`Graph`) whose insertion
+order is already a topological order; :func:`backward` replays the tape
+once in reverse.  Importing this module sets numpy's OpenBLAS to one
+thread, so an op's bits depend on the BLAS build alone, not on
+OPENBLAS_NUM_THREADS, and sets glibc's malloc to one arena, so the BiGRU's
+worker thread frees into the heap the calling thread allocates from.
 
 Every forward and backward product of :func:`matmul` and :func:`conv1d` is
 one 2-D GEMM over all leading rows: the models multiply (batch x segments x
@@ -348,23 +348,27 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    """a @ b where a is (..., m, k) and b is a 2-D (k, n) matrix."""
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b (+ bias) where a is (..., m, k), b is a 2-D (k, n) matrix and bias is (n,)."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    inputs = (a, b) if bias is None else (a, b, _wrap(bias))
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0] or inputs[2:] and inputs[2].shape != b.shape[1:]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}" + "".join(f" + {t.shape}" for t in inputs[2:]))
     k, n = b.shape
     a2 = a.data.reshape(-1, k)
     out = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+    out = out if bias is None else out + inputs[2].data
 
     def bwd(g):
         g2 = g.reshape(-1, n)
+        if bias is not None:
+            _accumulate(inputs[2], g2.sum(axis=0))
         if a.requires_grad:
             _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
             _accumulate(b, a2.T @ g2)
 
-    return _make(out, (a, b), bwd)
+    return _make(out, inputs, bwd)
 
 
 def _im2col(xp, width: int, t: int):

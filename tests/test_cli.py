@@ -299,6 +299,29 @@ class TestTrain:
         for name, content in old.items():
             assert (run / name).read_bytes() == content, name
 
+    def test_failed_train_reruns_without_force(self, tmp_path):
+        # the run diverges in epoch 2, after epoch 1 wrote train.log, and
+        # leaves the tree as it found it, whether or not --out existed
+        store = tmp_path / "features.hvt"
+        rng = np.random.default_rng(0)
+        hv.save_archive(store, {"fragments": rng.standard_normal((6, 10, 10, 20))})
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("".join(f"{s}-u{j}\t{s}\t{store}\t{3 * i + j}\n"
+                                    for i, s in enumerate("ab") for j in range(3)))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        for out in (tmp_path / "new" / "run", kept):
+            argv = ("train", "--manifest", str(manifest), "--out", str(out), "--epochs", "2")
+            before = sorted(tmp_path.rglob("*"))
+            code, _, err = run_cli(*argv, "--set", "lr=1e300")
+            assert code == 1
+            assert len(err.splitlines()) == 1 and "training diverged" in err, err
+            assert sorted(tmp_path.rglob("*")) == before
+            code, _, err = run_cli(*argv, "--set", "lr=0.001")
+            assert code == 0, err
+            assert {"model.hvt", "train.log"} <= {p.name for p in out.iterdir()}
+
     def test_model_checkpoint_is_float32(self, pipeline):
         params, _ = load_checkpoint(pipeline["ckpt"])
         assert params.dtype == np.float32
@@ -462,8 +485,8 @@ class TestScoreId:
         for argv in (("embed", "--out", str(emb)), ("score-id",)):
             code, out, err = run_cli(*argv, "--manifest", manifest, "--ckpt", str(ckpt))
             assert code == 1
-            assert err == (f"error: {ckpt}: no config record; this checkpoint predates "
-                           "single-file checkpoints, retrain it\n")
+            assert err == (f"error: {ckpt}: no config record, so not a checkpoint that "
+                           "`hvector train` wrote (its <out>/model.hvt)\n")
         assert not emb.exists()
 
 
@@ -1076,12 +1099,23 @@ def _boundary_inputs(tmp_path):
     return {"dir": tmp_path, "manifest": manifest, "emb": emb, "file": regular}
 
 
+def _not_a_checkpoint(ckpt):
+    return f"{ckpt}: no config record, so not a checkpoint that `hvector train` wrote " \
+        "(its <out>/model.hvt)"
+
+
 def _case_no_config_record(p):
     ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
     return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
-            "--out", p["dir"] / "e.csv"), \
-        f"{ckpt}: no config record; this checkpoint predates single-file checkpoints, " \
-        "retrain it"
+            "--out", p["dir"] / "e.csv"), _not_a_checkpoint(ckpt)
+
+
+def _case_feature_store_as_checkpoint(p):
+    store = p["dir"] / "feats" / "features.hvt"
+    store.parent.mkdir()
+    hv.save_archive(store, {"fragments": np.zeros((1, 10, 10, 20))})
+    return ("embed", "--manifest", p["manifest"], "--ckpt", store,
+            "--out", p["dir"] / "e.csv"), _not_a_checkpoint(store)
 
 
 def _case_checkpoint_record(key, value, message):
@@ -1195,6 +1229,7 @@ _BOUNDARY_CASES = {
         ("score-ver", "--enrol", p["dir"], "--eval", p["emb"], "--out", p["dir"] / "ver"),
         f"Is a directory: '{p['dir']}'"),
     "embed --ckpt has no config record": _case_no_config_record,
+    "embed --ckpt is a feature store": _case_feature_store_as_checkpoint,
     "checkpoint text record under a tensor key": _case_checkpoint_record(
         "out.w", "1 2 3", "checkpoint record out.w should be an array"),
     "checkpoint config record is an array": _case_checkpoint_record(

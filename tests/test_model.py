@@ -493,8 +493,8 @@ class TestCheckpoint:
         save_legacy_checkpoint(path, p, cfg)
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
-        assert str(info.value) == (f"{path}: no config record; this checkpoint predates "
-                                   "single-file checkpoints, retrain it")
+        assert str(info.value) == (f"{path}: no config record, so not a checkpoint that "
+                                   "`hvector train` wrote (its <out>/model.hvt)")
 
     def test_arrays_the_mode_lacks_are_refused(self, tmp_path):
         cfg = tiny_config(mode="xvector_attn")

@@ -76,6 +76,45 @@ class TestMatmul:
         err = grad_check(lambda t: hv.tsum(hv.matmul(a, t)), b)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 1), ()])
+    def test_bias_of_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ValueError) as info:
+            hv.matmul(_t(np.zeros((5, 4))), _t(np.zeros((4, 2))), _t(np.zeros(shape)))
+        assert str(info.value) == f"matmul shape mismatch: (5, 4) @ (4, 2) + {shape}"
+
+    @settings(deadline=None)
+    @given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           k=st.integers(1, 8), n=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           bias_dtype=st.sampled_from([np.float32, np.float64]),
+           grads=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bias_gives_the_bits_of_add(self, lead, k, n, dtype, bias_dtype, grads, seed):
+        """One lead dimension makes a 2-D, two a 3-D; a is read again after
+        the matmul, so its gradient sums two terms in the tape's order."""
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(size=(*lead, k)).astype(dtype),
+                  rng.normal(size=(k, n)).astype(dtype),
+                  rng.normal(size=n).astype(bias_dtype))
+        out_dtype = np.result_type(dtype, bias_dtype)
+        probe = Tensor(rng.normal(size=(*lead, n)).astype(out_dtype))
+        probe_a = Tensor(rng.normal(size=(*lead, k)).astype(dtype))
+        runs = []
+        for fused in (True, False):
+            a, w, b = (Tensor(x, requires_grad=r) for x, r in zip(arrays, grads))
+            with record():
+                out = hv.matmul(a, w, b) if fused else hv.add(hv.matmul(a, w), b)
+                loss = hv.add(hv.tsum(hv.mul(out, probe)), hv.tsum(hv.mul(a, probe_a)))
+            if any(grads):
+                backward(loss)
+            runs.append([out.data, a.grad, w.grad, b.grad])
+        assert runs[0][0].dtype == out_dtype
+        for got, want, needed in zip(*runs, (True, *grads)):
+            assert (got is None) == (want is None) == (not needed)
+            if needed:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
 
 class TestConv1d:
     def test_width_one_identity_kernel(self):
@@ -869,6 +908,7 @@ class TestGradCheck:
 
 REGISTERED_OPS = [
     ("matmul", lambda t, c: hv.matmul(t, c["m"]), (3, 4)),
+    ("matmul bias", lambda t, c: hv.mul(hv.matmul(c["b34"], c["m"], t), c["b32"]), (2,)),
     ("conv1d", lambda t, c: hv.conv1d(t, c["k"], c["cb"]), (6, 3)),
     ("gru_cell", lambda t, c: hv.gru_cell(t, c["h0"], c["gru"]), (2, 3)),
     ("bigru_sequence", lambda t, c: hv.bigru_sequence(t, c["gru"], c["gru_b"]), (2, 5, 3)),
@@ -915,7 +955,9 @@ def test_every_op_matches_finite_differences(name, build, shape):
         "be4": Tensor(np.zeros(4)),
     }
     theta = _t(rng.normal(size=shape))
-    ctx["gru_b"] = _gru_params(3, 4, rng)   # drawn last: the other ops' draws stay as they were
+    # drawn last, so the other ops' draws stay as they were
+    ctx["gru_b"] = _gru_params(3, 4, rng)
+    ctx["b32"] = Tensor(rng.normal(size=(3, 2)))
     err = grad_check(lambda t: hv.tsum(build(t, ctx)), theta)
     assert err < 1e-6, f"{name}: {err}"
 

@@ -195,17 +195,21 @@ class TestFixedBatchDescent:
 
 def test_desk_training_step_tape_stays_small():
     # One node for the BiGRU: a per-time-step op chain would put hundreds
-    # of nodes on this tape (482 with ten steps of 22 ops each).
-    cfg = ModelConfig.desk(4)
-    params = build_params(cfg, seed=0)
-    rng = np.random.default_rng(8)
-    frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-    with hv.record() as graph:
-        logits, _ = forward_batch(frags, params, cfg, training=True,
-                                  rng=np.random.default_rng(9))
-        loss = cross_entropy(logits, np.arange(8) % 4)
-    hv.backward(loss)
-    assert len(graph.nodes) <= 40
+    # of nodes on this tape (482 with ten steps of 22 ops each); one for
+    # each dense layer, its bias included.
+    nodes = {}
+    for mode in MODES:
+        cfg = ModelConfig.desk(4, mode=mode)
+        params = build_params(cfg, seed=0)
+        rng = np.random.default_rng(8)
+        frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+        with hv.record() as graph:
+            logits, _ = forward_batch(frags, params, cfg, training=True,
+                                      rng=np.random.default_rng(9))
+            loss = cross_entropy(logits, np.arange(8) % 4)
+        hv.backward(loss)
+        nodes[mode] = len(graph.nodes)
+    assert nodes == {"hvector": 35, "xvector": 27, "xvector_attn": 32}
 
 
 def test_finished_step_is_freed_without_the_cycle_collector():
