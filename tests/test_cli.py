@@ -1626,9 +1626,12 @@ _TINY_RECORDS = {"speakers": "a\nb\nc\n",
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_fuzzed_lines("=", st.sampled_from(
+@given(text=(_fuzzed_lines("=", st.sampled_from(
     ["n_speakers", "mode", "dropout", "gru_hidden", "3", "0", "xvector", "0.5", "-1"]))
     | st.lists(st.sampled_from(_CFG_LINES)).map("\n".join))
+    # storable text only: save_archive refuses a trailing NUL, which .npy
+    # unicode drops (test_tensor.py pins that refusal)
+    .filter(lambda t: not t.endswith("\0")))
 @example(text="n_speakers=3\n")     # loads, but the stored shapes disagree
 def test_checkpoint_loader_fails_cleanly(fuzz_dir, text):
     ckpt = fuzz_dir / "run" / "model.hvt"
