@@ -42,7 +42,7 @@ from .corpus import (
     CLIP_FORK_FLOOR, Manifest, ManifestEntry, check_synth_args, open_text, parse_setting,
     read_settings, split, synth_corpus,
 )
-from .model import MODES, ModelConfig, batches, embed_batch, load_checkpoint
+from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
 # stay importable from this module, where perfbench/spans.py patches them
 from .scoring import (  # noqa: F401
@@ -149,9 +149,6 @@ def _field_setting(cls, name: str, **given):
     return field.default, _checked(_CASTS[field.type], lambda v: cls(**given, **{name: v}))
 
 
-# batches owns the batch_size rule; batches of nothing check a size alone
-_BATCH_SIZE = (64, _checked(int, lambda v: list(batches([], (), v))))
-
 # command -> {key: (default, parser)}
 _SCHEMAS = {
     "synth": {
@@ -175,8 +172,8 @@ _SCHEMAS = {
         # split owns the (0, 1) rule; an empty manifest splits at once
         "train_fraction": (0.9, _checked(float, lambda v: split(Manifest([]), v))),
     },
-    "embed": {"batch_size": _BATCH_SIZE},
-    "score-id": {"batch_size": _BATCH_SIZE},
+    "embed": {},
+    "score-id": {},
     "score-ver": {
         "backend": ("plda", _choice({"plda", "cosine"})),
         "lda_dim": (None, _optional(int)),
@@ -218,11 +215,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def echo_config(command: str, cfg: dict, extra: dict | None = None):
-    merged = dict(cfg)
-    merged.update(extra or {})
-    for key in sorted(merged):
-        print(f"config {command}.{key}={_format_value(merged[key])}")
+def echo_config(command: str, cfg: dict, extra: dict):
+    for key, value in sorted({**cfg, **extra}.items()):
+        print(f"config {command}.{key}={_format_value(value)}")
 
 
 # --- shared guards ----------------------------------------------------------
@@ -399,16 +394,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg = resolve_config("embed", args)
-    echo_config("embed", cfg, {"manifest": args.manifest,
-                               "ckpt": args.ckpt, "out": args.out})
+    echo_config("embed", resolve_config("embed", args),
+                {"manifest": args.manifest, "ckpt": args.ckpt, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     params, model_cfg = _load_ckpt(args.ckpt)
     out_path = Path(args.out)
     _guard_outputs([out_path], args.force)
 
     feats = load_features(manifest.entries)
-    vectors = embed_batch(feats, params, model_cfg, cfg["batch_size"])
+    vectors = embed_batch(feats, params, model_cfg)
     records = [EmbeddingRecord(u.utterance_id, u.speaker_id, vectors[i])
                for i, u in enumerate(feats)]
     # made only now, so a refused input leaves no --out behind
@@ -419,12 +413,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score_id(args) -> int:
-    cfg = resolve_config("score-id", args)
-    echo_config("score-id", cfg, {"manifest": args.manifest, "ckpt": args.ckpt})
+    echo_config("score-id", resolve_config("score-id", args),
+                {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     params, model_cfg = _load_ckpt(args.ckpt)
     feats = load_features(manifest.entries)
-    indices = predict(feats, params, model_cfg, cfg["batch_size"])
+    indices = predict(feats, params, model_cfg)
     predicted = [params.speakers[i] for i in indices]
     acc = accuracy(predicted, [u.speaker_id for u in feats])
     print(f"accuracy={acc:.4f}")

@@ -59,7 +59,7 @@ def parse_setting(parsers: dict, key: str, raw: str, where: str):
     """parsers[key](raw); a ValueError starting with `where` if key or value is bad."""
     if key not in parsers:
         raise ValueError(f"{where}: unknown config key {key!r} "
-                         f"(known: {', '.join(sorted(parsers))})")
+                         f"(known: {', '.join(sorted(parsers)) or 'none'})")
     try:
         return parsers[key](raw)
     except ValueError as exc:

@@ -345,8 +345,7 @@ def batches(features: list, order, batch_size: int):
     Indices from ``order`` are grouped by fragments.shape in order of first
     appearance, keep their given order within each group, and are cut into
     chunks of at most ``batch_size``, so every chunk stacks and mixed inputs
-    still form valid batches.  A batch_size below 1 is refused: this is
-    the one rule for every batch size, and batches([], (), n) checks n alone.
+    still form valid batches.  batch_size < 1 is refused, even with nothing to batch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -359,17 +358,28 @@ def batches(features: list, order, batch_size: int):
             yield idx, np.stack([features[i].fragments for i in idx])
 
 
-def embed_batch(features: list, params: ModelParams, cfg: ModelConfig,
-                batch_size: int = 64) -> np.ndarray:
-    """Inference-mode embeddings for a list of UtteranceFeatures, in input order.
+_INFERENCE_BUDGET = 2**23   # floats in one layer's output for one inference batch
 
-    They are float64 whatever the parameters' dtype, as the back end expects.
-    """
-    out = np.zeros((len(features), cfg.fc1_dim))
-    for idx, frags in batches(features, range(len(features)), batch_size):
-        _, emb = forward_batch(frags, params, cfg, training=False)
-        out[idx] = emb.data
+
+def _infer(features: list, params: ModelParams, cfg: ModelConfig, out, pick):
+    """Fill out[idx] with pick(logits, embeddings), batch by batch in inference
+    mode: every inference pass runs this loop.  A batch holds 64 windows, or
+    fewer where its widest layer output would pass the budget (18 or 19 3-s
+    windows at the full preset); cfg alone sets it, so reruns repeat every bit."""
+    widest = max(cfg.frame_cnn_out, cfg.frame_out_dim, cfg.seg_cnn_out)
+    per_window = cfg.n_fragments * cfg.frames_per_fragment * widest
+    size = min(64, max(1, _INFERENCE_BUDGET // per_window))
+    for idx, frags in batches(features, range(len(features)), size):
+        logits, emb = forward_batch(frags, params, cfg)
+        out[idx] = pick(logits.data, emb.data)
     return out
+
+
+def embed_batch(features: list, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+    """Inference-mode embeddings of UtteranceFeatures, in input order, as float64
+    whatever the parameters' dtype, as the back end expects."""
+    return _infer(features, params, cfg, np.zeros((len(features), cfg.fc1_dim)),
+                  lambda _, emb: emb)
 
 
 def _check_speakers(path, speakers, cfg: ModelConfig):

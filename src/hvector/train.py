@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as hv
 from .model import (
-    ModelConfig, ModelParams, batches, build_params, forward_batch, save_checkpoint,
+    ModelConfig, ModelParams, _infer, batches, build_params, forward_batch, save_checkpoint,
 )
 from .tensor import Tensor
 
@@ -111,18 +111,14 @@ def _labels_for(features, index, role):
     return labels
 
 
-def predict(features, params: ModelParams, cfg: ModelConfig,
-            batch_size: int = 64) -> np.ndarray:
+def predict(features, params: ModelParams, cfg: ModelConfig) -> np.ndarray:
     """Inference-mode argmax class index per utterance."""
-    out = np.empty(len(features), dtype=np.int64)
-    for idx, frags in batches(features, range(len(features)), batch_size):
-        logits, _ = forward_batch(frags, params, cfg, training=False)
-        out[idx] = np.argmax(logits.data, axis=1)
-    return out
+    return _infer(features, params, cfg, np.empty(len(features), dtype=np.int64),
+                  lambda logits, _: np.argmax(logits, axis=1))
 
 
-def classify_accuracy(features, labels, params, cfg, batch_size: int = 64) -> float:
-    return float(np.mean(predict(features, params, cfg, batch_size) == labels))
+def classify_accuracy(features, labels, params, cfg) -> float:
+    return float(np.mean(predict(features, params, cfg) == labels))
 
 
 def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hvector import model
 from hvector.model import ModelConfig
 
 
@@ -15,6 +16,13 @@ def tiny_config(n_speakers: int = 3, mode: str = "hvector") -> ModelConfig:
         n_speakers=n_speakers, mode=mode, frames_per_fragment=4,
         frame_cnn_out=8, gru_hidden=4, seg_cnn_out=8, fc1_dim=8, fc2_dim=8,
     )
+
+
+def set_inference_batch(monkeypatch, cfg: ModelConfig, size: int):
+    """Set the inference budget so that cfg's windows run `size` to a batch."""
+    widest = max(cfg.frame_cnn_out, cfg.frame_out_dim, cfg.seg_cnn_out)
+    monkeypatch.setattr(model, "_INFERENCE_BUDGET",
+                        size * cfg.n_fragments * cfg.frames_per_fragment * widest)
 
 
 def save_old_archive(path, records: dict):

@@ -1183,13 +1183,14 @@ def _case_train_setting(pair):
     return case
 
 
-def _case_batch_size(command, pair):
-    # as in _case_train_setting, the manifest names a missing feature file
+def _case_inference_setting(command):
+    # embed and score-id take no settings: the key is refused before any
+    # input is read, and the manifest names a missing feature file
     def case(p):
         out = ("--out", p["dir"] / "e.csv") if command == "embed" else ()
         return (command, "--manifest", p["manifest"], "--ckpt",
-                _tiny_checkpoint(p["dir"] / "run"), *out, "--set", pair), \
-            "error: --set: bad value for batch_size: "
+                _tiny_checkpoint(p["dir"] / "run"), *out, "--set", "batch_size=8"), \
+            "error: --set: unknown config key 'batch_size' (known: none)"
     return case
 
 
@@ -1250,8 +1251,8 @@ _BOUNDARY_CASES = {
                     "beta1=2", "beta2=1", "dropout=1.5", "train_fraction=2", "seed=-1",
                     "stop_at_dev_acc=5"]},
     "training diverges": _case_training_diverges,
-    "embed --set batch_size=0": _case_batch_size("embed", "batch_size=0"),
-    "score-id --set batch_size=-1": _case_batch_size("score-id", "batch_size=-1"),
+    "embed --set batch_size=8": _case_inference_setting("embed"),
+    "score-id --set batch_size=8": _case_inference_setting("score-id"),
 }
 
 

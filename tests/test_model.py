@@ -4,12 +4,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hvector
+from hvector import model
 from hvector import tensor as hv
 from hvector.audio import AudioClip, UtteranceFeatures, save_wav
 from hvector.corpus import Manifest, ManifestEntry
@@ -30,9 +32,9 @@ from hvector.scoring import (
     EmbeddingRecord, save_eer_report, save_embeddings, save_score_matrix,
 )
 from hvector.tensor import Tensor
-from hvector.train import classify_accuracy, predict
+from hvector.train import TrainConfig, classify_accuracy, predict
 
-from helpers import tiny_config
+from helpers import set_inference_batch, tiny_config
 
 
 def labelled(params, cfg):
@@ -382,7 +384,7 @@ class TestStageHelpers:
         assert abs(float(alpha.data.sum()) - 1.0) < 1e-12
         np.testing.assert_allclose(pooled.data[0], pooled_all.data[0], rtol=0, atol=1e-12)
 
-    def test_embed_batch_matches_per_utterance_forward(self):
+    def test_embed_batch_matches_per_utterance_forward(self, monkeypatch):
         cfg = tiny_config(n_speakers=3)
         p = build_params(cfg, seed=20)
         rng = np.random.default_rng(21)
@@ -390,7 +392,8 @@ class TestStageHelpers:
             UtteranceFeatures(fragments=random_frags(rng, cfg, batch=1)[0])
             for _ in range(5)
         ]
-        table = embed_batch(feats, p, cfg, batch_size=2)
+        set_inference_batch(monkeypatch, cfg, 2)   # batches of 2, 2 and 1
+        table = embed_batch(feats, p, cfg)
         assert table.shape == (5, cfg.fc1_dim)
         frags = np.stack([u.fragments for u in feats])
         _, emb = forward_batch(frags, p, cfg)
@@ -414,19 +417,64 @@ class TestBatches:
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_refused_by_every_caller(self, batch_size):
-        # unchecked, embed_batch returned zeros and predict uninitialised class
-        # indices at -1, and range() refused 0 with its own message
-        cfg = tiny_config(n_speakers=2)
-        params = build_params(cfg, seed=0)
-        feats = [UtteranceFeatures(f) for f in random_frags(np.random.default_rng(4), cfg)]
-        labels = np.zeros(len(feats), dtype=np.int64)
-        for call in (lambda: embed_batch(feats, params, cfg, batch_size),
-                     lambda: predict(feats, params, cfg, batch_size),
-                     lambda: classify_accuracy(feats, labels, params, cfg, batch_size),
-                     lambda: list(batches([], (), batch_size))):
+        # unchecked, range() refused 0 with its own message and a negative
+        # size gave no batch; training sets the only batch size a user picks,
+        # and TrainConfig refuses it through batches of nothing
+        for call in (lambda: list(batches([], (), batch_size)),
+                     lambda: TrainConfig(batch_size=batch_size)):
             with pytest.raises(ValueError, match=f"^batch_size must be at least 1, "
                                                  f"got {batch_size}$"):
                 call()
+
+
+def _full_windows(n, m, seed=0):
+    return [UtteranceFeatures(f) for f in
+            np.random.default_rng(seed).standard_normal((n, 10, m, 20))]
+
+
+class TestInferenceBatch:
+    """Inference sizes its batch from the model's config: 64 windows, or as
+    many as keep the widest layer output within the budget."""
+
+    @pytest.mark.parametrize("cfg, size", [
+        (tiny_config(), 64),
+        *[(ModelConfig.desk(5, mode, frames_per_fragment=9), 64)
+          for mode in ("hvector", "xvector", "xvector_attn")],
+        *[(ModelConfig(5, mode, frames_per_fragment=m), size)
+          for mode in ("hvector", "xvector") for m, size in [(29, 19), (30, 18)]],
+    ], ids=["tiny", "desk-hvector", "desk-xvector", "desk-xvector_attn",
+            "full-hvector-m29", "full-hvector-m30", "full-xvector-m29", "full-xvector-m30"])
+    def test_every_inference_pass_runs_the_derived_batch(self, monkeypatch, cfg, size):
+        seen = []
+
+        def spy(frags, params, cfg, training=False, rng=None, trace=None):
+            seen.append(len(frags))
+            return (Tensor(np.zeros((len(frags), cfg.n_speakers))),
+                    Tensor(np.zeros((len(frags), cfg.fc1_dim))))
+        monkeypatch.setattr(model, "forward_batch", spy)
+        n = 2 * size + 3
+        feats = _full_windows(n, cfg.frames_per_fragment)
+        labels = np.zeros(n, dtype=np.int64)
+        for call in (lambda: embed_batch(feats, None, cfg),
+                     lambda: predict(feats, None, cfg),
+                     lambda: classify_accuracy(feats, labels, None, cfg)):
+            seen.clear()
+            call()
+            assert seen == [size, size, 3]
+
+    def test_full_preset_embedding_holds_a_bounded_batch(self):
+        # 40 float32 windows of 3 s: traced peak 157 MB in batches of 19;
+        # in one batch of 40 (64 windows a batch, as before) it was 320 MB
+        cfg = ModelConfig(n_speakers=10, frames_per_fragment=29)
+        params = build_params(cfg, seed=0).astype(np.float32)
+        feats = _full_windows(40, 29)
+        tracemalloc.start()
+        try:
+            embed_batch(feats, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
 
 
 class TestTrainingMode:

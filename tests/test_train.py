@@ -28,7 +28,7 @@ from hvector.train import (
     train,
 )
 
-from helpers import tiny_config
+from helpers import set_inference_batch, tiny_config
 
 
 def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
@@ -423,7 +423,7 @@ class TestTrainLoop:
         assert len(history) < 30
 
     @pytest.mark.parametrize("mode", ["hvector", "xvector"])
-    def test_mixed_window_lengths_train_predict_and_embed(self, mode):
+    def test_mixed_window_lengths_train_predict_and_embed(self, mode, monkeypatch):
         cfg = tiny_config(n_speakers=2, mode=mode)
         rng = np.random.default_rng(11)
         feats = toy_features(rng, cfg, 8, spread=2.0)
@@ -436,8 +436,9 @@ class TestTrainLoop:
         params, history = train(feats[:12], feats[12:], cfg, tcfg)
         assert len(history) == 1
 
-        preds = predict(feats, params, cfg, batch_size=3)
-        table = embed_batch(feats, params, cfg, batch_size=3)
+        set_inference_batch(monkeypatch, cfg, 3)   # each length in 3, 3 and 2
+        preds = predict(feats, params, cfg)
+        table = embed_batch(feats, params, cfg)
         for idx in (np.arange(0, len(feats), 2), np.arange(1, len(feats), 2)):
             group = [feats[i] for i in idx]
             logits, emb = forward_batch(np.stack([u.fragments for u in group]),
