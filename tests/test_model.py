@@ -303,23 +303,37 @@ def _np_gru(seq, p, reverse):
     return np.stack(outs, axis=1)
 
 
-def _np_attend_pool(h, p, prefix):
+def _np_attention(h, p, prefix):
     z = np.maximum(h @ p[f"{prefix}.w0"].data + p[f"{prefix}.b0"].data, 0.0)
     scores = (z @ p[f"{prefix}.w1"].data)[..., 0]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    rows = h * alpha[..., None]
+    return (e / e.sum(axis=-1, keepdims=True))[..., None]
+
+
+def _np_attend_pool(h, p, prefix):
+    """The h-vector sites' rule: the plain mean and std of alpha * h."""
+    rows = h * _np_attention(h, p, prefix)
     mu = rows.mean(axis=-2)
     var = np.maximum((rows ** 2).mean(axis=-2) - mu ** 2, 1e-12)
     return np.concatenate([mu, np.sqrt(var)], axis=-1)
 
 
+def _np_weighted_stats(h, p, prefix):
+    """xvector_attn's rule, attentive statistics pooling: the alpha-weighted
+    mean and std of h."""
+    alpha = _np_attention(h, p, prefix)
+    mu = (alpha * h).sum(axis=-2)
+    var = np.maximum((alpha * (h - mu[..., None, :]) ** 2).sum(axis=-2), 1e-12)
+    return np.concatenate([mu, np.sqrt(var)], axis=-1)
+
+
 class TestAgainstHandwrittenPipeline:
-    def test_hvector_inference_matches_plain_numpy(self):
-        cfg = tiny_config(n_speakers=4)
-        p = build_params(cfg, seed=14)
-        rng = np.random.default_rng(15)
-        # non-trivial normalisation statistics so the check has teeth
+    @staticmethod
+    def _setup(mode, seed):
+        """Tiny params with non-trivial normalisation, so the check has teeth."""
+        cfg = tiny_config(n_speakers=4, mode=mode)
+        p = build_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
         for name, buf in p.buffers.items():
             if name.endswith(".var"):
                 buf[...] = rng.uniform(0.5, 2.0, buf.shape)
@@ -329,14 +343,24 @@ class TestAgainstHandwrittenPipeline:
             if ".gamma" in name or ".beta" in name:
                 t.data[...] = rng.uniform(0.5, 1.5, t.shape)
 
-        frags = random_frags(rng, cfg, batch=2)
-        got_logits, got_emb = forward_batch(frags, p, cfg)
-
         def bn(x, name):
             return _np_bn_inference(
                 x, p[f"{name}.gamma"].data, p[f"{name}.beta"].data,
                 p.buffers[f"{name}.mean"], p.buffers[f"{name}.var"])
 
+        return cfg, p, random_frags(rng, cfg, batch=2), bn
+
+    @staticmethod
+    def _check_head(got, utt, p, bn):
+        got_logits, got_emb = got
+        emb = bn(np.maximum(utt @ p["fc1.w"].data + p["fc1.b"].data, 0.0), "fc1_bn")
+        z2 = np.maximum(emb @ p["fc2.w"].data + p["fc2.b"].data, 0.0)
+        logits = z2 @ p["out.w"].data + p["out.b"].data
+        np.testing.assert_allclose(got_emb.data, emb, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got_logits.data, logits, rtol=1e-9, atol=1e-12)
+
+    def test_hvector_inference_matches_plain_numpy(self):
+        cfg, p, frags, bn = self._setup("hvector", 14)
         batch, n_frag, m, feat = frags.shape
         x = frags.reshape(batch * n_frag, m, feat)
         h = bn(np.maximum(_np_conv_same(x, p["frame_conv.w"].data,
@@ -349,12 +373,17 @@ class TestAgainstHandwrittenPipeline:
         seg = bn(np.maximum(segments @ p["seg_conv.w"].data[0]
                             + p["seg_conv.b"].data, 0.0), "seg_bn")
         utt = _np_attend_pool(seg, p, "seg_att")
-        emb = bn(np.maximum(utt @ p["fc1.w"].data + p["fc1.b"].data, 0.0), "fc1_bn")
-        z2 = np.maximum(emb @ p["fc2.w"].data + p["fc2.b"].data, 0.0)
-        logits = z2 @ p["out.w"].data + p["out.b"].data
+        self._check_head(forward_batch(frags, p, cfg), utt, p, bn)
 
-        np.testing.assert_allclose(got_emb.data, emb, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(got_logits.data, logits, rtol=1e-9, atol=1e-12)
+    def test_xvector_attn_inference_matches_plain_numpy(self):
+        cfg, p, frags, bn = self._setup("xvector_attn", 20)
+        batch, n_frag, m, feat = frags.shape
+        h = frags.reshape(batch, n_frag * m, feat)
+        for i in range(1, 6):
+            conv = _np_conv_same(h, p[f"conv{i}.w"].data, p[f"conv{i}.b"].data)
+            h = bn(np.maximum(conv, 0.0), f"bn{i}")
+        utt = _np_weighted_stats(h, p, "att")
+        self._check_head(forward_batch(frags, p, cfg), utt, p, bn)
 
 
 class TestStageHelpers:
