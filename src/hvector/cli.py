@@ -10,8 +10,8 @@ the same BLAS build, whatever OPENBLAS_NUM_THREADS says (hvector.tensor
 sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
 one `error: <message>` line on stderr and exits with status 1, and only
 `main` turns exceptions into that line (`prepare` also reports each clip it
-cannot read on such a line, goes on, and exits 1).  A failed `synth` or
-`prepare` removes the output directory it created.
+cannot read on such a line, goes on, and exits 1).  A failed `synth`,
+`prepare`, `train` or `score-ver` removes what it wrote, so no rerun needs --force.
 """
 
 from __future__ import annotations
@@ -479,9 +479,10 @@ def cmd_score_ver(args) -> int:
     # each distinct message once, as Python's default filter would
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
-                      scores, targets)
-    save_eer_report(report_path, eer, threshold)
+    with _removed_on_failure(out_dir, [trials_path, report_path]):
+        save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
+                          scores, targets)
+        save_eer_report(report_path, eer, threshold)
     print(f"trials: {trials_path}")
     print(f"report: {report_path}")
     print(f"EER={eer:.4f}")

@@ -232,23 +232,22 @@ def _batchnorm(x, params, name, training):
 def attention_normalize(scores) -> Tensor:
     """Raw relevance scores to attention weights: softmax over the last axis.
 
-    Both attention levels normalize through this one map, so its properties
-    (weights sum to 1, constant score shifts change nothing) hold for each.
+    Each attention site's weights equal this map of its scores bit for bit,
+    so its properties (weights sum to 1, shifts change nothing) hold for each.
     """
     return hv.softmax(scores, axis=-1)
 
 
 def _attention_weights(h, params, name):
-    """Score each row with relu(h W0 + b0) W1 and softmax over the rows."""
+    """Weights (..., T, 1), the shape that multiplies h (..., T, E): each row
+    scored by relu(h W0 + b0) W1, softmaxed over the rows."""
     z = hv.relu(hv.matmul(h, params[f"{name}.w0"], params[f"{name}.b0"]))
-    scores = hv.matmul(z, params[f"{name}.w1"])
-    return attention_normalize(hv.reshape(scores, h.shape[:-1]))
+    return hv.softmax(hv.matmul(z, params[f"{name}.w1"]), axis=-2)
 
 
 def _attend_and_pool(h, params, name):
     alpha = _attention_weights(h, params, name)
-    weighted = hv.mul(h, hv.reshape(alpha, alpha.shape + (1,)))
-    return hv.stats_pool(weighted), alpha
+    return hv.stats_pool(hv.mul(h, alpha)), Tensor(alpha.data[..., 0])
 
 
 def frame_encode(fragments, params: ModelParams, cfg: ModelConfig,
@@ -309,7 +308,7 @@ def _baseline_forward(frags, params, cfg, training, rng, trace):
         h = hv.conv1d(h, params[f"conv{i}.w"], params[f"conv{i}.b"])
         h = _batchnorm(hv.relu(h), params, f"bn{i}", training)
     if cfg.mode == "xvector_attn":
-        alpha = _attention_weights(h, params, "att")
+        alpha = hv.reshape(_attention_weights(h, params, "att"), h.shape[:-1])
         pooled = hv.weighted_stats_pool(h, alpha)
     else:
         alpha = None

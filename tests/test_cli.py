@@ -1404,6 +1404,31 @@ def test_refused_score_ver_creates_no_output_directory(tmp_path):
     assert not out_dir.exists()
 
 
+def test_failed_report_write_leaves_no_trials_behind(tmp_path, monkeypatch):
+    # trials.csv is written, then eer.txt fails: trials.csv goes too, so the
+    # rerun needs no --force
+    enrol, evals = _verification_csvs(tmp_path, 4, 2, 2, 3, seed=0)
+    out = tmp_path / "ver"
+    args = ("score-ver", "--enrol", str(enrol), "--eval", str(evals), "--out", str(out),
+            "--set", "backend=cosine")
+    seen = []
+
+    def full_disk(path, *_):
+        seen.append(sorted(os.listdir(path.parent)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "save_eer_report", full_disk)
+        code, _, err = run_cli(*args)
+    assert code == 1
+    assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert seen == [["trials.csv"]]
+    assert os.listdir(out) == []
+    code, _, err = run_cli(*args)
+    assert code == 0, err
+    assert sorted(os.listdir(out)) == ["eer.txt", "trials.csv"]
+
+
 _STORE = np.zeros((2, 10, 3, 20))
 
 

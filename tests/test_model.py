@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hvector
 from hvector import model
@@ -17,6 +19,7 @@ from hvector.audio import AudioClip, UtteranceFeatures, save_wav
 from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
     ModelConfig,
+    attention_normalize,
     batches,
     build_params,
     embed_batch,
@@ -384,6 +387,114 @@ class TestAgainstHandwrittenPipeline:
             h = bn(np.maximum(conv, 0.0), f"bn{i}")
         utt = _np_weighted_stats(h, p, "att")
         self._check_head(forward_batch(frags, p, cfg), utt, p, bn)
+
+
+def _reshape_chain_weights(h, p, name):
+    """The attention weights built with reshapes, kept as the sites' oracle:
+    (..., T, 1) scores squeezed to (..., T) for attention_normalize, the map
+    acceptance criterion 3 checks."""
+    z = hv.relu(hv.matmul(h, p[f"{name}.w0"], p[f"{name}.b0"]))
+    return attention_normalize(hv.reshape(hv.matmul(z, p[f"{name}.w1"]), h.shape[:-1]))
+
+
+def _reshape_chain_attend_and_pool(h, p, name):
+    """The h-vector sites' oracle: the (..., T) weights reshaped back to
+    (..., T, 1) to multiply h, then stats pooling.  8 tape nodes."""
+    alpha = _reshape_chain_weights(h, p, name)
+    return hv.stats_pool(hv.mul(h, hv.reshape(alpha, alpha.shape + (1,)))), alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=2), t=st.integers(1, 40),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       scale=st.floats(0.1, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_softmax_over_a_unit_last_axis_is_bit_equal(lead, t, dtype, scale, seed):
+    """softmax(s[..., None], axis=-2)[..., 0] is softmax(s, axis=-1), bit for
+    bit in value and gradient: what lets the sites drop their reshapes."""
+    rng = np.random.default_rng(seed)
+    s = (rng.standard_normal((*lead, t)) * scale).astype(dtype)
+    g = rng.standard_normal((*lead, t)).astype(dtype)
+    flat, column = Tensor(s, requires_grad=True), Tensor(s, requires_grad=True)
+    with hv.record():
+        want = hv.softmax(flat, axis=-1)
+        loss = hv.tsum(hv.mul(want, g))
+    hv.backward(loss)
+    with hv.record():
+        got = hv.softmax(hv.reshape(column, (*lead, t, 1)), axis=-2)
+        loss = hv.tsum(hv.mul(got, g[..., None]))
+    hv.backward(loss)
+    assert np.array_equal(got.data[..., 0], want.data)
+    assert np.array_equal(column.grad, flat.grad)
+
+
+class TestAttentionSitesMatchTheReshapeChain:
+    """Each attention site softmaxes its (..., T, 1) scores over the rows and
+    multiplies h by the result as it comes; the reshape chain above is the
+    oracle, and every value and gradient must equal it bit for bit."""
+
+    @staticmethod
+    def _step(cfg, params, frags):
+        """Trace, logits and parameter gradients of one training step."""
+        params = params.clone()
+        trace = {}
+        with hv.record():
+            logits, _ = forward_batch(frags, params, cfg, training=True,
+                                      rng=np.random.default_rng(2), trace=trace)
+            cotangent = np.random.default_rng(3).standard_normal(logits.shape)
+            loss = hv.tsum(hv.mul(logits, cotangent.astype(params.dtype)))
+        hv.backward(loss)
+        return trace, logits, {k: t.grad for k, t in params.tensors.items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 9, 10, 29, 30])
+    @pytest.mark.parametrize("mode", ["hvector", "xvector_attn"])
+    def test_training_step_is_bit_equal(self, monkeypatch, mode, rows, dtype):
+        # h-vector: `rows` frames per fragment at the frame site, whose input
+        # is the flattened (B*N, M, E) stack, and `rows` segments at the
+        # segment site; xvector_attn: one fragment of `rows` frames
+        n_frag = rows if mode == "hvector" else 1
+        cfg = dataclasses.replace(tiny_config(mode=mode), n_fragments=n_frag,
+                                  frames_per_fragment=rows)
+        params = build_params(cfg, seed=rows).astype(dtype)
+        frags = random_frags(np.random.default_rng(rows), cfg, batch=2)
+        trace, logits, grads = self._step(cfg, params, frags)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_attend_and_pool", _reshape_chain_attend_and_pool)
+            patch.setattr(model, "_attention_weights", _reshape_chain_weights)
+            want_trace, want_logits, want_grads = self._step(cfg, params, frags)
+        sites = ([("frame_encoded", "frame_alpha", "segments"),
+                  ("segment_encoded", "seg_alpha", "utterance_vector")]
+                 if mode == "hvector" else
+                 [("frame_encoded", "frame_alpha", "utterance_vector")])
+        for h, alpha, pooled in sites:
+            assert trace[alpha].shape == trace[h].shape[:-1]
+            # the oracle's weights are attention_normalize of the squeezed scores
+            assert np.array_equal(trace[alpha].data, want_trace[alpha].data), alpha
+            assert np.array_equal(trace[pooled].data, want_trace[pooled].data), pooled
+            assert np.array_equal(trace[h].grad, want_trace[h].grad), h
+        assert np.array_equal(logits.data, want_logits.data)
+        for name, grad in grads.items():
+            assert grad.dtype == dtype
+            assert np.array_equal(grad, want_grads[name]), name
+
+    @pytest.mark.parametrize("site,name", [(frame_attention, "frame_att"),
+                                           (segment_attention, "seg_att")])
+    def test_isolated_site_records_six_nodes(self, site, name):
+        cfg = desk_cfg()
+        p = build_params(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        h = Tensor(rng.standard_normal((6, 10, p[f"{name}.w0"].shape[0])),
+                   requires_grad=True)
+        with hv.record() as graph:
+            pooled, alpha = site(h, p)
+        with hv.record() as oracle:
+            want_pooled, want_alpha = _reshape_chain_attend_and_pool(h, p, name)
+        # dense with bias, relu, dense, softmax, multiply, stats pooling; the
+        # weights come back as an off-tape (..., T) view for the trace
+        assert (len(graph.nodes), len(oracle.nodes)) == (6, 8)
+        assert alpha.node is None and not alpha.requires_grad
+        assert np.array_equal(alpha.data, want_alpha.data)
+        assert np.array_equal(pooled.data, want_pooled.data)
 
 
 class TestStageHelpers:

@@ -37,3 +37,9 @@ def test_every_patched_name_resolves(perfbench):
     for module, attribute in targets:
         assert callable(getattr(importlib.import_module(module), attribute)), \
             f"{module}.{attribute}"
+
+
+@pytest.mark.parametrize("layer", ["frame_attention", "segment_attention"])
+def test_attention_layer_counter_reads_six_nodes(perfbench, layer):
+    # model.desk.<layer>.nodes, the figure the traced run reports
+    assert perfbench("layers")._time_layer("desk", layer, seed=0)["nodes"] == 6
