@@ -11,7 +11,8 @@ sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
 one `error: <message>` line on stderr and exits with status 1, and only
 `main` turns exceptions into that line (`prepare` also reports each clip it
 cannot read on such a line, goes on, and exits 1).  A failed `synth`,
-`prepare`, `train` or `score-ver` removes what it wrote, so no rerun needs --force.
+`prepare`, `train`, `embed` or `score-ver` removes what it wrote, so no rerun
+needs --force.
 """
 
 from __future__ import annotations
@@ -240,16 +241,18 @@ def _guard_outputs(paths, force: bool):
 
 
 @contextmanager
-def _removed_on_failure(out_dir: Path, files=()):
-    """If the block fails, remove out_dir, with the parents made for it,
-    where out_dir did not exist before it, and `files` where it did, so
-    that no failed stage blocks its rerun without --force."""
+def _output_dir(out_dir: Path, files=()):
+    """Make out_dir, with its parents, for the block.  If the block fails,
+    remove out_dir, with the parents made for it, where out_dir did not
+    exist before, and `files` where it did, so that no failed stage blocks
+    its rerun without --force."""
     made = None
     for path in (out_dir, *out_dir.parents):
         if path.exists():
             break
         made = path
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         yield
     except BaseException:
         if made is not None:
@@ -286,7 +289,7 @@ def cmd_synth(args) -> int:
     echo_config("synth", cfg, {"out": args.out})
     out_dir = Path(args.out)
     _guard_outputs([out_dir], args.force)
-    with _removed_on_failure(out_dir):
+    with _output_dir(out_dir):
         manifest = synth_corpus(cfg["speakers"], cfg["utts"], cfg["dur"],
                                 cfg["seed"], out_dir)
     print(f"wrote {len(manifest)} utterances for {len(manifest.speakers())} "
@@ -334,8 +337,7 @@ def cmd_prepare(args) -> int:
     manifest = _load_manifest(args.manifest, "run `hvector synth` first")
     out_dir = Path(args.out)
     _guard_outputs([out_dir], args.force)
-    with _removed_on_failure(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_dir(out_dir):
         utts, failures, skipped = _featurize_clips(
             manifest.entries, cfg["len"], f"{args.manifest}: the process preparing clips")
         if not utts:
@@ -376,10 +378,8 @@ def cmd_train(args) -> int:
                                     dropout=cfg["dropout"])
     train_cfg = TrainConfig(**{f.name: cfg[f.name]
                                for f in dataclasses.fields(TrainConfig)})
-    # only now that the inputs and settings are valid may --out be made and
-    # the old run go
-    with _removed_on_failure(out_dir, outputs):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # only now that the inputs and settings are valid may the old run go
+    with _output_dir(out_dir, outputs):
         for p in outputs:
             p.unlink(missing_ok=True)
         # a diverging run overflows before its gradients go non-finite; train
@@ -405,9 +405,8 @@ def cmd_embed(args) -> int:
     vectors = embed_batch(feats, params, model_cfg)
     records = [EmbeddingRecord(u.utterance_id, u.speaker_id, vectors[i])
                for i, u in enumerate(feats)]
-    # made only now, so a refused input leaves no --out behind
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_embeddings(out_path, records)
+    with _output_dir(out_path.parent):
+        save_embeddings(out_path, records)
     print(f"wrote {len(records)} embeddings of dim {vectors.shape[1]} to {out_path}")
     return 0
 
@@ -473,13 +472,10 @@ def cmd_score_ver(args) -> int:
         scores = cosine_score(models[:, None], tests[None])
     targets = speakers[:, None] == np.array([r.speaker_id for r in eval_records])
     eer, threshold = eer_operating_point(scores.ravel(), targets.ravel())
-    # made only now, so a refused setting such as lda_dim=0 leaves no --out,
-    # and the back end's warnings print only once --out could be made
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # each distinct message once, as Python's default filter would
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    with _removed_on_failure(out_dir, [trials_path, report_path]):
+    with _output_dir(out_dir, [trials_path, report_path]):
+        # each distinct message once, as Python's default filter would
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
         save_score_matrix(trials_path, speakers, [r.utterance_id for r in eval_records],
                           scores, targets)
         save_eer_report(report_path, eer, threshold)

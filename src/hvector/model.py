@@ -363,11 +363,12 @@ _INFERENCE_BUDGET = 2**23   # floats in one layer's output for one inference bat
 def _infer(features: list, params: ModelParams, cfg: ModelConfig, out, pick):
     """Fill out[idx] with pick(logits, embeddings), batch by batch in inference
     mode: every inference pass runs this loop.  A batch holds 64 windows, or
-    fewer where its widest layer output would pass the budget (18 or 19 3-s
-    windows at the full preset); cfg alone sets it, so reruns repeat every bit."""
+    fewer where the widest layer output of the longest window given would pass
+    the budget (18 or 19 3-s windows at the full preset); cfg and the windows'
+    shapes alone set it, so reruns repeat every bit."""
     widest = max(cfg.frame_cnn_out, cfg.frame_out_dim, cfg.seg_cnn_out)
-    per_window = cfg.n_fragments * cfg.frames_per_fragment * widest
-    size = min(64, max(1, _INFERENCE_BUDGET // per_window))
+    rows = max((f.fragments.shape[0] * f.fragments.shape[1] for f in features), default=1)
+    size = min(64, max(1, _INFERENCE_BUDGET // (rows * widest)))
     for idx, frags in batches(features, range(len(features)), size):
         logits, emb = forward_batch(frags, params, cfg)
         out[idx] = pick(logits.data, emb.data)

@@ -19,7 +19,8 @@ def tiny_config(n_speakers: int = 3, mode: str = "hvector") -> ModelConfig:
 
 
 def set_inference_batch(monkeypatch, cfg: ModelConfig, size: int):
-    """Set the inference budget so that cfg's windows run `size` to a batch."""
+    """Set the inference budget so that windows of cfg's shape, the longest
+    given, run `size` to a batch."""
     widest = max(cfg.frame_cnn_out, cfg.frame_out_dim, cfg.seg_cnn_out)
     monkeypatch.setattr(model, "_INFERENCE_BUDGET",
                         size * cfg.n_fragments * cfg.frames_per_fragment * widest)

@@ -739,7 +739,7 @@ class TestForkedTrialsWriter:
             f"error: {out / 'trials.csv'}: the process writing enrolment rows 3-4 "
             f"was killed by signal {signal.SIGKILL.value}" if how == "kill"
             else f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
-        assert os.listdir(out) == []
+        assert not out.exists()
         with pytest.raises(ChildProcessError):      # no child left unreaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -1405,8 +1405,8 @@ def test_refused_score_ver_creates_no_output_directory(tmp_path):
 
 
 def test_failed_report_write_leaves_no_trials_behind(tmp_path, monkeypatch):
-    # trials.csv is written, then eer.txt fails: trials.csv goes too, so the
-    # rerun needs no --force
+    # trials.csv is written, then eer.txt fails: trials.csv goes too, with
+    # the --out made for it, so the rerun needs no --force
     enrol, evals = _verification_csvs(tmp_path, 4, 2, 2, 3, seed=0)
     out = tmp_path / "ver"
     args = ("score-ver", "--enrol", str(enrol), "--eval", str(evals), "--out", str(out),
@@ -1423,10 +1423,58 @@ def test_failed_report_write_leaves_no_trials_behind(tmp_path, monkeypatch):
     assert code == 1
     assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
     assert seen == [["trials.csv"]]
-    assert os.listdir(out) == []
+    assert not out.exists()
     code, _, err = run_cli(*args)
     assert code == 0, err
     assert sorted(os.listdir(out)) == ["eer.txt", "trials.csv"]
+
+
+# per command: the function that writes its output, the files it writes, and
+# its argv for an output directory
+_WRITERS = {
+    "embed": ("save_embeddings", {"emb.csv"}, lambda inputs, out: (
+        "embed", "--manifest", inputs["feats_manifest"], "--ckpt", inputs["ckpt"],
+        "--out", out / "emb.csv")),
+    "score-ver": ("save_score_matrix", {"trials.csv", "eer.txt"}, lambda inputs, out: (
+        "score-ver", "--enrol", inputs["enrol"], "--eval", inputs["eval"], "--out", out,
+        "--set", "backend=cosine")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_failed_write_removes_only_the_directories_it_made(pipeline, tmp_path,
+                                                           monkeypatch, command):
+    # the disk fills while the output is written: an output directory the
+    # command made goes, with the parents made for it, and one that existed
+    # before keeps what it held; neither rerun needs --force
+    writer, wrote, argv = _WRITERS[command]
+    enrol, evals = _verification_csvs(tmp_path, 4, 2, 2, 3, seed=0)
+    inputs = {**pipeline, "enrol": enrol, "eval": evals}
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "mine.txt").write_text("mine\n")
+    outs = (tmp_path / "new" / "a", kept)
+    made = []
+
+    def full_disk(path, *_):
+        made.append(Path(path).parent.is_dir())
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for out in outs:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, writer, full_disk)
+            code, _, err = run_cli(*map(str, argv(inputs, out)))
+        assert code == 1
+        assert err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert made == [True, True]
+    assert not (tmp_path / "new").exists()
+    assert list(kept.iterdir()) == [kept / "mine.txt"]
+    assert (kept / "mine.txt").read_text() == "mine\n"
+    for out in outs:
+        code, _, err = run_cli(*map(str, argv(inputs, out)))
+        assert code == 0, err
+    assert {p.name for p in outs[0].iterdir()} == wrote
+    assert {p.name for p in kept.iterdir()} == wrote | {"mine.txt"}
 
 
 _STORE = np.zeros((2, 10, 3, 20))

@@ -573,34 +573,52 @@ def _full_windows(n, m, seed=0):
 
 
 class TestInferenceBatch:
-    """Inference sizes its batch from the model's config: 64 windows, or as
-    many as keep the widest layer output within the budget."""
+    """Inference sizes its batch from the model's config and the longest
+    window it is given: 64 windows, or as many as keep the widest layer
+    output within the budget."""
 
-    @pytest.mark.parametrize("cfg, size", [
-        (tiny_config(), 64),
-        *[(ModelConfig.desk(5, mode, frames_per_fragment=9), 64)
-          for mode in ("hvector", "xvector", "xvector_attn")],
-        *[(ModelConfig(5, mode, frames_per_fragment=m), size)
-          for mode in ("hvector", "xvector") for m, size in [(29, 19), (30, 18)]],
-    ], ids=["tiny", "desk-hvector", "desk-xvector", "desk-xvector_attn",
-            "full-hvector-m29", "full-hvector-m30", "full-xvector-m29", "full-xvector-m30"])
-    def test_every_inference_pass_runs_the_derived_batch(self, monkeypatch, cfg, size):
-        seen = []
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The (windows, fragments, frames) shape of each batch that the
+        stubbed forward_batch is given."""
+        shapes = []
 
         def spy(frags, params, cfg, training=False, rng=None, trace=None):
-            seen.append(len(frags))
+            shapes.append(frags.shape[:3])
             return (Tensor(np.zeros((len(frags), cfg.n_speakers))),
                     Tensor(np.zeros((len(frags), cfg.fc1_dim))))
         monkeypatch.setattr(model, "forward_batch", spy)
+        return shapes
+
+    # (config, frames per fragment of the windows given, batch size); a
+    # full-preset checkpoint trained on 1-s windows (M = 9) embeds 3-s
+    # windows 19 to a batch, as one trained on 3-s windows does
+    @pytest.mark.parametrize("cfg, m, size", [
+        (tiny_config(), 4, 64),
+        *[(ModelConfig.desk(5, mode, frames_per_fragment=9), 9, 64)
+          for mode in ("hvector", "xvector", "xvector_attn")],
+        *[(ModelConfig(5, mode, frames_per_fragment=trained), m, size)
+          for mode in ("hvector", "xvector")
+          for trained, m, size in [(29, 29, 19), (30, 30, 18), (9, 29, 19)]],
+    ], ids=["tiny", "desk-hvector", "desk-xvector", "desk-xvector_attn",
+            "full-hvector-m29", "full-hvector-m30", "full-hvector-m9-embeds-m29",
+            "full-xvector-m29", "full-xvector-m30", "full-xvector-m9-embeds-m29"])
+    def test_every_inference_pass_runs_the_derived_batch(self, seen, cfg, m, size):
         n = 2 * size + 3
-        feats = _full_windows(n, cfg.frames_per_fragment)
+        feats = _full_windows(n, m)
         labels = np.zeros(n, dtype=np.int64)
         for call in (lambda: embed_batch(feats, None, cfg),
                      lambda: predict(feats, None, cfg),
                      lambda: classify_accuracy(feats, labels, None, cfg)):
             seen.clear()
             call()
-            assert seen == [size, size, 3]
+            assert [shape[0] for shape in seen] == [size, size, 3]
+
+    def test_mixed_windows_batch_by_the_longest(self, seen):
+        # 1-s and 3-s windows in one manifest: every batch is sized for 3 s
+        cfg = ModelConfig(5, frames_per_fragment=9)
+        embed_batch(_full_windows(20, 9) + _full_windows(2, 29), None, cfg)
+        assert seen == [(19, 10, 9), (1, 10, 9), (2, 10, 29)]
 
     def test_full_preset_embedding_holds_a_bounded_batch(self):
         # 40 float32 windows of 3 s: traced peak 157 MB in batches of 19;
