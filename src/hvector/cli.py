@@ -10,7 +10,9 @@ the same BLAS build, whatever OPENBLAS_NUM_THREADS says (hvector.tensor
 sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
 one `error: <message>` line on stderr and exits with status 1, and only
 `main` turns exceptions into that line (`prepare` also reports each clip it
-cannot read on such a line, goes on, and exits 1).  A failed `synth`,
+cannot read on such a line, goes on, and exits 1).  Every refusal of an
+input, setting or output path is a ValueError or an OSError; a missing input
+file reads `<what> <path> missing; <hint>`.  A failed `synth`,
 `prepare`, `train`, `embed` or `score-ver` removes what it wrote, so no rerun
 needs --force.
 """
@@ -40,8 +42,8 @@ from .audio import (
     window_utterances,
 )
 from .corpus import (
-    CLIP_FORK_FLOOR, Manifest, ManifestEntry, check_synth_args, open_text, parse_setting,
-    read_settings, split, synth_corpus,
+    _CASTS, CLIP_FORK_FLOOR, Manifest, ManifestEntry, _optional, check_synth_args, open_text,
+    parse_setting, read_settings, split, synth_corpus,
 )
 from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
@@ -68,10 +70,6 @@ from .train import TrainConfig, TrainingDiverged, predict, train
 __all__ = ["main", "save_features", "load_features"]
 
 
-class CliError(Exception):
-    """User-facing failure: printed as `error: ...`, exit status 1."""
-
-
 # --- feature stores ---------------------------------------------------------
 
 def save_features(path, utts):
@@ -85,8 +83,7 @@ def load_features(entries) -> list[UtteranceFeatures]:
     stores, feats = {}, []
     for e in entries:
         if e.path not in stores:
-            if not Path(e.path).exists():
-                raise CliError(f"feature file {e.path} missing; rerun `hvector prepare`")
+            _require_input(e.path, "feature file", "rerun `hvector prepare`")
             try:
                 frags = hv.load_archive(e.path).get("fragments")
             except ValueError as exc:
@@ -117,12 +114,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _optional(cast):
-    def parse(raw):
-        return None if raw.strip().lower() == "none" else cast(raw)
-    return parse
-
-
 def _choice(options):
     def parse(raw):
         if raw not in options:
@@ -138,10 +129,6 @@ def _checked(cast, check):
         check(value)
         return value
     return parse
-
-
-# parser by field annotation, a string under `from __future__ import annotations`
-_CASTS = {"int": int, "float": float, "str": str, "float | None": _optional(float)}
 
 
 def _field_setting(cls, name: str, **given):
@@ -190,13 +177,12 @@ def resolve_config(command: str, args) -> dict:
     parsers = {key: parse for key, (_, parse) in schema.items()}
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config file {path} not found")
+        _require_input(path, "config file", "check the --config path")
         with open_text(path) as fh:
             cfg.update(read_settings(fh.read(), f"{path}:", parsers))
     for item in args.set:
         if "=" not in item:
-            raise CliError(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, raw = (part.strip() for part in item.partition("="))
         cfg[key] = parse_setting(parsers, key, raw, "--set")
     for key in schema:
@@ -224,8 +210,9 @@ def echo_config(command: str, cfg: dict, extra: dict):
 # --- shared guards ----------------------------------------------------------
 
 def _require_input(path, what: str, hint: str):
+    """The one existence check on an input path."""
     if not Path(path).exists():
-        raise CliError(f"{what} {path} not found; {hint}")
+        raise ValueError(f"{what} {path} missing; {hint}")
 
 
 def _guard_outputs(paths, force: bool):
@@ -233,11 +220,11 @@ def _guard_outputs(paths, force: bool):
     for p in map(Path, paths):
         blocked = next((a for a in p.parents if a.exists() and not a.is_dir()), None)
         if blocked is not None:
-            raise CliError(f"cannot write {p}: {blocked} is not a directory")
+            raise ValueError(f"cannot write {p}: {blocked} is not a directory")
     existing = [str(p) for p in paths if Path(p).exists()]
     if existing and not force:
-        raise CliError("output already exists: " + ", ".join(existing)
-                       + " (pass --force to overwrite)")
+        raise ValueError("output already exists: " + ", ".join(existing)
+                         + " (pass --force to overwrite)")
 
 
 @contextmanager
@@ -266,20 +253,8 @@ def _load_manifest(path, hint: str) -> Manifest:
     _require_input(path, "manifest", hint)
     manifest = Manifest.load(path, check_paths=False)
     if not manifest.entries:
-        raise CliError(f"manifest {path} lists no utterances")
+        raise ValueError(f"manifest {path} lists no utterances")
     return manifest
-
-
-def _load_ckpt(path):
-    try:
-        return load_checkpoint(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"{exc}; run `hvector train` first") from exc
-
-
-def _load_embedding_csv(path) -> list:
-    _require_input(path, "embedding CSV", "run `hvector embed` first")
-    return load_embeddings(path)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -341,8 +316,8 @@ def cmd_prepare(args) -> int:
         utts, failures, skipped = _featurize_clips(
             manifest.entries, cfg["len"], f"{args.manifest}: the process preparing clips")
         if not utts:
-            raise CliError("no usable windows were produced from "
-                           f"{len(manifest)} clips ({failures} failed)")
+            raise ValueError("no usable windows were produced from "
+                             f"{len(manifest)} clips ({failures} failed)")
         # this process alone writes the store, so its bytes do not depend on
         # how many processes made the windows
         store = out_dir / "features.hvt"
@@ -397,7 +372,8 @@ def cmd_embed(args) -> int:
     echo_config("embed", resolve_config("embed", args),
                 {"manifest": args.manifest, "ckpt": args.ckpt, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
-    params, model_cfg = _load_ckpt(args.ckpt)
+    _require_input(args.ckpt, "checkpoint", "run `hvector train` first")
+    params, model_cfg = load_checkpoint(args.ckpt)
     out_path = Path(args.out)
     _guard_outputs([out_path], args.force)
 
@@ -415,7 +391,8 @@ def cmd_score_id(args) -> int:
     echo_config("score-id", resolve_config("score-id", args),
                 {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
-    params, model_cfg = _load_ckpt(args.ckpt)
+    _require_input(args.ckpt, "checkpoint", "run `hvector train` first")
+    params, model_cfg = load_checkpoint(args.ckpt)
     feats = load_features(manifest.entries)
     indices = predict(feats, params, model_cfg)
     predicted = [params.speakers[i] for i in indices]
@@ -431,23 +408,25 @@ def cmd_score_ver(args) -> int:
         "enrol": args.enrol, "eval": args.eval,
         "plda_train": plda_train_path, "out": args.out,
     })
-    # enrolment, evaluation and PLDA training sets, each read once, and
-    # length-normalized here if asked: the one place that setting acts
-    paths = [args.enrol, args.eval]
-    if cfg["backend"] == "plda" and args.plda_train is not None:
-        paths.append(args.plda_train)
-    sets = [_load_embedding_csv(p) for p in paths]
+    # enrolment, evaluation and PLDA training sets by path, each distinct file
+    # read once and length-normalized here if asked: the one place that
+    # setting acts
+    roles = (args.enrol, args.eval, plda_train_path if cfg["backend"] == "plda" else args.enrol)
+    sets = {}
+    for path in roles:
+        if path not in sets:
+            _require_input(path, "embedding CSV", "run `hvector embed` first")
+            sets[path] = load_embeddings(path)
     if cfg["length_norm"]:
-        sets = [[dataclasses.replace(r, vector=v) for r, v in
-                 zip(records, embedding_matrix(records, length_norm=True))]
-                for records in sets]
-    dim = len(sets[0][0].vector)
-    for path, records in zip(paths[1:], sets[1:]):
+        sets = {path: [dataclasses.replace(r, vector=v) for r, v in
+                       zip(records, embedding_matrix(records, length_norm=True))]
+                for path, records in sets.items()}
+    dim = len(sets[args.enrol][0].vector)
+    for path, records in sets.items():
         if len(records[0].vector) != dim:
-            raise CliError(f"embedding dims differ: {args.enrol} has {dim}, "
-                           f"{path} has {len(records[0].vector)}")
-    enrol, eval_records = sets[:2]
-    plda_train = sets[2] if len(sets) == 3 else enrol
+            raise ValueError(f"embedding dims differ: {args.enrol} has {dim}, "
+                             f"{path} has {len(records[0].vector)}")
+    enrol, eval_records, plda_train = (sets[path] for path in roles)
     out_dir = Path(args.out)
     trials_path = out_dir / "trials.csv"
     report_path = out_dir / "eer.txt"
@@ -466,7 +445,7 @@ def cmd_score_ver(args) -> int:
                 # plda_fit owns the lda_dim rule: its bounds depend on the data
                 if "reduced_dim" not in str(exc):
                     raise
-                raise CliError(f"--set: bad value for lda_dim: {exc}") from None
+                raise ValueError(f"--set: bad value for lda_dim: {exc}") from None
         scores = plda_score(model, models[:, None], tests[None])
     else:
         scores = cosine_score(models[:, None], tests[None])
@@ -557,7 +536,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError,   # LinAlgError is a ValueError
+    except (ValueError, OSError,   # LinAlgError is a ValueError
             TrainingDiverged, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

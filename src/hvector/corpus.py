@@ -80,6 +80,17 @@ def read_settings(text: str, origin: str, parsers: dict) -> dict:
     return values
 
 
+def _optional(cast):
+    def parse(raw):
+        return None if raw.strip().lower() == "none" else cast(raw)
+    return parse
+
+
+# parser by config dataclass field annotation, a string under
+# `from __future__ import annotations`
+_CASTS = {"int": int, "float": float, "str": str, "float | None": _optional(float)}
+
+
 @dataclass
 class ManifestEntry:
     utterance_id: str

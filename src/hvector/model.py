@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import tensor as hv
-from .corpus import read_settings
+from .corpus import _CASTS, read_settings
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -82,9 +82,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        values = read_settings(text, "line ", {
-            f.name: str if f.name == "mode" else float if f.name == "dropout" else int
-            for f in fields(cls)})
+        values = read_settings(text, "line ", {f.name: _CASTS[f.type] for f in fields(cls)})
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise ValueError(f"missing config key {f.name!r}")

@@ -128,7 +128,8 @@ def train(train_feats, dev_feats, model_cfg: ModelConfig, cfg: TrainConfig,
     "Best" means highest dev accuracy, ties broken by the earlier epoch; its
     `speakers` lists the training speakers in output-class order. The
     shuffle order and dropout masks come from named streams off cfg.seed, so
-    a rerun with the same inputs reproduces the loss trajectory bit-for-bit.
+    a rerun with the same inputs reproduces the loss trajectory bit-for-bit
+    on the same numpy/BLAS build.
     """
     if not train_feats:
         raise ValueError("training set is empty")

@@ -35,9 +35,9 @@ from hvector import scoring
 from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav, split_fragments
 from hvector.cli import (
-    _SCHEMAS, CliError, load_features, main, resolve_config, save_features,
+    _SCHEMAS, load_features, main, resolve_config, save_features,
 )
-from hvector.corpus import Manifest, ManifestEntry, split
+from hvector.corpus import _CASTS, Manifest, ManifestEntry, split
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
 from hvector.scoring import (
     EmbeddingRecord,
@@ -227,13 +227,6 @@ class TestPrepare:
         assert code == 1
         assert "lists no utterances" in err
 
-    def test_missing_manifest_hint(self, tmp_path):
-        code, _, err = run_cli("prepare", "--manifest",
-                               str(tmp_path / "nope.tsv"),
-                               "--out", str(tmp_path / "feats"))
-        assert code == 1
-        assert "hvector synth" in err
-
     def test_force_rerun_is_byte_identical(self, tmp_path):
         corpus = tmp_path / "corpus"
         feats = tmp_path / "feats"
@@ -327,12 +320,6 @@ class TestTrain:
         assert params.dtype == np.float32
         assert all(b.dtype == np.float32 for b in params.buffers.values())
 
-    def test_missing_manifest_hint(self, tmp_path):
-        code, _, err = run_cli("train", "--manifest", str(tmp_path / "no.tsv"),
-                               "--out", str(tmp_path / "run"))
-        assert code == 1
-        assert "hvector prepare" in err
-
     def test_config_file_with_set_override(self, pipeline, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=1\nlr=0.001\n# comment\n")
@@ -386,15 +373,6 @@ class TestEmbed:
         assert run_cli(*args, "--force")[0] == 0
         assert out_csv.read_bytes() == first
 
-    def test_missing_checkpoint_hint(self, pipeline, tmp_path):
-        code, _, err = run_cli("embed", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--ckpt", str(tmp_path / "none.hvt"),
-                               "--out", str(tmp_path / "emb.csv"))
-        assert code == 1
-        assert "hvector train" in err
-
-
     def test_truncated_feature_file_is_a_one_line_error(self, pipeline, tmp_path):
         manifest = Manifest.load(pipeline["feats_manifest"], check_paths=False)
         entry = manifest.entries[0]
@@ -431,13 +409,6 @@ class TestScoreId:
         match = re.search(r"^accuracy=(\d\.\d{4})$", out, re.MULTILINE)
         assert match
         assert 0.0 <= float(match.group(1)) <= 1.0
-
-    def test_missing_checkpoint_hint(self, pipeline, tmp_path):
-        code, _, err = run_cli("score-id", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--ckpt", str(tmp_path / "none.hvt"))
-        assert code == 1
-        assert "hvector train" in err
 
     def test_speaker_count_mismatch_is_a_one_line_error(self, pipeline, tmp_path):
         ckpt = tmp_path / "model.hvt"
@@ -588,17 +559,40 @@ class TestScoreVer:
                                     f"has 8, {paths['plda']} has 6"]
         assert not (tmp_path / "ver").exists()
 
-    def test_enrolment_csv_is_read_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("eval_set,plda_set,reads", [
         # without --plda-train, PLDA trains on the enrolment records already read
+        ("eval", None, ["enrol", "eval"]),
+        ("enrol", None, ["enrol"]),
+        ("eval", "enrol", ["enrol", "eval"]),
+        ("eval", "eval", ["enrol", "eval"]),
+    ], ids=["distinct files", "eval is enrol", "plda-train is enrol", "plda-train is eval"])
+    def test_enrolment_csv_is_read_once(self, tmp_path, monkeypatch, eval_set, plda_set,
+                                        reads):
+        # each distinct file is read once, and the outputs are those of a run
+        # given a copy of the file for each role
         paths = _clustered_embedding_csvs(tmp_path)
+        roles = {"--enrol": "enrol", "--eval": eval_set, "--plda-train": plda_set}
+
+        def score(copy_each_role):
+            out = tmp_path / f"ver-{copy_each_role}"
+            argv = ["score-ver", "--out", str(out), "--set", "lda_dim=1"]
+            for flag, name in roles.items():
+                if name is not None:
+                    path = paths[name]
+                    if copy_each_role:
+                        path = tmp_path / f"{flag.strip('-')}-copy.csv"
+                        shutil.copyfile(paths[name], path)
+                    argv += [flag, str(path)]
+            code, _, err = run_cli(*argv)
+            assert code == 0, err
+            return [(out / name).read_bytes() for name in ("trials.csv", "eer.txt")]
+
+        reference = score(copy_each_role=True)
         read = []
         monkeypatch.setattr(cli, "load_embeddings",
                             lambda path: read.append(path) or load_embeddings(path))
-        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
-                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"),
-                               "--set", "lda_dim=1")
-        assert code == 0, err
-        assert read == [str(paths["enrol"]), str(paths["eval"])]
+        assert score(copy_each_role=False) == reference
+        assert read == [str(paths[name]) for name in reads]
 
     def test_real_pipeline_embeddings(self, pipeline, tmp_path):
         emb_csv = tmp_path / "emb.csv"
@@ -629,13 +623,6 @@ class TestScoreVer:
         assert done.returncode == 0, done.stderr
         assert done.stderr.splitlines() == [
             "warning: within-class scatter is singular; regularizing with 1e-6*I"]
-
-    def test_missing_embeddings_hint(self, tmp_path):
-        code, _, err = run_cli("score-ver", "--enrol", str(tmp_path / "a.csv"),
-                               "--eval", str(tmp_path / "b.csv"),
-                               "--out", str(tmp_path / "ver"))
-        assert code == 1
-        assert "hvector embed" in err
 
     def test_non_numeric_value_is_a_one_line_error(self, tmp_path):
         paths = _clustered_embedding_csvs(tmp_path)
@@ -1278,6 +1265,16 @@ def test_train_defaults_are_the_config_classes_defaults():
         inspect.signature(split).parameters["train_fraction"].default
 
 
+def test_every_config_field_type_has_a_parser():
+    # a field type missing from the table would fail here, not parse as int
+    for cls in (ModelConfig, TrainConfig):
+        for field in dataclasses.fields(cls):
+            assert field.type in _CASTS, (cls.__name__, field.name, field.type)
+            if field.default is not dataclasses.MISSING:
+                parsed = _CASTS[field.type](str(field.default))
+                assert parsed == field.default and type(parsed) is type(field.default)
+
+
 # command, the other arguments it needs, key, bad value
 _FLAG_CASES = [
     ("synth", ["--out", "c"], "dur", "-1"),
@@ -1611,6 +1608,57 @@ def test_refused_train_and_embed_create_no_out(pipeline, tmp_path):
         assert not (tmp_path / "a").exists()
 
 
+# case -> (command, flag, what, hint): with every other input there, the
+# command refuses a missing `flag` input as `error: <what> <path> missing;
+# <hint>`; a "feature file" case gives --manifest a manifest whose store is missing
+_MISSING_INPUTS = {
+    **{f"{command} manifest": (command, "--manifest", "manifest", hint)
+       for command, hint in [("prepare", "run `hvector synth` first"),
+                             ("train", "run `hvector prepare` first"),
+                             ("embed", "run `hvector prepare` first"),
+                             ("score-id", "run `hvector prepare` first")]},
+    **{f"{command} checkpoint": (command, "--ckpt", "checkpoint", "run `hvector train` first")
+       for command in ("embed", "score-id")},
+    **{f"score-ver {flag}": ("score-ver", flag, "embedding CSV", "run `hvector embed` first")
+       for flag in ("--enrol", "--eval", "--plda-train")},
+    **{f"{command} config": (command, "--config", "config file", "check the --config path")
+       for command in ("synth", "prepare", "train", "embed", "score-id", "score-ver")},
+    **{f"{command} feature store": (command, "--manifest", "feature file",
+                                    "rerun `hvector prepare`")
+       for command in ("train", "embed", "score-id")},
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_INPUTS))
+def test_missing_input_is_one_error_line(pipeline, tmp_path, case):
+    command, flag, what, hint = _MISSING_INPUTS[case]
+    emb = _clustered_embedding_csvs(tmp_path)
+    out = tmp_path / "out" / "sub"
+    argv = {
+        "synth": ["--out", out],
+        "prepare": ["--manifest", pipeline["corpus_manifest"], "--out", out],
+        "train": ["--manifest", pipeline["feats_manifest"], "--out", out],
+        "embed": ["--manifest", pipeline["feats_manifest"], "--ckpt", pipeline["ckpt"],
+                  "--out", out / "e.csv"],
+        "score-id": ["--manifest", pipeline["feats_manifest"], "--ckpt", pipeline["ckpt"]],
+        "score-ver": ["--enrol", emb["enrol"], "--eval", emb["eval"],
+                      "--plda-train", emb["plda"], "--out", out],
+    }[command]
+    gone = value = tmp_path / "gone.x"
+    if what == "feature file":
+        value = tmp_path / "nostore.tsv"
+        value.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{gone}\t{k}\n" for k in range(4)))
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run_cli(command, *map(str, argv))
+    assert code == 1
+    assert err == f"error: {what} {gone} missing; {hint}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(10, 39)),
                        min_size=1, max_size=3),
@@ -1756,12 +1804,12 @@ _SET_WORDS = st.sampled_from(["lr", "epochs", "preset", "backend", "lda_dim", "l
 @example(command="train", text=b"epochs=1\n\xff=2\n", sets=[])
 @example(command="train", text=b"", sets=["epochs=" + "9" * 5000])
 def test_resolve_config_fails_cleanly(fuzz_dir, command, text, sets):
-    """Any --config file and --set pairs resolve, or give a CliError or
-    ValueError that names the file and line, or --set."""
+    """Any --config file and --set pairs resolve, or give a ValueError that
+    names the file and line, or --set."""
     path = fuzz_dir / "settings.cfg"
     path.write_bytes(text)
     args = argparse.Namespace(config=str(path), set=sets)
     try:
         resolve_config(command, args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         assert re.match(rf"{re.escape(str(path))}:\d+: |--set", str(exc)), str(exc)
