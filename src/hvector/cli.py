@@ -1,20 +1,19 @@
 """Command-line pipeline: synthesize audio, extract features, train, score.
 
-Each subcommand resolves its settings from built-in defaults, then an
-optional flat key=value --config file, then --set overrides, then dedicated
-flags, all three through the same per-key parsers; the final values are
-echoed before any work starts.  Existing output files are never overwritten
-unless --force is given, and every stage is deterministic given its inputs
-and seed, so a --force rerun reproduces the previous outputs byte for byte on
-the same BLAS build, whatever OPENBLAS_NUM_THREADS says (hvector.tensor
-sets numpy's OpenBLAS to one thread).  A failure that stops a command prints
-one `error: <message>` line on stderr and exits with status 1, and only
-`main` turns exceptions into that line (`prepare` also reports each clip it
-cannot read on such a line, goes on, and exits 1).  Every refusal of an
-input, setting or output path is a ValueError or an OSError; a missing input
-file reads `<what> <path> missing; <hint>`.  A failed `synth`,
-`prepare`, `train`, `embed` or `score-ver` removes what it wrote, so no rerun
-needs --force.
+Each subcommand resolves its settings from built-in defaults, then --set
+overrides, then dedicated flags, both through the same per-key parsers; the
+final values are echoed before any work starts.  Existing output files are
+never overwritten unless --force is given, and every stage is deterministic
+given its inputs and seed, so a --force rerun reproduces the previous
+outputs byte for byte on the same BLAS build, whatever OPENBLAS_NUM_THREADS
+says (hvector.tensor sets numpy's OpenBLAS to one thread).  A failure that
+stops a command prints one `error: <message>` line on stderr and exits with
+status 1, and only `main` turns exceptions into that line (`prepare` also
+reports each clip it cannot read on such a line, goes on, and exits 1).
+Every refusal of an input, setting or output path is a ValueError or an
+OSError; a missing input file reads `<what> <path> missing; <hint>`.  A
+failed `synth`, `prepare`, `train`, `embed` or `score-ver` removes what it
+wrote, so no rerun needs --force.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .audio import (
     window_utterances,
 )
 from .corpus import (
-    _CASTS, CLIP_FORK_FLOOR, Manifest, ManifestEntry, _optional, check_synth_args, open_text,
-    parse_setting, read_settings, split, synth_corpus,
+    _CASTS, CLIP_FORK_FLOOR, Manifest, ManifestEntry, _optional, check_synth_args,
+    parse_setting, split, synth_corpus,
 )
 from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # make_trials, score_trials and save_trials are no longer called here; they
@@ -155,10 +154,7 @@ _SCHEMAS = {
         **{f.name: _field_setting(TrainConfig, f.name)
            for f in dataclasses.fields(TrainConfig)},
         "model": _field_setting(ModelConfig, "mode", n_speakers=1),
-        "dropout": _field_setting(ModelConfig, "dropout", n_speakers=1),
         "preset": ("desk", _choice({"desk", "full"})),
-        # split owns the (0, 1) rule; an empty manifest splits at once
-        "train_fraction": (0.9, _checked(float, lambda v: split(Manifest([]), v))),
     },
     "embed": {},
     "score-id": {},
@@ -171,15 +167,10 @@ _SCHEMAS = {
 
 
 def resolve_config(command: str, args) -> dict:
-    """Defaults, then --config, then --set, then flags; each value through its key's parser."""
+    """Defaults, then --set, then flags; each value through its key's parser."""
     schema = _SCHEMAS[command]
     cfg = {key: default for key, (default, _) in schema.items()}
     parsers = {key: parse for key, (_, parse) in schema.items()}
-    if args.config is not None:
-        path = Path(args.config)
-        _require_input(path, "config file", "check the --config path")
-        with open_text(path) as fh:
-            cfg.update(read_settings(fh.read(), f"{path}:", parsers))
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
@@ -341,16 +332,15 @@ def cmd_train(args) -> int:
     outputs = [ckpt_path, log_path]
     _guard_outputs(outputs, args.force)
 
-    train_man, dev_man = split(manifest, cfg["train_fraction"], cfg["seed"])
+    train_man, dev_man = split(manifest, seed=cfg["seed"])
     feats = load_features(train_man.entries + dev_man.entries)
     train_feats, dev_feats = feats[:len(train_man)], feats[len(train_man):]
 
     n_speakers = len(manifest.speakers())
     frames_per_fragment = train_feats[0].fragments.shape[1]
     preset = ModelConfig.desk if cfg["preset"] == "desk" else ModelConfig
-    model_cfg = dataclasses.replace(preset(n_speakers=n_speakers, mode=cfg["model"],
-                                           frames_per_fragment=frames_per_fragment),
-                                    dropout=cfg["dropout"])
+    model_cfg = preset(n_speakers=n_speakers, mode=cfg["model"],
+                       frames_per_fragment=frames_per_fragment)
     train_cfg = TrainConfig(**{f.name: cfg[f.name]
                                for f in dataclasses.fields(TrainConfig)})
     # only now that the inputs and settings are valid may the old run go
@@ -403,7 +393,15 @@ def cmd_score_id(args) -> int:
 
 def cmd_score_ver(args) -> int:
     cfg = resolve_config("score-ver", args)
-    plda_train_path = args.plda_train if args.plda_train is not None else args.enrol
+    plda = cfg["backend"] == "plda"
+    if plda:
+        plda_train_path = args.plda_train if args.plda_train is not None else args.enrol
+    else:
+        # refused, not ignored, so the echo names only what the run uses
+        for what, given in (("--plda-train", args.plda_train), ("lda_dim", cfg["lda_dim"])):
+            if given is not None:
+                raise ValueError(f"backend=cosine takes no {what}; it is a PLDA setting")
+        plda_train_path = None
     echo_config("score-ver", cfg, {
         "enrol": args.enrol, "eval": args.eval,
         "plda_train": plda_train_path, "out": args.out,
@@ -411,7 +409,7 @@ def cmd_score_ver(args) -> int:
     # enrolment, evaluation and PLDA training sets by path, each distinct file
     # read once and length-normalized here if asked: the one place that
     # setting acts
-    roles = (args.enrol, args.eval, plda_train_path if cfg["backend"] == "plda" else args.enrol)
+    roles = (args.enrol, args.eval, plda_train_path if plda else args.enrol)
     sets = {}
     for path in roles:
         if path not in sets:
@@ -436,7 +434,7 @@ def cmd_score_ver(args) -> int:
     speakers, models = enrolment_models(enrol)
     tests = embedding_matrix(eval_records)
     caught = []
-    if cfg["backend"] == "plda":
+    if plda:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -467,8 +465,6 @@ def cmd_score_ver(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--config", default=None,
-                     help="flat key=value settings file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
     sub.add_argument("--force", action="store_true",

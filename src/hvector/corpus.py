@@ -66,17 +66,17 @@ def parse_setting(parsers: dict, key: str, raw: str, where: str):
         raise ValueError(f"{where}: bad value for {key}: {exc}") from None
 
 
-def read_settings(text: str, origin: str, parsers: dict) -> dict:
+def read_settings(text: str, parsers: dict) -> dict:
     """Flat key=value text, one setting a line, each value through its key's
-    parser; blank and `#` lines are skipped, and errors name origin + line."""
+    parser; blank and `#` lines are skipped, and errors name the line."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             if "=" not in line:
-                raise ValueError(f"{origin}{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, raw = (part.strip() for part in line.partition("="))
-            values[key] = parse_setting(parsers, key, raw, f"{origin}{lineno}")
+            values[key] = parse_setting(parsers, key, raw, f"line {lineno}")
     return values
 
 

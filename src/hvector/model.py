@@ -82,7 +82,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        values = read_settings(text, "line ", {f.name: _CASTS[f.type] for f in fields(cls)})
+        values = read_settings(text, {f.name: _CASTS[f.type] for f in fields(cls)})
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise ValueError(f"missing config key {f.name!r}")

@@ -18,26 +18,24 @@ __all__ = [
 ]
 
 
+# the β1, β2 and ε of Adam (Kingma & Ba, Algorithm 1), fixed for every run
+BETA1, BETA2, EPS = 0.95, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.95
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
     stop_at_dev_acc: float | None = None
 
     def __post_init__(self):
-        """Adam's update needs betas in (0, 1) and eps > 0.  The CLI builds a
-        TrainConfig to check each train setting, so these are its rules too."""
+        """The CLI builds a TrainConfig to check each train setting, so these
+        are its rules too."""
         acc = self.stop_at_dev_acc
         for name, ok, rule in [
-                ("beta1", 0.0 < self.beta1 < 1.0, "lie in (0, 1) like all Adam betas"),
-                ("beta2", 0.0 < self.beta2 < 1.0, "lie in (0, 1) like all Adam betas"),
                 ("lr", 0.0 <= self.lr < np.inf, "be finite and non-negative"),
-                ("eps", 0.0 < self.eps < np.inf, "be finite and positive"),
                 ("epochs", self.epochs >= 1, "be at least 1"),
                 ("seed", self.seed >= 0, "be non-negative"),
                 ("stop_at_dev_acc", acc is None or 0.0 <= acc <= 1.0, "lie in [0, 1] or be None")]:
@@ -76,16 +74,16 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
                                    f"at step {state.step + 1}: training diverged "
                                    f"at lr={cfg.lr!r}")
     state.step += 1
-    m_corr = 1.0 - cfg.beta1 ** state.step
-    v_corr = 1.0 - cfg.beta2 ** state.step
+    m_corr = 1.0 - BETA1 ** state.step
+    v_corr = 1.0 - BETA2 ** state.step
     for name, p, g in grads:
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= cfg.lr * (m / m_corr) / (np.sqrt(v / v_corr) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= cfg.lr * (m / m_corr) / (np.sqrt(v / v_corr) + EPS)
 
 
 @dataclass

@@ -72,11 +72,11 @@ class TestConfig:
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
+        with pytest.raises(ValueError, match="^line 2: unknown config key 'widgets'"):
             ModelConfig.from_text("n_speakers=3\nwidgets=4\n")
 
     def test_bad_line_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
+        with pytest.raises(ValueError, match="^line 1: expected key=value"):
             ModelConfig.from_text("n_speakers\n")
 
     def test_bad_mode_rejected(self):
