@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import hvector
 from hvector import model
 from hvector import tensor as hv
 from hvector.audio import AudioClip, UtteranceFeatures, save_wav
+from hvector.cli import main
 from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
     ModelConfig,
@@ -998,48 +1000,60 @@ def test_failed_output_write_keeps_the_previous_file(tmp_path, monkeypatch, name
     assert path.read_bytes() == before
 
 
-# embeds the fragments in argv[2] with the checkpoint in argv[1] into
-# argv[3], on CPU argv[4] alone unless it is "-"
-_EMBED_PROBE = """
+# trains a tiny full-preset model on the feature manifest argv[2], embeds
+# its windows and scores them, all in the working directory and through
+# hvector.cli.main, on CPU argv[1] alone unless it is "-"
+_PIPELINE_PROBE = """
 import os, sys
-if sys.argv[4] != "-":
-    os.sched_setaffinity(0, {int(sys.argv[4])})
-import numpy as np
-from hvector.audio import UtteranceFeatures
-from hvector.model import embed_batch, load_checkpoint
-params, cfg = load_checkpoint(sys.argv[1])
-frags = np.load(sys.argv[2])
-feats = [UtteranceFeatures(f) for f in frags]
-np.save(sys.argv[3], embed_batch(feats, params, cfg))
+if sys.argv[1] != "-":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from hvector.cli import main
+manifest = sys.argv[2]
+for argv in (["train", "--manifest", manifest, "--out", "run", "--set", "preset=full",
+              "--set", "batch_size=4", "--epochs", "2"],
+             ["embed", "--manifest", manifest, "--ckpt", "run/model.hvt", "--out", "emb.csv"],
+             ["score-ver", "--enrol", "emb.csv", "--eval", "emb.csv", "--out", "ver"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
 """
 
 
-def test_embeddings_agree_across_blas_thread_counts(tmp_path):
-    """Importing hvector.tensor sets numpy's OpenBLAS to one thread, so
-    full-preset float32 embeddings are the same bytes whatever
-    OPENBLAS_NUM_THREADS says and on one CPU, where the BiGRU runs its two
-    directions in turn.  Before that, 1 and 2 OpenBLAS 0.3.31 threads on a
-    2-CPU machine gave these embeddings 7.1e-8 of their largest |value|
-    apart."""
-    cfg = ModelConfig(n_speakers=4)
-    ckpt = tmp_path / "model.hvt"
-    save_checkpoint(ckpt, labelled(build_params(cfg, seed=0).astype(np.float32), cfg), cfg)
-    frags = tmp_path / "frags.npy"
-    np.save(frags, random_frags(np.random.default_rng(30), cfg, batch=4))
+def test_pipeline_bytes_agree_across_blas_thread_counts(tmp_path):
+    """Importing hvector.tensor sets numpy's OpenBLAS to one thread, so a
+    full-preset float32 `train`, `embed` and `score-ver` write the same bytes
+    whatever OPENBLAS_NUM_THREADS says and on one CPU, where the BiGRU runs
+    its two directions in turn.  Before that, 1 and 2 OpenBLAS 0.3.31
+    threads on a 2-CPU machine gave full-preset embeddings 7.1e-8 of their
+    largest |value| apart."""
+    corpus, feats = tmp_path / "corpus", tmp_path / "feats"
+    assert main(["synth", "--out", str(corpus), "--speakers", "3", "--utts", "4",
+                 "--dur", "3.2", "--seed", "0"]) == 0
+    assert main(["prepare", "--manifest", str(corpus / "manifest.tsv"), "--out", str(feats),
+                 "--len", "3.0"]) == 0
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(hvector.__file__).resolve().parent.parent)
-    runs = [(None, "-"), ("1", "-"), ("2", "-")]
+    ways = {"unset": (None, "-"), "1": ("1", "-"), "2": ("2", "-")}
     if hasattr(os, "sched_setaffinity"):
-        runs.append(("2", str(min(os.sched_getaffinity(0)))))
-    tables = []
-    for threads, cpu in runs:
-        out = tmp_path / f"emb{len(tables)}.npy"
-        done = subprocess.run(
-            [sys.executable, "-c", _EMBED_PROBE, str(ckpt), str(frags), str(out), cpu],
-            capture_output=True, text=True, timeout=300,
+        ways["one CPU"] = ("2", str(min(os.sched_getaffinity(0))))
+    names = ("run/model.hvt", "run/train.log", "emb.csv", "ver/trials.csv", "ver/eer.txt")
+    cwds = [tmp_path / f"way{k}" for k in range(len(ways))]
+
+    def run(cwd, threads, cpu):
+        cwd.mkdir()
+        return subprocess.run(
+            [sys.executable, "-c", _PIPELINE_PROBE, cpu, str(feats / "manifest.tsv")],
+            cwd=cwd, capture_output=True, text=True, timeout=300,
             env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads))
+
+    # two children at a time (~350 MB each): on a 2-CPU machine the four
+    # take 11 s this way and 17 s one after another
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(run, cwds, *zip(*ways.values())))
+    outputs = {}
+    for way, cwd, done in zip(ways, cwds, runs):
         assert done.returncode == 0, done.stderr
-        tables.append(np.load(out))
-    assert tables[0].shape == (4, cfg.fc1_dim)
-    for table in tables[1:]:
-        assert table.tobytes() == tables[0].tobytes()
+        outputs[way] = {name: (cwd / name).read_bytes() for name in names}
+    assert len(outputs["unset"]["emb.csv"].splitlines()) == 1 + 12
+    for way, files in outputs.items():
+        for name in names:
+            assert files[name] == outputs["unset"][name], (way, name)
