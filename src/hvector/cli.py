@@ -464,11 +464,11 @@ def cmd_score_ver(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, outputs=True):
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--force", action="store_true",
-                     help="overwrite existing outputs")
+    if outputs:
+        sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score-id", help="closed-set identification accuracy")
     p.add_argument("--manifest", required=True, help="feature manifest.tsv")
     p.add_argument("--ckpt", required=True, help="model checkpoint (.hvt)")
-    _add_common(p)
+    _add_common(p, outputs=False)
     p.set_defaults(func=cmd_score_id)
 
     p = subs.add_parser("score-ver", help="verification trials and EER")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,17 +28,17 @@ from .audio import SAMPLE_RATE, AudioClip, save_wav
 from .tensor import atomic_write, forked_map
 
 __all__ = [
-    "ManifestEntry", "Manifest", "SynthSpeakerSpec",
+    "ManifestEntry", "Manifest", "SynthSpeakerSpec", "check_ids",
     "make_speaker_spec", "synth_utterance", "check_synth_args", "synth_corpus",
     "split", "make_verification_split", "open_text", "parse_setting", "read_settings",
 ]
 
 
 @contextmanager
-def open_text(path, newline=None):
+def open_text(path):
     """open() a UTF-8 text file for reading; bytes in it that do not decode
     raise a ValueError that names the file and the line they are on."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             yield fh
             return
@@ -91,6 +92,20 @@ def _optional(cast):
 _CASTS = {"int": int, "float": float, "str": str, "float | None": _optional(float)}
 
 
+_NOT_IN_ID = re.compile(r'[\x00-\x1f,"]')
+
+
+def check_ids(ids, where):
+    """Refuse an utterance or speaker id holding a comma, a `"` or a control
+    character (U+0000-U+001F): a ValueError that starts with `where`, or
+    with where(k) for the k-th id if `where` is a function."""
+    for k, bad in enumerate(map(_NOT_IN_ID.search, ids)):
+        if bad:
+            raise ValueError(f"{where(k) if callable(where) else where}: id {bad.string!r} "
+                             f"holds {bad.group()!r}; an id holds no comma, no '\"' and "
+                             "no control character")
+
+
 @dataclass
 class ManifestEntry:
     utterance_id: str
@@ -116,6 +131,7 @@ class Manifest:
         return out
 
     def save(self, path):
+        check_ids([i for e in self.entries for i in (e.utterance_id, e.speaker_id)], path)
         with atomic_write(path, "w", encoding="utf-8") as fh:
             for e in self.entries:
                 fh.write(f"{e.utterance_id}\t{e.speaker_id}\t{e.path}\t{e.row}\n")
@@ -132,6 +148,7 @@ class Manifest:
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
                 utt, spk, p, row = parts
+                check_ids((utt, spk), f"{path}:{lineno}")
                 # os.path.exists: False, not OSError, for a name too long to stat
                 if check_paths and not os.path.exists(p):
                     raise FileNotFoundError(f"{path}:{lineno}: missing file {p}")

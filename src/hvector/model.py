@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import tensor as hv
-from .corpus import _CASTS, read_settings
+from .corpus import _CASTS, check_ids, read_settings
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -389,6 +389,7 @@ def _check_speakers(path, speakers, cfg: ModelConfig):
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
     """Write the config, the speaker list and the weights as one archive."""
     _check_speakers(path, params.speakers, cfg)
+    check_ids(params.speakers, path)
     records = {"config": cfg.to_text(), "speakers": "".join(f"{s}\n" for s in params.speakers)}
     records.update((name, t.data) for name, t in params.tensors.items())
     records.update((_BUFFER + name, b) for name, b in params.buffers.items())

@@ -1,10 +1,6 @@
 """Identification accuracy, verification EER, and an LDA/PLDA back-end."""
 from __future__ import annotations
 
-import csv
-import io
-import itertools
-import math
 import os
 import shutil
 import warnings
@@ -13,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import check_ids, open_text
 from .tensor import atomic_write, forked_map
 
 __all__ = [
@@ -401,14 +397,15 @@ def score_trials(model: PldaModel, trials) -> np.ndarray:
 
 
 # --- file formats ----------------------------------------------------------
+#
+# A CSV's ids are plain tokens (corpus.check_ids), so no field is quoted.
 
 def save_embeddings(path, records):
-    """CSV with header utterance_id,speaker_id,e0,...; repr-exact floats.
-
-    Each row is written as one string, the bytes a csv writer would give."""
+    """CSV with header utterance_id,speaker_id,e0,...; repr-exact floats."""
     records = list(records)
     if not records:
         raise ValueError("no embeddings to save")
+    check_ids([i for r in records for i in (r.utterance_id, r.speaker_id)], path)
     dim = len(records[0].vector)
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["utterance_id", "speaker_id"]
@@ -418,90 +415,71 @@ def save_embeddings(path, records):
                 raise ValueError(f"embedding dim mismatch for {r.utterance_id}: "
                                  f"{len(r.vector)} vs {dim}")
             values = np.asarray(r.vector, dtype=np.float64).tolist()
-            fh.write(",".join([_csv_field(r.utterance_id), _csv_field(r.speaker_id),
-                               *map(repr, values)]) + "\n")
+            fh.write(",".join([r.utterance_id, r.speaker_id, *map(repr, values)]) + "\n")
 
 
-# a quote or carriage return changes how a csv reader splits a line, the csv
-# reader of Python < 3.11 refuses NUL, and loadtxt strips \x1c-\x1f around a
-# number where float() refuses them
-_NOT_PLAIN = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+# np.loadtxt reads a number with one of these around it, and refuses every
+# other control character in a value
+_LOADTXT_SPACES = ("\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _load_plain_embeddings(path) -> list[EmbeddingRecord] | None:
-    """`load_embeddings`' records, all values parsed by one np.loadtxt, or
-    None unless every line is plain: none of _NOT_PLAIN, no blank line, the
-    header's field count on every row, and every value finite.  Where
-    loadtxt parses a value, float() gives the same bits, and loadtxt refuses
-    some spellings float() takes (`1_0`, non-ASCII digits), so None leaves
-    every other file to the row loop."""
+def _read_rows(path, fh, width, target=False) -> tuple[list, np.ndarray]:
+    """The ids, two a line, and the (lines, width) values of the lines left
+    in fh, split at their first two commas; one np.loadtxt parses all values.
+    Refused, each at its first line: a blank line, a control character, a
+    value count or value loadtxt cannot take, or a last value other than `0`
+    or `1` with `target`; then an id that is not plain; then a value not finite."""
     ids = []
 
-    def values(lines):
-        for line in lines:
+    def texts():
+        for line in fh:
             utterance, _, rest = line.partition(",")
-            speaker, comma, vals = rest.partition(",")
-            if not comma or vals in ("", "\n") or any(c in line for c in _NOT_PLAIN):
-                raise ValueError("not a plain row")
-            ids.append((utterance, speaker))
-            yield vals
+            speaker, _, text = rest.partition(",")
+            ids.extend((utterance, speaker))
+            # loadtxt refuses a value count other than the first line's; a
+            # target must be the last value
+            if text in ("", "\n") or (target or len(ids) == 2) and text.count(",") != width - 1:
+                raise ValueError("blank line" if line == "\n" else f"value count is not {width}")
+            if control := next((c for c in _LOADTXT_SPACES if c in line), None):
+                raise ValueError(f"holds {control!r}; no id or value holds a control character")
+            if target and text.rpartition(",")[2].rstrip("\n") not in ("0", "1"):
+                raise ValueError("target must be 0 or 1")
+            yield text
 
-    with open_text(path, newline="") as fh:
-        try:
-            header = fh.readline()
-            first = fh.readline()
-            if (not first or any(c in header for c in _NOT_PLAIN)
-                    or header.split(",")[:2] != ["utterance_id", "speaker_id"]):
-                return None
-            matrix = np.loadtxt(values(itertools.chain([first], fh)), delimiter=",",
-                                comments=None, ndmin=2, dtype=np.float64)
-        except ValueError:      # a decoding error included: the row loop names it
-            return None
-    if matrix.shape != (len(ids), header.count(",") - 1) or not np.isfinite(matrix).all():
-        return None
-    return [EmbeddingRecord(u, s, v) for (u, s), v in zip(ids, matrix)]
+    def line_of(k):     # the k-th id's
+        return f"{path}:{k // 2 + 2}"
+
+    try:
+        with warnings.catch_warnings():     # loadtxt warns of a file of no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(texts(), delimiter=",", comments=None, ndmin=2,
+                                dtype=np.float64).reshape(-1, width)
+    except UnicodeDecodeError:
+        raise               # open_text names its line
+    except ValueError as exc:   # at the last line read; loadtxt reads no further
+        raise ValueError(f"{line_of(len(ids) - 2)}: "
+                         f"{str(exc).partition(' at row ')[0]}") from None
+    check_ids(ids, line_of)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{line_of(2 * np.argmin(finite))}: values must be finite")
+    return ids, values
 
 
 def load_embeddings(path) -> list[EmbeddingRecord]:
-    """Records of an embedding CSV; a value is taken exactly when Python's
-    float() takes it, and a malformed file is one ValueError naming the
-    file and line."""
-    records = _load_plain_embeddings(path)
-    return records if records is not None else _load_embedding_rows(path)
-
-
-def _load_embedding_rows(path) -> list[EmbeddingRecord]:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if not header or header[:2] != ["utterance_id", "speaker_id"]:
-                raise ValueError(f"{path} is not an embedding CSV")
-            dim = len(header) - 2
-            if not dim:
-                raise ValueError(f"{path} has no embedding value columns")
-            out, lines = [], []
-            for row in reader:
-                if not row:
-                    raise ValueError(f"{path} line {reader.line_num}: blank line")
-                if len(row) != dim + 2:
-                    raise ValueError(f"{path} line {reader.line_num}: row for "
-                                     f"{row[0]} has {len(row) - 2} values, expected {dim}")
-                try:
-                    vec = np.array([float(x) for x in row[2:]])
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-                out.append(EmbeddingRecord(row[0], row[1], vec))
-                lines.append(reader.line_num)
-        except csv.Error as exc:    # e.g. a field past csv.field_size_limit()
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    if not out:
+    """Records of an embedding CSV; a malformed file is one ValueError naming
+    the file, and its line where the fault is on one (`_read_rows`)."""
+    with open_text(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[:2] != ["utterance_id", "speaker_id"]:
+            raise ValueError(f"{path} is not an embedding CSV")
+        if len(header) == 2:
+            raise ValueError(f"{path} has no embedding value columns")
+        ids, values = _read_rows(path, fh, len(header) - 2)
+    if not ids:
         raise ValueError(f"{path} contains no embeddings")
-    finite = np.isfinite(embedding_matrix(out)).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path} line {lines[np.argmin(finite)]}: "
-                         "embedding values must be finite")
-    return out
+    pairs = iter(ids)
+    return [EmbeddingRecord(u, s, v) for u, s, v in zip(pairs, pairs, values)]
 
 
 _TRIALS_HEADER = ["enrol_speaker", "test_utterance", "score", "target"]
@@ -512,21 +490,11 @@ def save_trials(path, trials, scores):
     scores = np.asarray(scores, dtype=np.float64)
     if len(trials) != len(scores):
         raise ValueError(f"{len(trials)} trials but {len(scores)} scores")
+    check_ids([i for tr in trials for i in (tr.enrol_speaker, tr.test_utterance)], path)
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_TRIALS_HEADER) + "\n")
         for tr, s in zip(trials, scores.tolist()):
-            fh.write(f"{_csv_field(tr.enrol_speaker)},{_csv_field(tr.test_utterance)},"
-                     f"{s!r},{int(tr.target)}\n")
-
-
-def _csv_field(value) -> str:
-    """value as a csv writer writes it within a row: quoted only if needed.
-
-    A carriage return counts as needing quotes, as it does for a writer
-    whose line end holds one: a bare one ends the row for a csv reader."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
-    return buf.getvalue()[:-3]
+            fh.write(f"{tr.enrol_speaker},{tr.test_utterance},{s!r},{int(tr.target)}\n")
 
 
 # each extra writer process must get at least this many trials: below it,
@@ -551,8 +519,9 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
     if not scores.shape == targets.shape == (len(speakers), len(test_utterances)):
         raise ValueError(f"{len(speakers)} x {len(test_utterances)} trials but "
                          f"scores {scores.shape} and targets {targets.shape}")
-    enrols = [_csv_field(spk) + "," for spk in speakers]
-    tests = [_csv_field(u) + "," for u in test_utterances]
+    check_ids([*speakers, *test_utterances], path)
+    enrols = [f"{spk}," for spk in speakers]
+    tests = [f"{u}," for u in test_utterances]
 
     def write_rows(fh, rows):
         # one list per row, [prefix, score, end] per trial, joined once:
@@ -591,30 +560,13 @@ def save_score_matrix(path, speakers, test_utterances, scores, targets):
 
 
 def load_trials(path) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and target flags from a trials CSV; a malformed row is one
-    ValueError naming the file and line."""
-    scores, targets = [], []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != _TRIALS_HEADER:
-                raise ValueError(f"{path} is not a trials CSV")
-            for row in reader:
-                try:
-                    if len(row) != len(_TRIALS_HEADER):
-                        raise ValueError(f"{len(row)} fields, expected {len(_TRIALS_HEADER)}")
-                    score = float(row[2])
-                    if not math.isfinite(score):
-                        raise ValueError(f"score must be finite, got {row[2]!r}")
-                    if row[3] not in ("0", "1"):
-                        raise ValueError(f"target must be 0 or 1, got {row[3]!r}")
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-                scores.append(score)
-                targets.append(row[3] == "1")
-        except csv.Error as exc:    # e.g. a field past csv.field_size_limit()
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    return np.array(scores), np.array(targets, dtype=bool)
+    """Scores and target flags from a trials CSV, read as `load_embeddings`
+    reads an embedding CSV."""
+    with open_text(path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(_TRIALS_HEADER):
+            raise ValueError(f"{path} is not a trials CSV")
+        _, values = _read_rows(path, fh, 2, target=True)
+    return values[:, 0], values[:, 1] == 1.0
 
 
 def save_eer_report(path, eer: float, threshold: float):

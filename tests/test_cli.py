@@ -645,8 +645,8 @@ class TestScoreVer:
         code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
                                "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"))
         assert code == 1
-        assert err.splitlines() == [f"error: {paths['eval']} line 4: "
-                                    "could not convert string to float: 'x'"]
+        assert err.splitlines() == [f"error: {paths['eval']}:4: "
+                                    "could not convert string 'x' to float64"]
 
     def test_non_finite_value_is_a_one_line_error(self, tmp_path):
         paths = _clustered_embedding_csvs(tmp_path)
@@ -658,8 +658,7 @@ class TestScoreVer:
                                "--plda-train", str(paths["plda"]),
                                "--out", str(tmp_path / "ver"))
         assert code == 1
-        assert err.splitlines() == [f"error: {paths['plda']} line 3: "
-                                    "embedding values must be finite"]
+        assert err.splitlines() == [f"error: {paths['plda']}:3: values must be finite"]
 
     def test_dim_mismatch_is_a_one_line_error(self, tmp_path):
         paths = _clustered_embedding_csvs(tmp_path)
@@ -1267,6 +1266,25 @@ def test_config_file_flag_is_gone(capsys, command):
         main([command, *_REQUIRED[command], "--config", "settings.cfg"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --config settings.cfg" in capsys.readouterr().err
+
+
+def test_score_id_takes_no_force(capsys):
+    # score-id writes no file, so it has nothing to overwrite
+    with pytest.raises(SystemExit) as exit_:
+        main(["score-id", *_REQUIRED["score-id"], "--force"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_prepare_refuses_an_id_that_is_not_a_plain_token(tmp_path):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"a-u0\ta\t{tmp_path / 'x.wav'}\t0\na,b\ta\t{tmp_path / 'y.wav'}\t0\n")
+    code, _, err = run_cli("prepare", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "feats"))
+    assert code == 1
+    assert err == (f"error: {manifest}:2: id 'a,b' holds ','; an id holds no comma, "
+                   "no '\"' and no control character\n")
+    assert not (tmp_path / "feats").exists()
 
 
 def test_every_config_field_type_has_a_parser():

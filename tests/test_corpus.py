@@ -9,7 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from helpers import tiny_config
 from hvector import audio, corpus
+from hvector.model import build_params, save_checkpoint
+from hvector.scoring import (
+    EmbeddingRecord,
+    Trial,
+    load_embeddings,
+    load_trials,
+    save_embeddings,
+    save_score_matrix,
+    save_trials,
+)
 
 
 def pulse_train_loop(rng, n, pitch_hz):
@@ -186,6 +197,69 @@ class TestManifest:
         path.write_bytes(b"".join(lines))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2500: not UTF-8 text"):
             corpus.Manifest.load(path, check_paths=False)
+
+
+def _save_speakers(path, bad):
+    params = build_params(tiny_config())
+    params.speakers = ["a", bad, "c"]
+    save_checkpoint(path, params, tiny_config())
+
+
+# each writer an id passes through, called to write `path` with `bad` as an id
+_ID_WRITERS = {
+    "Manifest.save": lambda path, bad: corpus.Manifest(
+        [corpus.ManifestEntry("u0", "s0", "x.wav"), corpus.ManifestEntry(bad, "s0", "x.wav")]
+    ).save(path),
+    "save_embeddings": lambda path, bad: save_embeddings(
+        path, [EmbeddingRecord("u0", "s0", np.zeros(2)), EmbeddingRecord("u1", bad, np.zeros(2))]),
+    "save_trials": lambda path, bad: save_trials(
+        path, [Trial("s0", "u0", np.zeros(1), np.zeros(1), True),
+               Trial(bad, "u1", np.zeros(1), np.zeros(1), False)], [0.5, -0.5]),
+    "save_score_matrix": lambda path, bad: save_score_matrix(
+        path, ["s0"], ["u0", bad], np.zeros((1, 2)), np.zeros((1, 2), dtype=bool)),
+    "save_checkpoint": _save_speakers,
+}
+# each reader an id passes through: the text of a file whose line 3 holds {bad}
+_ID_READERS = {
+    "Manifest.load": (lambda path: corpus.Manifest.load(path, check_paths=False),
+                      "u0\ts0\tx.wav\t0\nu1\ts0\tx.wav\t0\nu{bad}\ts0\tx.wav\t0\n"),
+    "load_embeddings": (load_embeddings,
+                        "utterance_id,speaker_id,e0,e1\nu0,s0,1,2\nu1,s{bad},3,4\n"),
+    "load_trials": (load_trials,
+                    "enrol_speaker,test_utterance,score,target\ns0,u0,0.5,1\ns{bad},u1,0.5,0\n"),
+}
+_NOT_IN_IDS = [",", '"', "\r", "\x00", "\x1c"]
+
+
+@pytest.mark.parametrize("bad", _NOT_IN_IDS, ids=repr)
+@pytest.mark.parametrize("door", sorted(_ID_WRITERS))
+def test_writer_refuses_an_id_that_is_not_a_plain_token(tmp_path, door, bad):
+    # one ValueError naming the file, before the file or its temp file exists
+    path = tmp_path / "out" / "file"
+    path.parent.mkdir()
+    with pytest.raises(ValueError) as caught:
+        _ID_WRITERS[door](path, f"x{bad}y")
+    assert str(caught.value).startswith(f"{path}: id {f'x{bad}y'!r} holds {bad!r}; ")
+    assert list(path.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", _NOT_IN_IDS, ids=repr)
+@pytest.mark.parametrize("door", sorted(_ID_READERS))
+def test_reader_refuses_an_id_that_is_not_a_plain_token(tmp_path, door, bad):
+    # one ValueError naming the file and the line; a carriage return ends a
+    # line, and a comma moves a field, so those two are refused as short or
+    # long lines
+    load, text = _ID_READERS[door]
+    path = tmp_path / "file"
+    path.write_bytes(text.format(bad=bad).encode("utf-8"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        load(path)
+
+
+def test_check_ids_takes_plain_tokens():
+    corpus.check_ids(["", "spk 3", " pad ", "é語", "x\x7fy", "'quoted'"], "here")
+    with pytest.raises(ValueError, match=r"^line 7: id 'a\\tb' holds '\\t'; "):
+        corpus.check_ids(["a", "a\tb"], lambda k: f"line {k + 6}")
 
 
 def _fake_manifest(n_speakers, utts_per_speaker):

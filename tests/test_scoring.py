@@ -20,8 +20,6 @@ from hvector.scoring import (
     PldaModel,
     Trial,
     _lda_projection,
-    _load_embedding_rows,
-    _load_plain_embeddings,
     accuracy,
     compute_eer,
     cosine_score,
@@ -386,8 +384,9 @@ def assert_plda_matches_oracle(model, trials, models, tests):
     return expected, terms
 
 
-# ids the csv writer must quote, next to plain ones
-_ids = st.sampled_from(["a", "b", "spk 3", "x,y", 'say "hi"', "two\nlines", "car\rriage", ""])
+# plain tokens (corpus.check_ids): inner and outer spaces, non-ASCII
+# letters and the empty id included
+_ids = st.sampled_from(["a", "b", "spk 3", " pad ", "é語", ""])
 
 
 @st.composite
@@ -491,8 +490,8 @@ def _save_matrix(path, *args, workers, floor=1) -> int:
     return fork.call_count
 
 
-# ids holding what the csv writer quotes, and non-ASCII text
-_row_ids = st.text(st.sampled_from('ab,"\r\n é語'), max_size=4)
+# plain tokens, non-ASCII ones included
+_row_ids = st.text(st.sampled_from("ab é語"), max_size=4)
 
 
 class TestForkedScoreMatrix:
@@ -503,7 +502,7 @@ class TestForkedScoreMatrix:
            tests=st.lists(_row_ids, min_size=1, max_size=5),
            workers=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
     @example(speakers=["a"], tests=["u"], workers=4, seed=0)       # K = N = 1
-    @example(speakers=['"é', "a,\r"], tests=["u"] * 3, workers=4, seed=1)   # K < workers
+    @example(speakers=["é", "a "], tests=["u"] * 3, workers=4, seed=1)   # K < workers
     def test_forked_file_equals_in_process_file(self, speakers, tests, workers, seed):
         rng = np.random.default_rng(seed)
         shape = (len(speakers), len(tests))
@@ -904,19 +903,73 @@ def _csv_writer_embeddings(path, records):
             fh.write(buf.getvalue()[:-2] + "\n")
 
 
-def _loaded(load, path):
-    """(ids, value bits) of each record load(path) returns, or its error."""
+# np.loadtxt reads a number with one of these around it; the loader refuses them
+_LOADTXT_SPACES = "\t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _oracle_value(text):
+    """A value as the loader's contract reads it: as float() does, less the
+    spellings only float() takes (`1_0`, non-ASCII digits); None if refused."""
+    if "_" in text or any(c.isdigit() and not c.isascii() for c in text):
+        return None
     try:
-        records = load(path)
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _oracle_embeddings(path):
+    """load_embeddings one line at a time: (ids, value bits) per record, or
+    `<path>:<line>` of the line it refuses, or its message for a file with
+    no lines to refuse.  The first line that is blank, holds one of
+    _LOADTXT_SPACES, or has a value count or value it cannot take is
+    refused; then the first with an id that is not a plain token; then the
+    first with a value that is not finite."""
+    with open(path, encoding="utf-8") as fh:      # \r\n and \r end a line too
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].split(",") if lines else []
+    if header[:2] != ["utterance_id", "speaker_id"]:
+        return f"{path} is not an embedding CSV"
+    if len(header) == 2:
+        return f"{path} has no embedding value columns"
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        values = [_oracle_value(v) for v in fields[2:]]
+        if (len(values) != len(header) - 2 or None in values
+                or any(c in line for c in _LOADTXT_SPACES)):
+            return f"{path}:{number}"
+        rows.append((number, fields[0], fields[1], np.array(values)))
+    if not rows:
+        return f"{path} contains no embeddings"
+    for number, *ids, _ in rows:
+        if any(c == '"' or ord(c) < 32 for c in "".join(ids)):
+            return f"{path}:{number}"
+    for number, _, _, vector in rows:
+        if not np.isfinite(vector).all():
+            return f"{path}:{number}"
+    return [(u, s, np.dtype(np.float64), v.tobytes()) for _, u, s, v in rows]
+
+
+def _loaded(path):
+    """load_embeddings(path) in the oracle's terms: (ids, value bits) of each
+    record, or what its error message says before its first `: `."""
+    try:
+        records = load_embeddings(path)
     except ValueError as exc:
-        return str(exc)
+        return str(exc).partition(": ")[0]
     return [(r.utterance_id, r.speaker_id, r.vector.dtype, r.vector.tobytes())
             for r in records]
 
 
-_FILE_IDS = _ids | st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_FILE_IDS = _ids | st.text(st.characters(exclude_categories=("Cs",),
+                                         exclude_characters=',"' + "".join(map(chr, range(32)))),
+                           max_size=6)
 _EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+     1.7976931348623157e308, -1.7976931348623157e308])
 
 
 @st.composite
@@ -927,13 +980,14 @@ def _embedding_records(draw):
             for _ in range(draw(st.integers(1, 6)))]
 
 
-# spellings that loadtxt and float() read alike, and ones that only float()
-# reads, that only loadtxt reads (\x1c), or that neither reads
-_SHARED_SPELLINGS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
-    | st.sampled_from([" 1.5", "\t2\x0c", "\u20033", "+.5", "1e-400"])
+# spellings the loader reads, and ones it refuses or reads as not finite
+_READ_SPELLINGS = st.floats(allow_nan=False, allow_infinity=False).map(repr) \
+    | st.sampled_from([" 1.5", "\u20033", "+.5", "1e-400", "-0.0", "5e-324"])
 _ODD_SPELLINGS = st.sampled_from(
-    ["1_0", "١٢", "\x1c1", "1\x00", "0x1p3", "1d5", "1e999", "nan", "-inf", "", " ",
-     "x", '"2"', '"1,5"'])
+    ["1_0", "١٢", "\x1c1", "\t2\x0c", "1\x00", "0x1p3", "1d5", "1e999", "nan", "-inf",
+     "", " ", "x", '"2"'])
+# ids a plain-token writer never writes, next to plain ones
+_TEXT_IDS = _ids | st.sampled_from(['say "hi"', "nul\x00", "fs\x1c", "tab\t", "x,y"])
 
 
 @st.composite
@@ -942,14 +996,14 @@ def _embedding_texts(draw):
     spellings, ragged rows, blank lines and line ends other than \\n."""
     dim = draw(st.integers(1, 3))
     odd = draw(st.lists(st.booleans(), min_size=4, max_size=4))
-    spellings = _SHARED_SPELLINGS | _ODD_SPELLINGS if odd[0] else _SHARED_SPELLINGS
+    spellings = _READ_SPELLINGS | _ODD_SPELLINGS if odd[0] else _READ_SPELLINGS
     widths = st.integers(dim - 1, dim + 1) if odd[1] else st.just(dim)
     lines = ["utterance_id,speaker_id," + ",".join(f"e{i}" for i in range(dim))]
     for _ in range(draw(st.integers(0, 4))):
         width = draw(widths)
         values = draw(st.lists(spellings, min_size=width, max_size=width))
         lines.append("" if odd[2] and draw(st.booleans()) else
-                     ",".join([draw(_ids.filter(lambda i: "\n" not in i)), "s", *values]))
+                     ",".join([draw(_TEXT_IDS), draw(_TEXT_IDS), *values]))
     ends = st.sampled_from(["\n", "\r\n", "\r"]) if odd[3] else st.just("\n")
     return "".join(line + draw(ends) for line in lines)
 
@@ -982,62 +1036,104 @@ class TestFileFormats:
 
     @settings(max_examples=100, deadline=None)
     @given(records=_embedding_records())
-    @example(records=[EmbeddingRecord("x,y", 'say "hi"', np.array([-0.0, 5e-324, 1e308]))])
+    @example(records=[EmbeddingRecord("spk 3", "é語", np.array([-0.0, 5e-324])),
+                      EmbeddingRecord("", " pad ", np.array([1.7976931348623157e308,
+                                                              -1.7976931348623157e308]))])
     def test_save_embeddings_matches_csv_writer(self, records):
+        # bit for bit: -0.0, subnormals and +-max come back as written, and
+        # a csv writer, which quotes no plain token, writes the same bytes
         with tempfile.TemporaryDirectory() as tmp:
             save_embeddings(f"{tmp}/rows.csv", records)
             _csv_writer_embeddings(f"{tmp}/oracle.csv", records)
             with open(f"{tmp}/rows.csv", "rb") as a, open(f"{tmp}/oracle.csv", "rb") as b:
                 assert a.read() == b.read()
+            assert _loaded(f"{tmp}/rows.csv") == [
+                (r.utterance_id, r.speaker_id, np.dtype(np.float64),
+                 r.vector.astype(np.float64).tobytes()) for r in records]
 
     @settings(max_examples=100, deadline=None)
-    @given(records=_embedding_records())
-    def test_fast_loader_equals_row_loop(self, records):
-        # bit for bit: -0.0, subnormals and +-1e308 come back as written,
-        # through the one-parse path when no id needs quoting
+    @given(records=_embedding_records(), bad=st.sampled_from(',"\r\x00\x1c'),
+           at=st.integers(0, 11))
+    def test_loader_equals_per_line_oracle(self, records, bad, at):
+        # a csv writer quotes an id that holds a comma, a quote or a carriage
+        # return, and leaves NUL and \x1c bare: the loader refuses the line
+        # of the first such id, where the oracle does
+        k, field = divmod(at % (2 * len(records)), 2)
+        ids = [records[k].utterance_id, records[k].speaker_id]
+        ids[field] += bad
+        records[k] = EmbeddingRecord(*ids, records[k].vector)
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/emb.csv"
-            save_embeddings(path, records)
-            written = [(r.utterance_id, r.speaker_id, np.dtype(np.float64),
-                        r.vector.astype(np.float64).tobytes()) for r in records]
-            assert _loaded(load_embeddings, path) == written
-            assert _loaded(_load_embedding_rows, path) == written
-            # a comma, quote, newline or carriage return makes the writer
-            # quote the id; NUL and \x1c-\x1f send the line to the row loop
-            plain = not any(c in i for r in records for i in (r.utterance_id, r.speaker_id)
-                            for c in ',"\n\r\x00\x1c\x1d\x1e\x1f')
-            assert (_load_plain_embeddings(path) is not None) == plain
+            _csv_writer_embeddings(path, records)
+            assert _loaded(path) == _oracle_embeddings(path)
+            assert isinstance(_loaded(path), str)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_embedding_texts())
     @example(text="utterance_id,speaker_id,e0\nu,s,\x1c1\n")
     @example(text="utterance_id,speaker_id,e0\nu,s,\n")
-    def test_any_text_loads_as_the_row_loop_loads_it(self, text):
+    @example(text="utterance_id,speaker_id,e0,e1\nu,s,1,2\nu,s,nan,2\n\n")
+    def test_any_text_loads_as_the_per_line_oracle_loads_it(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/emb.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            assert _loaded(load_embeddings, path) == _loaded(_load_embedding_rows, path)
+            assert _loaded(path) == _oracle_embeddings(path)
 
     @pytest.mark.parametrize("text,expected", [
-        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,1_0\n", [2.5, 10.0]),
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,1_0\n", "{path}:3: could not convert"),
         ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s, 1.5\n", [2.5, 1.5]),
-        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,١٢\n", [2.5, 12.0]),
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,١٢\n", "{path}:3: could not convert"),
+        ("utterance_id,speaker_id,e0\nu0,s,2.5\nu1,s,\t1.5\n", "{path}:3: holds '\\t'"),
         ("utterance_id,speaker_id,e0\r\nu0,s,-0.0\r\nu1,s,3e-2\r\n", [-0.0, 0.03]),
-        ("utterance_id,speaker_id,e0\nu0,s,1.0\n\nu1,s,2.0\n", "{path} line 3: blank line"),
-    ], ids=["underscore", "leading space", "arabic-indic digits", "crlf", "blank line"])
-    def test_loads_as_before(self, tmp_path, text, expected):
-        # spellings only float() takes, CRLF line ends and a blank line go
-        # through the row loop, which loads them as earlier versions did
+        ("utterance_id,speaker_id,e0\nu0,s,1.0\n\nu1,s,2.0\n", "{path}:3: blank line"),
+    ], ids=["underscore", "leading space", "arabic-indic digits", "tab", "crlf",
+            "blank line"])
+    def test_value_spellings(self, tmp_path, text, expected):
+        # `1_0` and non-ASCII digits, which float() reads, are refused, as is a
+        # tab that both parsers strip; CRLF line ends load
         path = tmp_path / "emb.csv"
         path.write_bytes(text.encode("utf-8"))
         if isinstance(expected, str):
             with pytest.raises(ValueError) as caught:
                 load_embeddings(path)
-            assert str(caught.value) == expected.format(path=path)
+            assert str(caught.value).startswith(expected.format(path=path))
         else:
             assert [r.vector.tobytes() for r in load_embeddings(path)] == \
                 [np.array([v]).tobytes() for v in expected]
+
+    def test_loadtxt_reads_the_spellings_the_loaders_rely_on(self):
+        """A canary for np.loadtxt as the CSV loaders call it: pyproject
+        allows numpy >= 1.24, and few versions have been run."""
+        def read(lines):
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+
+        for spelling in ("1_0", "١٢"):
+            with pytest.raises(ValueError):
+                read([spelling + "\n"])
+        for around in ("\x1c", "\t"):
+            assert read([f"{around}2.5{around}\n"]).tolist() == [[2.5]]
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        assert read([",".join(map(repr, edges)) + "\n"]).tobytes() == \
+            np.array([edges]).tobytes()
+        # the loaders name the line loadtxt refuses by the lines it took,
+        # leave a value count other than the first line's to it, and refuse
+        # a line by raising from the lines they give it
+        for refused in ("x\n", "1,2\n", ValueError("refused here")):
+            taken = []
+
+            def lines():
+                for line in ("1\n", refused, "2\n"):
+                    taken.append(line)
+                    if isinstance(line, Exception):
+                        raise line
+                    yield line
+
+            with pytest.raises(ValueError) as caught:
+                read(lines())
+            assert taken == ["1\n", refused]
+            assert not isinstance(refused, Exception) or caught.value is refused
 
     def test_embedding_csv_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1045,7 +1141,7 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="not an embedding CSV"):
             load_embeddings(path)
         path.write_text("utterance_id,speaker_id,e0,e1\nu0,s0,1.0\n")
-        with pytest.raises(ValueError, match="expected 2"):
+        with pytest.raises(ValueError, match=":2: value count is not 2$"):
             load_embeddings(path)
         path.write_text("utterance_id,speaker_id,e0\n")
         with pytest.raises(ValueError, match="no embeddings"):
@@ -1059,7 +1155,7 @@ class TestFileFormats:
     def test_bad_value_names_file_and_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         path.write_text(f"utterance_id,speaker_id,e0,e1\nu0,s0,1.0,2.0\nu1,s0,3.0,{value}\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             load_embeddings(path)
 
     def test_trials_roundtrip(self, tmp_path):
@@ -1081,21 +1177,22 @@ class TestFileFormats:
             load_trials(path)
 
     @pytest.mark.parametrize("row,message", [
-        ("s0,u1,0.5", "3 fields, expected 4"),
-        ("s0,u1,0.5,1,extra", "5 fields, expected 4"),
-        ("s0,u1,x,1", "could not convert string to float: 'x'"),
-        ("s0,u1,,1", "could not convert string to float: ''"),
-        ("s0,u1,nan,1", "score must be finite, got 'nan'"),
-        ("s0,u1,-inf,0", "score must be finite, got '-inf'"),
-        ("s0,u1,0.5,7", "target must be 0 or 1, got '7'"),
-        ("s0,u1,0.5,true", "target must be 0 or 1, got 'true'"),
-        ("s0,u1," + "9" * 200_000 + ",1", "field larger than field limit (131072)"),
+        ("s0,u1,0.5", "value count is not 2"),
+        ("s0,u1,0.5,1,extra", "value count is not 2"),
+        ("s0,u1,x,1", "could not convert string 'x' to float64"),
+        ("s0,u1,,1", "could not convert string '' to float64"),
+        ("s0,u1,nan,1", "values must be finite"),
+        ("s0,u1,-inf,0", "values must be finite"),
+        ("s0,u1,0.5,7", "target must be 0 or 1"),
+        ("s0,u1,0.5,true", "target must be 0 or 1"),
+        ("s0,u1,0.5,1.0", "target must be 0 or 1"),
+        ("s0,u1," + "9" * 200_000 + ",1", "values must be finite"),
     ], ids=["short row", "long row", "text score", "empty score", "nan score",
-            "-inf score", "target 7", "target true", "oversized field"])
+            "-inf score", "target 7", "target true", "target 1.0", "oversized field"])
     def test_bad_trial_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "trials.csv"
         path.write_text(f"enrol_speaker,test_utterance,score,target\ns0,u0,1.5,1\n{row}\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
                                              f"{re.escape(message)}$"):
             load_trials(path)
 
