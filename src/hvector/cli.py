@@ -1,8 +1,10 @@
 """Command-line pipeline: synthesize audio, extract features, train, score.
 
-Each subcommand resolves its settings from built-in defaults, then --set
-overrides, then dedicated flags, both through the same per-key parsers; the
-final values are echoed before any work starts.  Existing output files are
+A subcommand with settings (synth, prepare, train, score-ver: the keys of
+_SCHEMAS) resolves them from built-in defaults, then --set overrides, then
+dedicated flags, both through the same per-key parsers; embed and score-id
+take no settings.  Every command echoes its final values and input and
+output paths before any work starts.  Existing output files are
 never overwritten unless --force is given, and every stage is deterministic
 given its inputs and seed, so a --force rerun reproduces the previous
 outputs byte for byte on the same BLAS build, whatever OPENBLAS_NUM_THREADS
@@ -49,7 +51,6 @@ from .model import MODES, ModelConfig, embed_batch, load_checkpoint
 # stay importable from this module, where perfbench/spans.py patches them
 from .scoring import (  # noqa: F401
     EmbeddingRecord,
-    accuracy,
     cosine_score,
     eer_operating_point,
     embedding_matrix,
@@ -156,8 +157,6 @@ _SCHEMAS = {
         "model": _field_setting(ModelConfig, "mode", n_speakers=1),
         "preset": ("desk", _choice({"desk", "full"})),
     },
-    "embed": {},
-    "score-id": {},
     "score-ver": {
         "backend": ("plda", _choice({"plda", "cosine"})),
         "lda_dim": (None, _optional(int)),
@@ -359,8 +358,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    echo_config("embed", resolve_config("embed", args),
-                {"manifest": args.manifest, "ckpt": args.ckpt, "out": args.out})
+    echo_config("embed", {}, {"manifest": args.manifest, "ckpt": args.ckpt, "out": args.out})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     _require_input(args.ckpt, "checkpoint", "run `hvector train` first")
     params, model_cfg = load_checkpoint(args.ckpt)
@@ -378,16 +376,14 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score_id(args) -> int:
-    echo_config("score-id", resolve_config("score-id", args),
-                {"manifest": args.manifest, "ckpt": args.ckpt})
+    echo_config("score-id", {}, {"manifest": args.manifest, "ckpt": args.ckpt})
     manifest = _load_manifest(args.manifest, "run `hvector prepare` first")
     _require_input(args.ckpt, "checkpoint", "run `hvector train` first")
     params, model_cfg = load_checkpoint(args.ckpt)
     feats = load_features(manifest.entries)
-    indices = predict(feats, params, model_cfg)
-    predicted = [params.speakers[i] for i in indices]
-    acc = accuracy(predicted, [u.speaker_id for u in feats])
-    print(f"accuracy={acc:.4f}")
+    predicted = np.array(params.speakers)[predict(feats, params, model_cfg)]
+    hits = predicted == [u.speaker_id for u in feats]
+    print(f"accuracy={hits.mean():.4f}")
     return 0
 
 
@@ -464,13 +460,6 @@ def cmd_score_ver(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_common(sub, outputs=True):
-    sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override one config key (repeatable)")
-    if outputs:
-        sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvector",
@@ -484,14 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", help="utterances per speaker")
     p.add_argument("--dur", help="clip duration in seconds")
     p.add_argument("--seed")
-    _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("prepare", help="featurize a corpus manifest")
     p.add_argument("--manifest", required=True, help="corpus manifest.tsv")
     p.add_argument("--out", required=True, help="feature directory")
     p.add_argument("--len", help="window length in seconds")
-    _add_common(p)
     p.set_defaults(func=cmd_prepare)
 
     p = subs.add_parser("train", help="train a speaker classifier")
@@ -500,20 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help=f"one of {', '.join(MODES)}")
     p.add_argument("--epochs")
     p.add_argument("--seed")
-    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("embed", help="write an embedding CSV")
     p.add_argument("--manifest", required=True, help="feature manifest.tsv")
     p.add_argument("--ckpt", required=True, help="model checkpoint (.hvt)")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("score-id", help="closed-set identification accuracy")
     p.add_argument("--manifest", required=True, help="feature manifest.tsv")
     p.add_argument("--ckpt", required=True, help="model checkpoint (.hvt)")
-    _add_common(p, outputs=False)
     p.set_defaults(func=cmd_score_id)
 
     p = subs.add_parser("score-ver", help="verification trials and EER")
@@ -522,9 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plda-train", default=None,
                    help="embedding CSV for backend training (default: --enrol)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
     p.set_defaults(func=cmd_score_ver)
 
+    # last on each command: --set where _SCHEMAS gives it settings, and
+    # --force where it writes files, which score-id does not
+    for command, p in subs.choices.items():
+        if command in _SCHEMAS:
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="override one config key (repeatable)")
+        if command != "score-id":
+            p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
 

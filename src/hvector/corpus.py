@@ -11,6 +11,9 @@ jittered periods, and the cascade is applied as one frequency response.
 Each utterance draws from its own seeded generator in a fixed order
 (pulse jitters, formant jitters, gain, noise), so a corpus is a function
 of its arguments.
+
+It also holds the value parsers (`parse_setting`, `_CASTS`) that the CLI's
+`--set` shares with `ModelConfig.from_text`, a checkpoint config's reader.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .tensor import atomic_write, forked_map
 __all__ = [
     "ManifestEntry", "Manifest", "SynthSpeakerSpec", "check_ids",
     "make_speaker_spec", "synth_utterance", "check_synth_args", "synth_corpus",
-    "split", "make_verification_split", "open_text", "parse_setting", "read_settings",
+    "split", "make_verification_split", "open_text", "parse_setting",
 ]
 
 
@@ -60,25 +63,11 @@ def parse_setting(parsers: dict, key: str, raw: str, where: str):
     """parsers[key](raw); a ValueError starting with `where` if key or value is bad."""
     if key not in parsers:
         raise ValueError(f"{where}: unknown config key {key!r} "
-                         f"(known: {', '.join(sorted(parsers)) or 'none'})")
+                         f"(known: {', '.join(sorted(parsers))})")
     try:
         return parsers[key](raw)
     except ValueError as exc:
         raise ValueError(f"{where}: bad value for {key}: {exc}") from None
-
-
-def read_settings(text: str, parsers: dict) -> dict:
-    """Flat key=value text, one setting a line, each value through its key's
-    parser; blank and `#` lines are skipped, and errors name the line."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, raw = (part.strip() for part in line.partition("="))
-            values[key] = parse_setting(parsers, key, raw, f"line {lineno}")
-    return values
 
 
 def _optional(cast):
@@ -153,8 +142,10 @@ class Manifest:
                 if check_paths and not os.path.exists(p):
                     raise FileNotFoundError(f"{path}:{lineno}: missing file {p}")
                 try:
-                    index = int(row)
-                except ValueError:
+                    # ASCII digits, as save writes them: int() also takes
+                    # "+3", " 3", "1_0" and other scripts' digits
+                    index = int(row) if row.isascii() and row.isdigit() else -1
+                except ValueError:      # more digits than int() converts
                     index = -1
                 if index < 0:
                     raise ValueError(f"{path}:{lineno}: row {row!r} "

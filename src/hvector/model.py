@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import tensor as hv
-from .corpus import _CASTS, check_ids, read_settings
+from .corpus import _CASTS, check_ids, parse_setting
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
@@ -82,7 +82,17 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        values = read_settings(text, {f.name: _CASTS[f.type] for f in fields(cls)})
+        """Read what to_text writes: one key=value line per field, each key
+        once; any other line is a ValueError that names it."""
+        parsers = {f.name: _CASTS[f.type] for f in fields(cls)}
+        values = {}
+        for lineno, line in enumerate(text.splitlines(), 1):
+            key, eq, raw = line.partition("=")
+            if not eq:
+                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+            if key in values:
+                raise ValueError(f"line {lineno}: config key {key!r} given twice")
+            values[key] = parse_setting(parsers, key, raw, f"line {lineno}")
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise ValueError(f"missing config key {f.name!r}")

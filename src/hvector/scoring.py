@@ -1,4 +1,4 @@
-"""Identification accuracy, verification EER, and an LDA/PLDA back-end."""
+"""Verification EER, and an LDA/PLDA back-end."""
 from __future__ import annotations
 
 import os
@@ -14,7 +14,7 @@ from .tensor import atomic_write, forked_map
 
 __all__ = [
     "EmbeddingRecord", "Trial", "PldaModel",
-    "accuracy", "compute_eer", "eer_operating_point",
+    "compute_eer", "eer_operating_point",
     "embedding_matrix", "enrolment_models", "make_trials", "plda_fit",
     "plda_score", "score_trials", "cosine_score", "save_embeddings",
     "load_embeddings", "save_trials", "save_score_matrix", "load_trials",
@@ -36,16 +36,6 @@ class Trial:
     enrol_vector: np.ndarray
     test_vector: np.ndarray
     target: bool
-
-
-def accuracy(preds, truth) -> float:
-    """Exact-match fraction between two equal-length label sequences."""
-    preds = list(preds)
-    truth = list(truth)
-    if not preds or len(preds) != len(truth):
-        raise ValueError(f"need equal non-empty label lists, "
-                         f"got {len(preds)} and {len(truth)}")
-    return sum(p == t for p, t in zip(preds, truth)) / len(preds)
 
 
 # --- equal error rate ----------------------------------------------------

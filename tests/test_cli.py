@@ -34,7 +34,7 @@ from hvector import scoring
 from hvector import tensor as hv
 from hvector.audio import AudioClip, save_wav, split_fragments
 from hvector.cli import (
-    _SCHEMAS, load_features, main, resolve_config, save_features,
+    _SCHEMAS, build_parser, load_features, main, resolve_config, save_features,
 )
 from hvector.corpus import _CASTS, Manifest, ManifestEntry
 from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
@@ -1148,18 +1148,6 @@ def _case_train_setting(pair):
     return case
 
 
-def _case_inference_setting(command):
-    # embed and score-id take no settings: the key is refused before any
-    # input is read, and the checkpoint and the manifest's feature file are
-    # missing
-    def case(p):
-        out = ("--out", p["dir"] / "e.csv") if command == "embed" else ()
-        return (command, "--manifest", p["manifest"], "--ckpt", p["dir"] / "gone.hvt",
-                *out, "--set", "batch_size=8"), \
-            "error: --set: unknown config key 'batch_size' (known: none)"
-    return case
-
-
 def _case_training_diverges(p):
     store = p["dir"] / "features.hvt"
     rng = np.random.default_rng(0)
@@ -1202,6 +1190,9 @@ _BOUNDARY_CASES = {
         "config", "", "missing config key 'n_speakers'"),
     "manifest row is not an integer": _case_bad_row("many"),
     "manifest row is negative": _case_bad_row("-1"),
+    # a row is ASCII digits, as Manifest.save writes it; int() reads each of these
+    **{f"manifest row {row[:8]!r}": _case_bad_row(row)
+       for row in ["+3", " 3", "3 ", "1_0", "\u0663", "9" * 5000]},
     "manifest is not UTF-8": _case_undecodable_manifest,
     "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
     "--enrol CSV has no value columns, cosine": _case_no_value_columns("cosine"),
@@ -1212,8 +1203,6 @@ _BOUNDARY_CASES = {
                     "stop_at_dev_acc=5", "stop_at_dev_acc=-0.5", "batch_size=0",
                     "model=tdnn", "preset=huge"]},
     "training diverges": _case_training_diverges,
-    "embed --set batch_size=8": _case_inference_setting("embed"),
-    "score-id --set batch_size=8": _case_inference_setting("score-id"),
 }
 
 
@@ -1225,6 +1214,25 @@ def test_bad_input_is_one_error_line(tmp_path, case):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert expected in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_speakers=3", "config key 'n_speakers' given twice"),
+    ("", "expected key=value, got ''"),
+    ("# saved config", "expected key=value, got '# saved config'"),
+])
+def test_embed_refuses_a_config_record_that_to_text_did_not_write(tmp_path, line, message):
+    p = _boundary_inputs(tmp_path)
+    ckpt = _tiny_checkpoint(tmp_path / "run")
+    text = tiny_config().to_text() + line + "\n"
+    hv.save_archive(ckpt, {**hv.load_archive(ckpt), "config": text})
+    out = tmp_path / "emb" / "e.csv"
+    code, _, err = run_cli("embed", "--manifest", str(p["manifest"]),
+                           "--ckpt", str(ckpt), "--out", str(out))
+    assert code == 1
+    n = len(text.splitlines())
+    assert err == f"error: {ckpt}: line {n}: {message}\n"
+    assert not out.parent.exists()
 
 
 def test_train_defaults_are_the_config_classes_defaults():
@@ -1260,20 +1268,30 @@ _REQUIRED = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_SCHEMAS))
+def _subcommands():
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
 def test_config_file_flag_is_gone(capsys, command):
+    assert sorted(_REQUIRED) == sorted(_subcommands())
     with pytest.raises(SystemExit) as exit_:
         main([command, *_REQUIRED[command], "--config", "settings.cfg"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --config settings.cfg" in capsys.readouterr().err
 
 
-def test_score_id_takes_no_force(capsys):
-    # score-id writes no file, so it has nothing to overwrite
+# score-id writes no file, so it has nothing to overwrite, and neither it
+# nor embed has a setting for --set to override
+@pytest.mark.parametrize("argv", ["score-id --force", "embed --set k=v", "score-id --set k=v"])
+def test_flag_the_command_does_not_take(capsys, argv):
+    command, *flag = argv.split()
     with pytest.raises(SystemExit) as exit_:
-        main(["score-id", *_REQUIRED["score-id"], "--force"])
+        main([command, *_REQUIRED[command], *flag])
     assert exit_.value.code == 2
-    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_prepare_refuses_an_id_that_is_not_a_plain_token(tmp_path):
@@ -1755,6 +1773,7 @@ def _returns_or_names(load, path):
        check_paths=st.booleans())
 @example(text="u\ts\tx.hvt\tmany\n", check_paths=False)
 @example(text="u\ts\t" + "a" * 300 + "\t1\n", check_paths=True)   # name too long
+@example(text="u\ts\tx.hvt\t" + "9" * 5000 + "\n", check_paths=False)  # int()'s digit limit
 def test_manifest_loader_fails_cleanly(fuzz_dir, text, check_paths):
     path = fuzz_dir / "manifest.tsv"
     path.write_text(text, encoding="utf-8")

@@ -20,6 +20,7 @@ from hvector.audio import AudioClip, UtteranceFeatures, save_wav
 from hvector.cli import main
 from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
+    MODES,
     ModelConfig,
     attention_normalize,
     batches,
@@ -69,8 +70,10 @@ def random_frags(rng, cfg, batch=3):
 
 
 class TestConfig:
-    def test_text_roundtrip(self):
-        cfg = ModelConfig.desk(7, mode="xvector_attn")
+    @pytest.mark.parametrize("preset", [ModelConfig, ModelConfig.desk])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_text_roundtrip(self, preset, mode):
+        cfg = preset(7, mode=mode)
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -96,10 +99,18 @@ class TestConfig:
         assert cfg.seg_cnn_out == 1500
         assert cfg.frames_per_fragment == 30
 
-    def test_comments_and_blanks_ignored(self):
-        cfg = ModelConfig(n_speakers=4)
-        text = "# saved config\n\n" + cfg.to_text()
-        assert ModelConfig.from_text(text) == cfg
+    # from_text reads what to_text writes and nothing else
+    @pytest.mark.parametrize("before, message", [
+        ("\n", "line 1: expected key=value, got ''"),
+        ("# saved config\n", "line 1: expected key=value, got '# saved config'"),
+        ("n_speakers=5\n", "line 2: config key 'n_speakers' given twice"),
+        ("dropout=0.5\nn_speakers\n", "line 2: expected key=value, got 'n_speakers'"),
+    ])
+    def test_other_lines_rejected(self, before, message):
+        text = before + ModelConfig(n_speakers=4).to_text()
+        with pytest.raises(ValueError) as exc:
+            ModelConfig.from_text(text)
+        assert str(exc.value) == message
 
 
 class TestBuildParams:

@@ -20,7 +20,6 @@ from hvector.scoring import (
     PldaModel,
     Trial,
     _lda_projection,
-    accuracy,
     compute_eer,
     cosine_score,
     eer_operating_point,
@@ -37,34 +36,6 @@ from hvector.scoring import (
     save_trials,
     score_trials,
 )
-
-
-class TestAccuracy:
-    def test_identical_lists(self):
-        assert accuracy(["a", "b", "c"], ["a", "b", "c"]) == 1.0
-
-    def test_disjoint_lists(self):
-        assert accuracy([1, 2, 3], [4, 5, 6]) == 0.0
-
-    def test_three_of_four(self):
-        assert accuracy([0, 1, 1, 0], [0, 1, 1, 1]) == 0.75
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal"):
-            accuracy([1, 2], [1])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(0)
-        preds = rng.integers(0, 3, 40)
-        truth = rng.integers(0, 3, 40)
-        base = accuracy(preds, truth)
-        for _ in range(10):
-            perm = rng.permutation(40)
-            assert accuracy(preds[perm], truth[perm]) == base
 
 
 def sweep_oracle(scores, targets):
