@@ -10,20 +10,23 @@ Three variants share one classifier head:
   in the pooling.
 
 The utterance embedding is the first fully connected layer's output after
-its activation and batchnorm, before dropout.
+its activation and batchnorm, before EMBEDDING_DROPOUT.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import tensor as hv
+from .audio import N_CEPSTRA, N_FRAGMENTS
 from .corpus import _CASTS, check_ids, parse_setting
 from .tensor import Tensor
 
 MODES = ("hvector", "xvector", "xvector_attn")
 XVECTOR_WIDTHS = (5, 3, 3, 1, 1)
+FRAME_CNN_WIDTH = 5        # h-vector frame conv
+EMBEDDING_DROPOUT = 0.2    # on the embedding, in training only
 
 __all__ = [
     "ModelConfig", "ModelParams", "build_params",
@@ -36,18 +39,19 @@ __all__ = [
 
 @dataclass
 class ModelConfig:
+    """What some run varies: n_speakers, mode and frames_per_fragment, which
+    train sets, and the five widths in which the presets differ."""
     n_speakers: int
     mode: str = "hvector"
-    feat_dim: int = 20
-    n_fragments: int = 10
     frames_per_fragment: int = 30
-    frame_cnn_width: int = 5
     frame_cnn_out: int = 512
     gru_hidden: int = 512          # per direction
     seg_cnn_out: int = 1500
     fc1_dim: int = 512
     fc2_dim: int = 512
-    dropout: float = 0.2
+    # not fields but audio's window shape, named for perfbench/layers.py and acceptance criterion 1
+    feat_dim = N_CEPSTRA
+    n_fragments = N_FRAGMENTS
 
     @property
     def frame_out_dim(self) -> int:
@@ -58,12 +62,8 @@ class ModelConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         for f in fields(self):
-            if f.name in ("mode", "dropout"):
-                continue
-            if getattr(self, f.name) < 1:
+            if f.name != "mode" and getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
     def desk(cls, n_speakers: int, mode: str = "hvector",
@@ -83,7 +83,7 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
         """Read what to_text writes: one key=value line per field, each key
-        once; any other line is a ValueError that names it."""
+        once, in to_text's spelling; any other line is a ValueError naming it."""
         parsers = {f.name: _CASTS[f.type] for f in fields(cls)}
         values = {}
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -92,7 +92,9 @@ class ModelConfig:
                 raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             if key in values:
                 raise ValueError(f"line {lineno}: config key {key!r} given twice")
-            values[key] = parse_setting(parsers, key, raw, f"line {lineno}")
+            value = values[key] = parse_setting(parsers, key, raw, f"line {lineno}")
+            if str(value) != raw:
+                raise ValueError(f"line {lineno}: bad value for {key}: to_text writes {value}, not {raw!r}")
         for f in fields(cls):
             if f.default is MISSING and f.name not in values:
                 raise ValueError(f"missing config key {f.name!r}")
@@ -187,7 +189,7 @@ class _Layout(list):
 def _layout(cfg: ModelConfig) -> _Layout:
     b = _Layout()
     if cfg.mode == "hvector":
-        b.conv("frame_conv", cfg.frame_cnn_width, cfg.feat_dim, cfg.frame_cnn_out)
+        b.conv("frame_conv", FRAME_CNN_WIDTH, N_CEPSTRA, cfg.frame_cnn_out)
         b.norm("frame_bn", cfg.frame_cnn_out)
         b.gru("gru_f", cfg.frame_cnn_out, cfg.gru_hidden)
         b.gru("gru_b", cfg.frame_cnn_out, cfg.gru_hidden)
@@ -197,7 +199,7 @@ def _layout(cfg: ModelConfig) -> _Layout:
         b.attention("seg_att", cfg.seg_cnn_out)
     else:
         channels = [cfg.frame_cnn_out] * 4 + [cfg.seg_cnn_out]
-        cin = cfg.feat_dim
+        cin = N_CEPSTRA
         for i, (width, cout) in enumerate(zip(XVECTOR_WIDTHS, channels), 1):
             b.conv(f"conv{i}", width, cin, cout)
             b.norm(f"bn{i}", cout)
@@ -288,7 +290,7 @@ def _head(pooled, params, cfg, training, rng, trace):
     emb = _batchnorm(hv.relu(z), params, "fc1_bn", training)
     if trace is not None:
         trace["emb"] = emb
-    dropped = hv.dropout(emb, cfg.dropout, rng=rng, training=training)
+    dropped = hv.dropout(emb, EMBEDDING_DROPOUT, rng=rng, training=training)
     z2 = hv.relu(hv.matmul(dropped, params["fc2.w"], params["fc2.b"]))
     logits = hv.matmul(z2, params["out.w"], params["out.b"])
     return logits, emb
@@ -335,11 +337,9 @@ def forward_batch(frags: np.ndarray, params: ModelParams, cfg: ModelConfig,
     """
     if frags.ndim != 4:
         raise ValueError(f"expected (B, N, M, F) fragments, got shape {frags.shape}")
-    if frags.shape[1] != cfg.n_fragments or frags.shape[3] != cfg.feat_dim:
-        raise ValueError(
-            f"fragments {frags.shape} do not match config "
-            f"(n_fragments={cfg.n_fragments}, feat_dim={cfg.feat_dim})"
-        )
+    if frags.shape[1] != N_FRAGMENTS or frags.shape[3] != N_CEPSTRA:
+        raise ValueError(f"fragments {frags.shape} do not match the window shape "
+                         f"(n_fragments={N_FRAGMENTS}, feat_dim={N_CEPSTRA})")
     frags = frags.astype(params.dtype, copy=False)
     if cfg.mode == "hvector":
         return _hvector_forward(frags, params, cfg, training, rng, trace)

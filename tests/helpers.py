@@ -18,12 +18,19 @@ def tiny_config(n_speakers: int = 3, mode: str = "hvector") -> ModelConfig:
     )
 
 
+def random_frags(rng, cfg: ModelConfig, batch: int = 3) -> np.ndarray:
+    """`batch` standard-normal windows of the shape forward_batch checks,
+    model.N_FRAGMENTS fragments of cfg's frames and model.N_CEPSTRA each."""
+    return rng.standard_normal(
+        (batch, model.N_FRAGMENTS, cfg.frames_per_fragment, model.N_CEPSTRA))
+
+
 def set_inference_batch(monkeypatch, cfg: ModelConfig, size: int):
     """Set the inference budget so that windows of cfg's shape, the longest
     given, run `size` to a batch."""
     widest = max(cfg.frame_cnn_out, cfg.frame_out_dim, cfg.seg_cnn_out)
     monkeypatch.setattr(model, "_INFERENCE_BUDGET",
-                        size * cfg.n_fragments * cfg.frames_per_fragment * widest)
+                        size * model.N_FRAGMENTS * cfg.frames_per_fragment * widest)
 
 
 def save_old_archive(path, records: dict):

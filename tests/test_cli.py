@@ -37,7 +37,9 @@ from hvector.cli import (
     _SCHEMAS, build_parser, load_features, main, resolve_config, save_features,
 )
 from hvector.corpus import _CASTS, Manifest, ManifestEntry
-from hvector.model import ModelConfig, build_params, load_checkpoint, save_checkpoint
+from hvector.model import (
+    EMBEDDING_DROPOUT, ModelConfig, build_params, load_checkpoint, save_checkpoint,
+)
 from hvector.scoring import (
     EmbeddingRecord,
     compute_eer,
@@ -316,12 +318,12 @@ class TestTrain:
 
     def test_checkpoint_holds_the_preset_config(self, pipeline):
         # train sets the preset's mode and frames per fragment, nothing
-        # else: the dropout is the model's fixed 0.2
+        # else: the dropout is the model's fixed 0.2, not a config field
         frames = hv.load_archive(pipeline["feats_manifest"].parent / "features.hvt")[
             "fragments"].shape[2]
         _, model_cfg = load_checkpoint(pipeline["ckpt"])
         assert model_cfg == ModelConfig.desk(3, mode="hvector", frames_per_fragment=frames)
-        assert model_cfg.dropout == 0.2
+        assert EMBEDDING_DROPOUT == 0.2 and not hasattr(model_cfg, "dropout")
 
     def test_model_checkpoint_is_float32(self, pipeline):
         params, _ = load_checkpoint(pipeline["ckpt"])
@@ -439,7 +441,8 @@ class TestScoreId:
         rotated = params.speakers[1:] + params.speakers[:1]
         ckpt = tmp_path / "model.hvt"
         shutil.copy(pipeline["ckpt"], ckpt)
-        ckpt.with_suffix(".cfg").write_text(dataclasses.replace(cfg, dropout=0.5).to_text())
+        ckpt.with_suffix(".cfg").write_text(dataclasses.replace(
+            cfg, frames_per_fragment=cfg.frames_per_fragment + 1).to_text())
         ckpt.with_suffix(".spk").write_text("".join(f"{s}\n" for s in rotated))
         assert accuracy(ckpt) == "1.0000"
 
@@ -1216,10 +1219,17 @@ def test_bad_input_is_one_error_line(tmp_path, case):
     assert expected in err
 
 
+_MODEL_KEYS = ("fc1_dim, fc2_dim, frame_cnn_out, frames_per_fragment, gru_hidden, mode, "
+               "n_speakers, seg_cnn_out")
+
+
 @pytest.mark.parametrize("line, message", [
     ("n_speakers=3", "config key 'n_speakers' given twice"),
     ("", "expected key=value, got ''"),
     ("# saved config", "expected key=value, got '# saved config'"),
+    # a checkpoint written while these were still config fields
+    ("feat_dim=20", f"unknown config key 'feat_dim' (known: {_MODEL_KEYS})"),
+    ("dropout=0.2", f"unknown config key 'dropout' (known: {_MODEL_KEYS})"),
 ])
 def test_embed_refuses_a_config_record_that_to_text_did_not_write(tmp_path, line, message):
     p = _boundary_inputs(tmp_path)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hvector
 from hvector import model
 from hvector import tensor as hv
-from hvector.audio import AudioClip, UtteranceFeatures, save_wav
+from hvector.audio import N_CEPSTRA, N_FRAGMENTS, AudioClip, UtteranceFeatures, save_wav
 from hvector.cli import main
 from hvector.corpus import Manifest, ManifestEntry
 from hvector.model import (
@@ -40,7 +40,7 @@ from hvector.scoring import (
 from hvector.tensor import Tensor
 from hvector.train import TrainConfig, classify_accuracy, predict
 
-from helpers import set_inference_batch, tiny_config
+from helpers import random_frags, set_inference_batch, tiny_config
 
 
 def labelled(params, cfg):
@@ -64,11 +64,6 @@ def desk_cfg(mode="hvector", n_speakers=5):
     return ModelConfig.desk(n_speakers, mode=mode)
 
 
-def random_frags(rng, cfg, batch=3):
-    return rng.standard_normal(
-        (batch, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
-
-
 class TestConfig:
     @pytest.mark.parametrize("preset", [ModelConfig, ModelConfig.desk])
     @pytest.mark.parametrize("mode", MODES)
@@ -88,9 +83,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown mode"):
             ModelConfig(n_speakers=3, mode="zvector")
 
-    def test_bad_dropout_rejected(self):
-        with pytest.raises(ValueError, match="dropout"):
-            ModelConfig(n_speakers=3, dropout=1.0)
+    def test_fields_are_what_some_run_varies(self):
+        # train sets n_speakers, mode and frames_per_fragment; every other
+        # field is a width in which the desk and full presets differ, so a
+        # value that no run varies cannot come back as a field
+        names = {f.name for f in dataclasses.fields(ModelConfig)}
+        desk, full = ModelConfig.desk(2), ModelConfig(2)
+        differ = {name for name in names if getattr(desk, name) != getattr(full, name)}
+        assert names == {"n_speakers", "mode", "frames_per_fragment"} | differ
+        assert (ModelConfig.feat_dim, ModelConfig.n_fragments) == (N_CEPSTRA, N_FRAGMENTS)
+        assert len(full.to_text().splitlines()) == 8
 
     def test_default_dimensions(self):
         cfg = ModelConfig(n_speakers=100)
@@ -104,7 +106,14 @@ class TestConfig:
         ("\n", "line 1: expected key=value, got ''"),
         ("# saved config\n", "line 1: expected key=value, got '# saved config'"),
         ("n_speakers=5\n", "line 2: config key 'n_speakers' given twice"),
-        ("dropout=0.5\nn_speakers\n", "line 2: expected key=value, got 'n_speakers'"),
+        ("mode=hvector\nn_speakers\n", "line 2: expected key=value, got 'n_speakers'"),
+        # each value only as to_text spells it
+        ("n_speakers=+4\n", "line 1: bad value for n_speakers: to_text writes 4, not '+4'"),
+        ("n_speakers= 4\n", "line 1: bad value for n_speakers: to_text writes 4, not ' 4'"),
+        ("gru_hidden=3_2\n", "line 1: bad value for gru_hidden: to_text writes 32, not '3_2'"),
+        ("n_speakers=04\n", "line 1: bad value for n_speakers: to_text writes 4, not '04'"),
+        ("n_speakers=\u0664\n",
+         "line 1: bad value for n_speakers: to_text writes 4, not '\u0664'"),
     ])
     def test_other_lines_rejected(self, before, message):
         text = before + ModelConfig(n_speakers=4).to_text()
@@ -464,10 +473,10 @@ class TestAttentionSitesMatchTheReshapeChain:
     def test_training_step_is_bit_equal(self, monkeypatch, mode, rows, dtype):
         # h-vector: `rows` frames per fragment at the frame site, whose input
         # is the flattened (B*N, M, E) stack, and `rows` segments at the
-        # segment site; xvector_attn: one fragment of `rows` frames
-        n_frag = rows if mode == "hvector" else 1
-        cfg = dataclasses.replace(tiny_config(mode=mode), n_fragments=n_frag,
-                                  frames_per_fragment=rows)
+        # segment site, as the fragment count forward_batch checks; xvector_attn:
+        # one fragment of `rows` frames
+        monkeypatch.setattr(model, "N_FRAGMENTS", rows if mode == "hvector" else 1)
+        cfg = dataclasses.replace(tiny_config(mode=mode), frames_per_fragment=rows)
         params = build_params(cfg, seed=rows).astype(dtype)
         frags = random_frags(np.random.default_rng(rows), cfg, batch=2)
         trace, logits, grads = self._step(cfg, params, frags)
@@ -515,7 +524,7 @@ class TestStageHelpers:
         cfg = tiny_config()
         p = build_params(cfg, seed=16)
         rng = np.random.default_rng(17)
-        stack = rng.standard_normal((3, cfg.frames_per_fragment, cfg.feat_dim))
+        stack = rng.standard_normal((3, cfg.frames_per_fragment, N_CEPSTRA))
         batch = frame_encode(stack, p, cfg)
         single = frame_encode(stack[1:2], p, cfg)
         assert single.shape == (1, cfg.frames_per_fragment, cfg.frame_out_dim)
@@ -525,15 +534,15 @@ class TestStageHelpers:
         cfg = tiny_config()
         p = build_params(cfg, seed=18)
         rng = np.random.default_rng(19)
-        segs = rng.standard_normal((2, cfg.n_fragments, 2 * cfg.frame_out_dim))
+        segs = rng.standard_normal((2, N_FRAGMENTS, 2 * cfg.frame_out_dim))
         enc = segment_encode(segs, p, cfg)
-        assert enc.shape == (2, cfg.n_fragments, cfg.seg_cnn_out)
+        assert enc.shape == (2, N_FRAGMENTS, cfg.seg_cnn_out)
         enc_single = segment_encode(segs[:1], p, cfg)
         np.testing.assert_allclose(enc_single.data[0], enc.data[0], rtol=0, atol=1e-12)
         pooled, alpha = segment_attention(enc.data[:1], p)
         pooled_all, _ = segment_attention(enc, p)
         assert pooled.shape == (1, 2 * cfg.seg_cnn_out)
-        assert alpha.shape == (1, cfg.n_fragments)
+        assert alpha.shape == (1, N_FRAGMENTS)
         assert abs(float(alpha.data.sum()) - 1.0) < 1e-12
         np.testing.assert_allclose(pooled.data[0], pooled_all.data[0], rtol=0, atol=1e-12)
 
@@ -937,7 +946,7 @@ def _new_model(cfg):
     """A different model, config and label order from `labelled(seed=1)`."""
     new = build_params(cfg, seed=2)
     new.speakers = ["spk2", "spk1", "spk0"]
-    return new, dataclasses.replace(cfg, dropout=0.5)
+    return new, dataclasses.replace(cfg, frames_per_fragment=cfg.frames_per_fragment + 1)
 
 
 @pytest.mark.parametrize("torn", [".hvt", ".cfg", ".spk"])

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hvector import model
 from hvector import tensor as hv
 from hvector.audio import UtteranceFeatures, load_wav, mfcc_frames, split_fragments
 from hvector.corpus import split, synth_corpus
@@ -30,7 +31,7 @@ from hvector.train import (
     train,
 )
 
-from helpers import set_inference_batch, tiny_config
+from helpers import random_frags, set_inference_batch, tiny_config
 
 
 def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
@@ -39,8 +40,7 @@ def toy_features(rng, cfg, n_per_speaker, speakers=("a", "b"), spread=1.0):
     for k, spk in enumerate(speakers):
         offset = spread * (k - (len(speakers) - 1) / 2.0)
         for j in range(n_per_speaker):
-            frags = rng.standard_normal(
-                (cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim)) + offset
+            frags = random_frags(rng, cfg, batch=1)[0] + offset
             feats.append(UtteranceFeatures(
                 fragments=frags, utterance_id=f"{spk}-{j}", speaker_id=spk))
     return feats
@@ -178,17 +178,17 @@ class TestAdam:
 
 
 class TestFixedBatchDescent:
-    def test_loss_strictly_decreases_and_steps_stay_bounded(self):
+    def test_loss_strictly_decreases_and_steps_stay_bounded(self, monkeypatch):
         # dropout off so repeated passes over one batch are deterministic
+        monkeypatch.setattr(model, "EMBEDDING_DROPOUT", 0.0)
         cfg = ModelConfig.desk(2)
-        cfg.dropout = 0.0
         params = build_params(cfg, seed=1)
         state = AdamState(params)
         tcfg = TrainConfig()  # default lr
         rng = np.random.default_rng(2)
         frags = np.concatenate([
-            rng.standard_normal((8, 10, cfg.frames_per_fragment, 20)) + 0.5,
-            rng.standard_normal((8, 10, cfg.frames_per_fragment, 20)) - 0.5,
+            random_frags(rng, cfg, batch=8) + 0.5,
+            random_frags(rng, cfg, batch=8) - 0.5,
         ])
         labels = np.array([0] * 8 + [1] * 8)
 
@@ -224,7 +224,7 @@ def test_desk_training_step_tape_stays_small():
         cfg = ModelConfig.desk(4, mode=mode)
         params = build_params(cfg, seed=0)
         rng = np.random.default_rng(8)
-        frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+        frags = random_frags(rng, cfg, batch=8)
         with hv.record() as graph:
             logits, _ = forward_batch(frags, params, cfg, training=True,
                                       rng=np.random.default_rng(9))
@@ -238,7 +238,7 @@ def test_finished_step_is_freed_without_the_cycle_collector():
     cfg = ModelConfig.desk(4)
     params = build_params(cfg, seed=0)
     rng = np.random.default_rng(8)
-    frags = rng.standard_normal((8, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+    frags = random_frags(rng, cfg, batch=8)
     # with the cycle collector off, only reference counting can free the step
     gc.disable()
     try:
@@ -263,7 +263,7 @@ def test_training_step_computes_in_the_parameters_dtype(mode, dtype):
     cfg = tiny_config(n_speakers=3, mode=mode)
     params = build_params(cfg, seed=0).astype(dtype)
     rng = np.random.default_rng(13)
-    frags = rng.standard_normal((4, cfg.n_fragments, cfg.frames_per_fragment, cfg.feat_dim))
+    frags = random_frags(rng, cfg, batch=4)
     with hv.record() as graph:
         logits, _ = forward_batch(frags, params, cfg, training=True,
                                   rng=np.random.default_rng(14))
