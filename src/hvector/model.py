@@ -411,7 +411,8 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     holds the config's arrays, no others, in one dtype.  An archive without
     a config record, such as a feature store, is not a checkpoint and is
     refused, and no file beside it is read; so is one load_archive cannot
-    read, such as one from an earlier version."""
+    read, such as one from an earlier version, and a speaker id that is not
+    a plain token (corpus.check_ids)."""
     try:
         arrays = hv.load_archive(path)
     except ValueError as exc:
@@ -449,4 +450,5 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
                          f"mode={cfg.mode} model does not have")
     params.speakers = text["speakers"].removesuffix("\n").split("\n")
     _check_speakers(path, params.speakers, cfg)
+    check_ids(params.speakers, path)
     return params, cfg

@@ -32,7 +32,7 @@ import hvector
 from hvector import cli
 from hvector import scoring
 from hvector import tensor as hv
-from hvector.audio import AudioClip, save_wav, split_fragments
+from hvector.audio import split_fragments
 from hvector.cli import (
     _SCHEMAS, build_parser, load_features, main, resolve_config, save_features,
 )
@@ -92,6 +92,7 @@ def pipeline(tmp_path_factory):
         "ckpt": run / "model.hvt",
         "log": run / "train.log",
         "train_stdout": out,
+        "tree": _tree(root),    # no test may change it
     }
 
 
@@ -108,19 +109,6 @@ class TestSynth:
         assert len(manifest) == 12
         assert len(list(out_dir.glob("wav/*/*.wav"))) == 12
 
-    def test_existing_dir_needs_force(self, tmp_path):
-        out_dir = tmp_path / "corpus"
-        args = ("synth", "--out", str(out_dir), "--speakers", "2",
-                "--utts", "2", "--dur", "0.5", "--seed", "1")
-        assert run_cli(*args)[0] == 0
-        first = (out_dir / "manifest.tsv").read_bytes()
-        code, _, err = run_cli(*args)
-        assert code == 1
-        assert "already exists" in err and "--force" in err
-
-        assert run_cli(*args, "--force")[0] == 0
-        assert (out_dir / "manifest.tsv").read_bytes() == first
-
     def test_same_seed_same_audio(self, tmp_path):
         wavs = []
         for name in ("one", "two"):
@@ -129,12 +117,6 @@ class TestSynth:
                            "--utts", "2", "--dur", "0.5", "--seed", "9")[0] == 0
             wavs.append(sorted(out_dir.glob("wav/*/*.wav"))[0].read_bytes())
         assert wavs[0] == wavs[1]
-
-    def test_too_few_speakers(self, tmp_path):
-        code, _, err = run_cli("synth", "--out", str(tmp_path / "c"),
-                               "--speakers", "1", "--utts", "2")
-        assert code == 1
-        assert "at least 2 speakers" in err
 
     def test_flag_beats_set_override(self, tmp_path):
         out_dir = tmp_path / "corpus"
@@ -149,7 +131,7 @@ class TestSynth:
 class TestPrepare:
     def test_one_second_windows_from_three_second_clips(self, tmp_path):
         corpus = tmp_path / "corpus"
-        feats = tmp_path / "feats"
+        feats = tmp_path / "x" / "feats"    # prepare makes the parents it needs
         assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
                        "--utts", "3", "--dur", "3", "--seed", "2")[0] == 0
         code, out, _ = run_cli("prepare", "--manifest",
@@ -169,6 +151,7 @@ class TestPrepare:
         assert utt.fragments.shape == (10, 9, 20)
         assert (utt.utterance_id, utt.speaker_id) == ("s2_000-u000-w000", "s2_000")
 
+    @pytest.mark.filterwarnings("error")   # a warning would print more lines
     def test_per_file_failure_continues(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
@@ -181,32 +164,21 @@ class TestPrepare:
             fh.setsampwidth(2)
             fh.setframerate(16000)
             fh.writeframes(pcm.tobytes())
+        empty = tmp_path / "empty.wav"
+        empty.write_bytes(b"")
         manifest_path = corpus / "manifest.tsv"
         with open(manifest_path, "a", encoding="utf-8") as fh:
-            fh.write(f"badutt\ts4_000\t{bad}\t0\n")
+            fh.write(f"badutt\ts4_000\t{bad}\t0\nemptyutt\ts4_000\t{empty}\t0\n")
 
         feats = tmp_path / "feats"
         code, out, err = run_cli("prepare", "--manifest", str(manifest_path),
                                  "--out", str(feats))
         assert code == 1
-        assert "badutt" in err and "sample rate 16000" in err
+        assert err == (f"error: badutt: {bad}: sample rate 16000 not supported; expected 8000\n"
+                       f"error: emptyutt: {empty}: truncated WAV header\n")
         manifest = Manifest.load(feats / "manifest.tsv")
         assert len(manifest) == 4  # the good clips were still converted
-        assert "(1 failed, 0 too short)" in out
-
-    @pytest.mark.parametrize("length", ["0.1", "0.02", "0.0001"])
-    def test_window_shorter_than_ten_frames_is_refused(self, tmp_path, length):
-        # 10 frames span 200 + 9 * 80 = 920 samples, 0.115 s at 8 kHz
-        corpus = tmp_path / "corpus"
-        feats = tmp_path / "feats"
-        assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
-                       "--utts", "2", "--dur", "0.5", "--seed", "4")[0] == 0
-        code, _, err = run_cli("prepare", "--manifest", str(corpus / "manifest.tsv"),
-                               "--out", str(feats), "--len", length)
-        assert code == 1
-        assert err == (f"error: --len: bad value for len: len must be finite and at "
-                       f"least 0.115 s, the span of 10 frames; got {length}\n")
-        assert not feats.exists()
+        assert "(2 failed, 0 too short)" in out
 
     def test_shortest_window_prepares(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -220,32 +192,6 @@ class TestPrepare:
         assert entries
         assert all(u.fragments.shape == (10, 1, 20) for u in load_features(entries))
 
-    def test_empty_manifest_is_an_error(self, tmp_path):
-        empty = tmp_path / "manifest.tsv"
-        empty.write_text("")
-        code, _, err = run_cli("prepare", "--manifest", str(empty),
-                               "--out", str(tmp_path / "feats"))
-        assert code == 1
-        assert "lists no utterances" in err
-
-    def test_force_rerun_is_byte_identical(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        feats = tmp_path / "feats"
-        assert run_cli("synth", "--out", str(corpus), "--speakers", "2",
-                       "--utts", "2", "--dur", "1", "--seed", "6")[0] == 0
-        args = ("prepare", "--manifest", str(corpus / "manifest.tsv"),
-                "--out", str(feats))
-        assert run_cli(*args)[0] == 0
-        manifest_bytes = (feats / "manifest.tsv").read_bytes()
-        feat_file = feats / "features.hvt"
-        feat_bytes = feat_file.read_bytes()
-
-        assert run_cli(*args)[0] == 1  # refuses without --force
-        assert run_cli(*args, "--force")[0] == 0
-        assert (feats / "manifest.tsv").read_bytes() == manifest_bytes
-        assert feat_file.read_bytes() == feat_bytes
-
-
 class TestTrain:
     def test_outputs_and_log_format(self, pipeline):
         # the config and the speaker list live inside model.hvt
@@ -258,14 +204,6 @@ class TestTrain:
         assert "config train.model=hvector" in pipeline["train_stdout"]
         assert re.search(r"best_dev_acc=\d\.\d{4}", pipeline["train_stdout"])
 
-    def test_refuses_to_overwrite_without_force(self, pipeline):
-        code, _, err = run_cli("train", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--out", str(pipeline["run"]),
-                               "--epochs", "1")
-        assert code == 1
-        assert "already exists" in err
-
     def test_same_seed_reproduces_the_log(self, pipeline, tmp_path):
         code, _, err = run_cli("train", "--manifest",
                                str(pipeline["feats_manifest"]),
@@ -275,23 +213,6 @@ class TestTrain:
         assert code == 0, err
         assert (tmp_path / "run2" / "train.log").read_bytes() == \
             pipeline["log"].read_bytes()
-
-    def test_failed_force_rerun_keeps_the_old_run(self, tmp_path):
-        run = tmp_path / "run"
-        run.mkdir()
-        old = {name: f"old {name}\n".encode()
-               for name in ("model.hvt", "model.cfg", "model.spk", "train.log")}
-        for name, content in old.items():
-            (run / name).write_bytes(content)
-        manifest = tmp_path / "m.tsv"     # speaker b has one utterance: split fails
-        manifest.write_text("a-0\ta\ta0.hvt\t98\na-1\ta\ta1.hvt\t98\nb-0\tb\tb0.hvt\t98\n")
-        code, _, err = run_cli("train", "--manifest", str(manifest), "--out", str(run),
-                               "--force")
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        assert "speaker b has 1 utterance(s)" in err
-        for name, content in old.items():
-            assert (run / name).read_bytes() == content, name
 
     def test_failed_train_reruns_without_force(self, tmp_path):
         # the run diverges in epoch 2, after epoch 1 wrote train.log, and
@@ -330,23 +251,6 @@ class TestTrain:
         assert params.dtype == np.float32
         assert all(b.dtype == np.float32 for b in params.buffers.values())
 
-    def test_unknown_config_key_rejected(self, pipeline, tmp_path):
-        code, _, err = run_cli("train", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--out", str(tmp_path / "run"),
-                               "--set", "nope=3")
-        assert code == 1
-        assert "unknown config key 'nope'" in err
-
-    def test_bad_config_value_rejected(self, pipeline, tmp_path):
-        code, _, err = run_cli("train", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--out", str(tmp_path / "run"),
-                               "--set", "epochs=0")
-        assert code == 1
-        assert "bad value for epochs" in err
-
-
 class TestEmbed:
     def test_writes_loadable_csv(self, pipeline, tmp_path):
         out_csv = tmp_path / "emb.csv"
@@ -362,42 +266,6 @@ class TestEmbed:
         assert [r.utterance_id for r in records] == \
             [e.utterance_id for e in manifest.entries]
 
-    def test_rerun_is_byte_identical(self, pipeline, tmp_path):
-        out_csv = tmp_path / "emb.csv"
-        args = ("embed", "--manifest", str(pipeline["feats_manifest"]),
-                "--ckpt", str(pipeline["ckpt"]), "--out", str(out_csv))
-        assert run_cli(*args)[0] == 0
-        first = out_csv.read_bytes()
-        assert run_cli(*args)[0] == 1  # --force required
-        assert run_cli(*args, "--force")[0] == 0
-        assert out_csv.read_bytes() == first
-
-    def test_truncated_feature_file_is_a_one_line_error(self, pipeline, tmp_path):
-        manifest = Manifest.load(pipeline["feats_manifest"], check_paths=False)
-        entry = manifest.entries[0]
-        raw = Path(entry.path).read_bytes()
-        short = tmp_path / "short.hvt"
-        short.write_bytes(raw[:-16])
-        bad_manifest = tmp_path / "manifest.tsv"
-        bad_manifest.write_text(
-            f"{entry.utterance_id}\t{entry.speaker_id}\t{short}\t{entry.row}\n")
-        code, _, err = run_cli("embed", "--manifest", str(bad_manifest),
-                               "--ckpt", str(pipeline["ckpt"]),
-                               "--out", str(tmp_path / "emb.csv"))
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(short) in err
-
-    def test_truncated_checkpoint_is_a_one_line_error(self, pipeline, tmp_path):
-        ckpt = tmp_path / "model.hvt"
-        ckpt.write_bytes(pipeline["ckpt"].read_bytes()[:-16])
-        code, _, err = run_cli("embed", "--manifest",
-                               str(pipeline["feats_manifest"]),
-                               "--ckpt", str(ckpt), "--out", str(tmp_path / "emb.csv"))
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(ckpt) in err
-
 
 class TestScoreId:
     def test_prints_accuracy(self, pipeline):
@@ -408,15 +276,6 @@ class TestScoreId:
         match = re.search(r"^accuracy=(\d\.\d{4})$", out, re.MULTILINE)
         assert match
         assert 0.0 <= float(match.group(1)) <= 1.0
-
-    def test_speaker_count_mismatch_is_a_one_line_error(self, pipeline, tmp_path):
-        ckpt = tmp_path / "model.hvt"
-        records = hv.load_archive(pipeline["ckpt"])
-        hv.save_archive(ckpt, {**records, "speakers": records["speakers"] + "extra\n"})
-        code, _, err = run_cli("score-id", "--manifest",
-                               str(pipeline["feats_manifest"]), "--ckpt", str(ckpt))
-        assert code == 1
-        assert err == f"error: {ckpt}: 4 speaker ids for 3 model outputs\n"
 
     def test_stale_sidecars_do_not_change_the_labels(self, pipeline, tmp_path):
         params, cfg = load_checkpoint(pipeline["ckpt"])
@@ -445,21 +304,6 @@ class TestScoreId:
             cfg, frames_per_fragment=cfg.frames_per_fragment + 1).to_text())
         ckpt.with_suffix(".spk").write_text("".join(f"{s}\n" for s in rotated))
         assert accuracy(ckpt) == "1.0000"
-
-    def test_older_float64_triple_is_refused(self, pipeline, tmp_path):
-        # a weights-only model.hvt with model.cfg and model.spk beside it
-        params, cfg = load_checkpoint(pipeline["ckpt"])
-        ckpt = tmp_path / "old" / "model.hvt"
-        _save_legacy_checkpoint(ckpt, params.astype(np.float64), cfg)
-        manifest = str(pipeline["feats_manifest"])
-        emb = tmp_path / "emb.csv"
-        for argv in (("embed", "--out", str(emb)), ("score-id",)):
-            code, out, err = run_cli(*argv, "--manifest", manifest, "--ckpt", str(ckpt))
-            assert code == 1
-            assert err == (f"error: {ckpt}: no config record, so not a checkpoint that "
-                           "`hvector train` wrote (its <out>/model.hvt)\n")
-        assert not emb.exists()
-
 
 def _clustered_embedding_csvs(tmp_path):
     """Four tightly clustered synthetic speakers, far apart in 8-d."""
@@ -521,20 +365,6 @@ class TestScoreVer:
         assert "config score-ver.plda_train=none" in out
         assert "EER=0.0000" in out
 
-    @pytest.mark.parametrize("what,given", [
-        ("--plda-train", ["--plda-train", "plda.csv"]),
-        ("lda_dim", ["--set", "lda_dim=2"]),
-    ])
-    def test_cosine_refuses_plda_settings(self, tmp_path, what, given):
-        # the CSVs do not exist, so the refusal comes before any input is read
-        gone = str(tmp_path / "gone.csv")
-        code, out, err = run_cli("score-ver", "--enrol", gone, "--eval", gone,
-                                 "--out", str(tmp_path / "ver"),
-                                 "--set", "backend=cosine", *given)
-        assert code == 1
-        assert err == f"error: backend=cosine takes no {what}; it is a PLDA setting\n"
-        assert out == "" and list(tmp_path.iterdir()) == []
-
     def test_matrix_output_matches_per_trial_api(self, tmp_path):
         # length_norm applies to all three sets, the PLDA training set too
         paths = _clustered_embedding_csvs(tmp_path)
@@ -561,19 +391,6 @@ class TestScoreVer:
                     == [row.rsplit(",", 2)[::2] for row in want])
             got_scores = load_trials(tmp_path / backend / "trials.csv")[0]
             assert np.max(np.abs(got_scores - scores)) <= 1e-12 * np.max(np.abs(scores))
-
-    def test_plda_set_dim_mismatch_names_the_files(self, tmp_path):
-        paths = _clustered_embedding_csvs(tmp_path)
-        save_embeddings(paths["plda"], [EmbeddingRecord(f"{s}-t{j}", s, np.ones(6))
-                                        for s in "abc" for j in range(2)])
-        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
-                               "--eval", str(paths["eval"]),
-                               "--plda-train", str(paths["plda"]),
-                               "--out", str(tmp_path / "ver"))
-        assert code == 1
-        assert err.splitlines() == [f"error: embedding dims differ: {paths['enrol']} "
-                                    f"has 8, {paths['plda']} has 6"]
-        assert not (tmp_path / "ver").exists()
 
     @pytest.mark.parametrize("eval_set,plda_set,reads", [
         # without --plda-train, PLDA trains on the enrolment records already read
@@ -639,39 +456,6 @@ class TestScoreVer:
         assert done.returncode == 0, done.stderr
         assert done.stderr.splitlines() == [
             "warning: within-class scatter is singular; regularizing with 1e-6*I"]
-
-    def test_non_numeric_value_is_a_one_line_error(self, tmp_path):
-        paths = _clustered_embedding_csvs(tmp_path)
-        lines = paths["eval"].read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
-        paths["eval"].write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
-                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"))
-        assert code == 1
-        assert err.splitlines() == [f"error: {paths['eval']}:4: "
-                                    "could not convert string 'x' to float64"]
-
-    def test_non_finite_value_is_a_one_line_error(self, tmp_path):
-        paths = _clustered_embedding_csvs(tmp_path)
-        lines = paths["plda"].read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
-        paths["plda"].write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
-                               "--eval", str(paths["eval"]),
-                               "--plda-train", str(paths["plda"]),
-                               "--out", str(tmp_path / "ver"))
-        assert code == 1
-        assert err.splitlines() == [f"error: {paths['plda']}:3: values must be finite"]
-
-    def test_dim_mismatch_is_a_one_line_error(self, tmp_path):
-        paths = _clustered_embedding_csvs(tmp_path)
-        save_embeddings(paths["eval"], [EmbeddingRecord("x0", "a", np.ones(4))])
-        code, _, err = run_cli("score-ver", "--enrol", str(paths["enrol"]),
-                               "--eval", str(paths["eval"]), "--out", str(tmp_path / "ver"),
-                               "--set", "backend=cosine")
-        assert code == 1
-        assert err.splitlines() == [f"error: embedding dims differ: {paths['enrol']} "
-                                    f"has 8, {paths['eval']} has 4"]
 
     @pytest.mark.parametrize("backend", ["plda", "cosine"])
     def test_matrix_scoring_stays_near_input_size(self, tmp_path, backend):
@@ -837,9 +621,10 @@ class TestForkedTrialsWriter:
 
 
 def _tree(root) -> dict:
-    """Every file under root, by relative path: its bytes."""
-    return {str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+    """Everything under root, by relative path: a file's bytes, or None for
+    a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(Path(root).rglob("*"))}
 
 
 def _synth_and_prepare(cwd, workers, speakers, utts, manifest=None):
@@ -1032,12 +817,22 @@ def test_import_leaves_scipy_signal_unloaded(tmp_path):
     assert len(Manifest.load(tmp_path / "c" / "manifest.tsv")) == 2
 
 
-# --- one error boundary -------------------------------------------------------
+# --- the refusal contract -----------------------------------------------------
+#
+# A refused input, setting or output path exits 1, prints one `error:` line
+# (prepare: one per clip it could not read, then its own) and leaves every
+# file and directory as it was: those under the row's tmp_path and the
+# shared pipeline's.  Each row of _REFUSALS builds its inputs and returns
+# the argv and the stderr: the whole of it where the text ends in a newline,
+# else text its one `error:` line holds.  A third value, where given, is the
+# whole stdout.  A new refusal is one row.
 
-def _save_legacy_checkpoint(path, params, cfg):
-    """The older layout, which is refused: a weights-only archive, with the
-    config and the speaker list in model.cfg and model.spk beside it."""
-    path.parent.mkdir(exist_ok=True)
+def _legacy_triple(path):
+    """Rewrite the checkpoint at path in the older layout, which is refused:
+    a weights-only float64 archive, with the config and the speaker list in
+    model.cfg and model.spk beside it."""
+    params, cfg = load_checkpoint(path)
+    params = params.astype(np.float64)
     arrays = {name: t.data for name, t in params.tensors.items()}
     arrays.update({"buffer." + name: b for name, b in params.buffers.items()})
     hv.save_archive(path, arrays)
@@ -1053,17 +848,10 @@ def _tiny_params():
     return params, cfg
 
 
-def _tiny_checkpoint(run_dir, legacy=False):
-    """A 3-speaker checkpoint under run_dir: one model.hvt, or the older
-    weights-only model.hvt with model.cfg and model.spk."""
-    run_dir.mkdir()
-    ckpt = run_dir / "model.hvt"
-    (_save_legacy_checkpoint if legacy else save_checkpoint)(ckpt, *_tiny_params())
-    return ckpt
-
-
-def _boundary_inputs(tmp_path):
-    """Paths the boundary cases combine: a manifest, an embedding CSV, a plain file."""
+def _refusal_inputs(tmp_path, pipeline):
+    """What the rows combine: the shared pipeline's paths, and under tmp_path
+    a manifest whose feature store is missing, an embedding CSV of 2 speakers
+    in 3-d and a plain file."""
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text(f"a-u0\ta\t{tmp_path / 'a-u0.hvt'}\t98\n")
     emb = tmp_path / "emb.csv"
@@ -1071,7 +859,182 @@ def _boundary_inputs(tmp_path):
                           for s in "ab" for j in range(2)])
     regular = tmp_path / "file"
     regular.write_text("not a directory\n")
-    return {"dir": tmp_path, "manifest": manifest, "emb": emb, "file": regular}
+    return {**pipeline, "dir": tmp_path, "manifest": manifest, "emb": emb, "file": regular}
+
+
+def _argv(command, p, manifest=None, ckpt=None):
+    """The argv of a command that reads a manifest: p's manifest and the
+    pipeline's checkpoint unless others are given, and the output two
+    directories down in p's tmp_path."""
+    out = p["dir"] / "out" / "sub"
+    if command in ("prepare", "train"):
+        return (command, "--manifest", manifest or p["manifest"], "--out", out)
+    argv = (command, "--manifest", manifest or p["manifest"], "--ckpt", ckpt or p["ckpt"])
+    return argv + ("--out", out / "e.csv") if command == "embed" else argv
+
+
+def _case_missing(command, flag, what, hint):
+    # every other input is there; a "feature file" case gives --manifest a
+    # manifest whose store is missing
+    def case(p):
+        if command == "score-ver":
+            argv = ["score-ver", "--enrol", p["emb"], "--eval", p["emb"], "--plda-train",
+                    p["emb"], "--out", p["dir"] / "out"]
+        else:
+            argv = list(_argv(command, p, p["corpus_manifest" if command == "prepare"
+                                            else "feats_manifest"]))
+        gone = value = p["dir"] / "gone.x"
+        if what == "feature file":
+            value = p["dir"] / "nostore.tsv"
+            value.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{gone}\t{k}\n" for k in range(4)))
+        argv[argv.index(flag) + 1] = value
+        return argv, f"error: {what} {gone} missing; {hint}\n"
+    return case
+
+
+_TRAIN_KEYS = "batch_size, epochs, lr, model, preset, seed, stop_at_dev_acc"
+
+
+def _case_train_set(pair, want):
+    # the manifest does not exist, so a refusal of the setting came before
+    # any input was read
+    return lambda p: (("train", "--manifest", p["dir"] / "gone.tsv", "--out", p["dir"] / "run",
+                       "--set", pair), want)
+
+
+def _case_synth(want, *flags):
+    # each of these refusals comes before synth_corpus makes a directory
+    return lambda p: (("synth", "--out", p["dir"] / "c", "--speakers", "2", "--utts", "2",
+                       "--dur", "0.5", *flags), want)
+
+
+def _case_emb(want, *settings, write=None):
+    # score-ver with p's embedding CSV, after write(path), in every role;
+    # refused with want, where {csv} stands for the CSV's path
+    def case(p):
+        if write:
+            write(p["emb"])
+        return ("score-ver", "--enrol", p["emb"], "--eval", p["emb"], "--out",
+                p["dir"] / "ver", *settings), want.format(csv=p["emb"])
+    return case
+
+
+def _case_manifest(command, text, want, *flags):
+    # `command` on p's manifest holding text(p) (bytes are written as they
+    # are), and the pipeline's checkpoint or an output two directories down;
+    # refused with want(p)
+    def case(p):
+        data = text(p)
+        if isinstance(data, bytes):
+            p["manifest"].write_bytes(data)
+        else:
+            p["manifest"].write_text(data)
+        return (*_argv(command, p), *flags), want(p)
+    return case
+
+
+def _store_cut_short(p):
+    # the pipeline's first window, in a copy of its store less 16 bytes
+    store, short = p["feats_manifest"].parent / "features.hvt", p["dir"] / "short.hvt"
+    short.write_bytes(store.read_bytes()[:-16])
+    return p["feats_manifest"].read_text().splitlines(True)[0].replace(str(store), str(short))
+
+
+def _per_window_files(p):
+    # the layout `prepare` wrote before feature stores: feats/<window>.hvt,
+    # each with its window's 3-D fragments and n_frames, and n_frames in the
+    # manifest's 4th column
+    (p["dir"] / "feats").mkdir()
+    lines = []
+    for u in load_features(Manifest.load(p["feats_manifest"]).entries):
+        path = p["dir"] / "feats" / f"{u.utterance_id}.hvt"
+        save_old_archive(path, {"fragments": u.fragments, "n_frames": 90.0})
+        lines.append(f"{u.utterance_id}\t{u.speaker_id}\t{path}\t90\n")
+    return "".join(lines)
+
+
+def _second_store_gone(p):
+    # the pipeline's windows, then two of a store that is missing
+    lines = p["feats_manifest"].read_text()
+    speaker = lines.split("\t")[1]
+    return lines + "".join(f"g{k}\t{speaker}\t{p['dir'] / 'gone.hvt'}\t{k}\n" for k in range(2))
+
+
+def _earlier_run(p):
+    # a run's files under --out, and a manifest whose split fails: speaker b
+    # has one utterance
+    (p["dir"] / "out" / "sub").mkdir(parents=True)
+    for name in ("model.hvt", "model.cfg", "model.spk", "train.log"):
+        (p["dir"] / "out" / "sub" / name).write_text(f"old {name}\n")
+    return "a-0\ta\ta0.hvt\t98\na-1\ta\ta1.hvt\t98\nb-0\tb\tb0.hvt\t98\n"
+
+
+def _store_rows(p, save, frags):
+    # a store of frags, saved by save, and its rows for 2 speakers, 3 each
+    store = p["dir"] / "features.hvt"
+    save(store, {"fragments": frags})
+    return "".join(f"{s}-u{j}\t{s}\t{store}\t{3 * i + j}\n"
+                   for i, s in enumerate("ab") for j in range(3))
+
+
+_STORE = np.zeros((2, 10, 3, 20))
+
+
+def _store_with(value):
+    frags = _STORE.copy()
+    frags[1, 3, 2, 5] = value
+    return frags
+
+
+def _not_a_store(path):
+    return (f"{path}: not a feature store of finite (windows, 10, frames, coefficients) "
+            "fragments, as `hvector prepare` writes; rerun it")
+
+
+def _refused_store(path, why="File is not a zip file"):
+    return (f"{path}: {why}; rerun `hvector prepare` (feature files from earlier "
+            "versions, per-window ones too, are no longer read)")
+
+
+# a per-window archive from before feature stores: 3-D fragments and an
+# n_frames record, whatever that holds, or none; each is refused whole
+_PRE_STORE_N_FRAMES = {
+    "is not a scalar": np.array([98.0, 1.0]), "is negative": -5.0, "is zero": 0.0,
+    "is below ten": 9.0, "exceeds the frames": 101.0, "is fractional": 97.5,
+    "is nan": np.nan, "is inf": np.inf, "is text": "98",
+}
+
+# name -> (the store's records, or None for a good store cut short; the
+# manifest's row; the refusal, given the store's path)
+_BAD_FEATURE_STORES = {
+    **{f"n_frames {name}": ({"fragments": _STORE[0], "n_frames": value}, 0, _not_a_store)
+       for name, value in _PRE_STORE_N_FRAMES.items()},
+    "n_frames is missing": ({"fragments": _STORE[0]}, 0, _not_a_store),
+    "fragments are 2-D": ({"fragments": _STORE[0, 0]}, 0, _not_a_store),
+    "fragments have 9 on axis 1": ({"fragments": _STORE[:, :9]}, 0, _not_a_store),
+    "fragments have no frames": ({"fragments": _STORE[:, :, :0]}, 0, _not_a_store),
+    "fragments are text": ({"fragments": "0 0 0"}, 0, _not_a_store),
+    "fragments are missing": ({"windows": _STORE}, 0, _not_a_store),
+    "fragments hold nan": ({"fragments": _store_with(np.nan)}, 0, _not_a_store),
+    "fragments hold inf": ({"fragments": _store_with(-np.inf)}, 1, _not_a_store),
+    "file is truncated": (None, 0, _refused_store),
+    "row is the window count": ({"fragments": _STORE}, 2,
+                                lambda path: f"{path}: no row 2: the store holds 2 windows"),
+}
+
+
+def _bad_store(store, records, row):
+    """A feature store of `records` (None: a good one cut short) at `store`,
+    and the manifest line naming its row `row`."""
+    hv.save_archive(store, records or {"fragments": _STORE})
+    if records is None:
+        store.write_bytes(store.read_bytes()[:-8])
+    return f"u\ta\t{store}\t{row}\n"
+
+
+def _case_bad_store(records, row, refusal):
+    return _case_manifest("embed", lambda p: _bad_store(p["dir"] / "features.hvt", records, row),
+                          lambda p: f"error: {refusal(p['dir'] / 'features.hvt')}\n")
 
 
 def _not_a_checkpoint(ckpt):
@@ -1079,170 +1042,317 @@ def _not_a_checkpoint(ckpt):
         "(its <out>/model.hvt)"
 
 
-def _case_no_config_record(p):
-    ckpt = _tiny_checkpoint(p["dir"] / "run", legacy=True)
-    return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
-            "--out", p["dir"] / "e.csv"), _not_a_checkpoint(ckpt)
-
-
-def _case_feature_store_as_checkpoint(p):
-    store = p["dir"] / "feats" / "features.hvt"
-    store.parent.mkdir()
-    hv.save_archive(store, {"fragments": np.zeros((1, 10, 10, 20))})
-    return ("embed", "--manifest", p["manifest"], "--ckpt", store,
-            "--out", p["dir"] / "e.csv"), _not_a_checkpoint(store)
-
-
-def _case_checkpoint_record(key, value, message):
+def _case_checkpoint(spoil, want, command="embed", trained=False):
+    # a tiny checkpoint, or a copy of the pipeline's trained one read with
+    # its features, spoiled in place by spoil(path); refused with want(path)
     def case(p):
-        ckpt = _tiny_checkpoint(p["dir"] / "run")
-        hv.save_archive(ckpt, {**hv.load_archive(ckpt), key: value})
-        return ("embed", "--manifest", p["manifest"], "--ckpt", ckpt,
-                "--out", p["dir"] / "e.csv"), f"{ckpt}: {message}"
+        ckpt = p["dir"] / "model.hvt"
+        if trained:
+            shutil.copyfile(p["ckpt"], ckpt)
+        else:
+            save_checkpoint(ckpt, *_tiny_params())
+        spoil(ckpt)
+        return _argv(command, p, p["feats_manifest"] if trained else None, ckpt), want(ckpt)
     return case
 
 
-def _case_undecodable_manifest(p):
-    p["manifest"].write_bytes(b"a-u0\ta\tx.hvt\t98\na-u1\ta\t\xff.hvt\t98\n")
-    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
-        f"{p['manifest']}:2: not UTF-8 text"
+def _case_checkpoint_record(key, value, message, command="embed"):
+    return _case_checkpoint(
+        lambda ckpt: hv.save_archive(ckpt, {**hv.load_archive(ckpt), key: value}),
+        lambda ckpt: f"error: {ckpt}: {message}\n", command)
 
 
-def _case_undecodable_enrol_csv(p):
-    p["emb"].write_bytes(p["emb"].read_bytes().replace(b"a-u1", b"a-\xff1"))
-    return ("score-ver", "--enrol", p["emb"], "--eval", p["emb"],
-            "--out", p["dir"] / "ver"), f"{p['emb']}:3: not UTF-8 text"
+_CFG_LINES = tiny_config().to_text().splitlines()
+_MODEL_KEYS = ("fc1_dim, fc2_dim, frame_cnn_out, frames_per_fragment, gru_hidden, mode, "
+               "n_speakers, seg_cnn_out")
 
 
-def _case_no_value_columns(backend):
-    # the cosine back end scored the empty vectors as 0, and PLDA's refusal
-    # named lda_dim, a setting the command line did not give
+def _before_zip_archives(ckpt):
+    params, cfg = load_checkpoint(ckpt)
+    save_old_archive(ckpt, {"config": cfg.to_text(),
+                            **{name: t.data for name, t in params.tensors.items()}})
+
+
+def _case_clustered(spoil, want, *settings):
+    # score-ver on _clustered_embedding_csvs, one of them spoiled by
+    # spoil(paths); PLDA trains on plda.csv
     def case(p):
-        p["emb"].write_text("utterance_id,speaker_id\na-u0,a\na-u1,a\nb-u0,b\nb-u1,b\n")
-        return ("score-ver", "--enrol", p["emb"], "--eval", p["emb"], "--out",
-                p["dir"] / "ver", "--set", f"backend={backend}"), \
-            f"error: {p['emb']} has no embedding value columns\n"
+        paths = _clustered_embedding_csvs(p["dir"])
+        spoil(paths)
+        plda = () if "backend=cosine" in settings else ("--plda-train", paths["plda"])
+        return ("score-ver", "--enrol", paths["enrol"], "--eval", paths["eval"], *plda,
+                "--out", p["dir"] / "ver", *settings), f"error: {want(paths)}\n"
     return case
 
 
-def _case_bad_row(row):
-    def case(p):
-        p["manifest"].write_text(f"a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\t{row}\n")
-        return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run"), \
-            f"{p['manifest']}:2: row {row!r} is not a non-negative integer"
-    return case
+def _case_csv_value(name, line, value, message):
+    # line `line` of the `name` CSV ends in `value`
+    def spoil(paths):
+        lines = paths[name].read_text().splitlines()
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + value
+        paths[name].write_text("\n".join(lines) + "\n")
+    return _case_clustered(spoil, lambda paths: f"{paths[name]}:{line}: {message}")
 
 
-def _case_empty_wav(p):
-    good, empty = p["dir"] / "good.wav", p["dir"] / "empty.wav"
-    save_wav(good, AudioClip(0.3 * np.sin(np.arange(8000) / 3.0)))
-    empty.write_bytes(b"")
-    p["manifest"].write_text(f"a-u0\ta\t{good}\t0\na-u1\ta\t{empty}\t0\n")
-    return ("prepare", "--manifest", p["manifest"], "--out", p["dir"] / "feats"), \
-        f"error: a-u1: {empty}: truncated WAV header"
+def _case_dims_differ(name, dim, *settings):
+    # the `name` CSV holds `dim`-d vectors, the others 8-d ones
+    return _case_clustered(
+        lambda paths: save_embeddings(paths[name], [
+            EmbeddingRecord(f"{s}-t{j}", s, np.ones(dim)) for s in "abc" for j in range(2)]),
+        lambda paths: f"embedding dims differ: {paths['enrol']} has 8, {paths[name]} has {dim}",
+        *settings)
 
 
-def _case_train_setting(pair):
-    # the manifest names a feature file that does not exist, so a refusal
-    # about the setting shows that it came before any input was read
-    def case(p):
-        return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run",
-                "--set", pair), f"error: --set: bad value for {pair.partition('=')[0]}: "
-    return case
+_NOT_A_TOKEN = "holds ','; an id holds no comma, no '\"' and no control character"
 
+# name -> inputs -> (argv, stderr[, stdout])
+_REFUSALS = {
+    # an input that is missing, with every other input there
+    **{f"{command} manifest missing": _case_missing(command, "--manifest", "manifest", hint)
+       for command, hint in [("prepare", "run `hvector synth` first"),
+                             ("train", "run `hvector prepare` first"),
+                             ("embed", "run `hvector prepare` first"),
+                             ("score-id", "run `hvector prepare` first")]},
+    **{f"{command} checkpoint missing": _case_missing(command, "--ckpt", "checkpoint",
+                                                      "run `hvector train` first")
+       for command in ("embed", "score-id")},
+    **{f"score-ver {flag} missing": _case_missing("score-ver", flag, "embedding CSV",
+                                                  "run `hvector embed` first")
+       for flag in ("--enrol", "--eval", "--plda-train")},
+    **{f"{command} feature store missing": _case_missing(command, "--manifest", "feature file",
+                                                         "rerun `hvector prepare`")
+       for command in ("train", "embed", "score-id")},
 
-def _case_training_diverges(p):
-    store = p["dir"] / "features.hvt"
-    rng = np.random.default_rng(0)
-    hv.save_archive(store, {"fragments": rng.standard_normal((6, 10, 10, 20))})
-    p["manifest"].write_text("".join(f"{s}-u{j}\t{s}\t{store}\t{3 * i + j}\n"
-                                     for i, s in enumerate("ab") for j in range(3)))
-    return ("train", "--manifest", p["manifest"], "--out", p["dir"] / "run",
-            "--epochs", "2", "--set", "lr=1e300"), "training diverged at lr=1e+300"
+    # a setting
+    **{f"synth {flag} {value}": _case_synth(want, flag, value) for flag, value, want in [
+        ("--speakers", "1", "at least 2 speakers"),
+        ("--dur", "0.00001", "duration 1e-05 s holds no samples"),
+        ("--dur", "1e9", "duration 1000000000.0 s does not fit a WAV file, at most "
+                         "268435.453625 s"),
+        ("--seed", "-1", "seed must be non-negative, got -1")]},
+    # 10 frames span 200 + 9 * 80 = 920 samples, 0.115 s at 8 kHz
+    **{f"prepare --len {n}": lambda p, n=n: (
+        ("prepare", "--manifest", p["corpus_manifest"], "--out", p["dir"] / "feats", "--len", n),
+        f"error: --len: bad value for len: len must be finite and at least 0.115 s, the span "
+        f"of 10 frames; got {n}\n") for n in ["0.1", "0.02", "0.0001"]},
+    **{f"train --set {pair}": _case_train_set(
+        pair, f"error: --set: bad value for {pair.partition('=')[0]}: ")
+       for pair in ["lr=nan", "lr=inf", "lr=-1", "stop_at_dev_acc=inf", "seed=-1",
+                    "stop_at_dev_acc=5", "stop_at_dev_acc=-0.5", "batch_size=0",
+                    "model=tdnn", "preset=huge", "epochs=0"]},
+    # Adam's constants, the model's dropout and the 0.9 split are fixed
+    **{f"train --set {key}, a fixed value": _case_train_set(
+        f"{key}=0.5", f"error: --set: unknown config key {key!r} (known: {_TRAIN_KEYS})\n")
+       for key in ["beta1", "beta2", "eps", "dropout", "train_fraction"]},
+    "train --set nope=3": _case_train_set("nope=3", "unknown config key 'nope'"),
+    # the CSVs do not exist, so these refusals come before any input is read,
+    # and before the echo
+    **{f"score-ver cosine with {what}": lambda p, what=what, given=given: (
+        ("score-ver", "--enrol", p["dir"] / "gone.csv", "--eval", p["dir"] / "gone.csv",
+         "--out", p["dir"] / "ver", "--set", "backend=cosine", *given),
+        f"error: backend=cosine takes no {what}; it is a PLDA setting\n", "")
+       for what, given in [("--plda-train", ["--plda-train", "plda.csv"]),
+                           ("lda_dim", ["--set", "lda_dim=2"])]},
+    # plda_fit owns the rule, and the error names the setting: 2 speakers in
+    # 3 dimensions allow lda_dim 1 alone
+    **{f"score-ver lda_dim={value}": _case_emb(
+        f"error: --set: bad value for lda_dim: {reason}\n", "--set", f"lda_dim={value}")
+       for value, reason in [("0", "reduced_dim must be in [1, 3], got 0"),
+                             ("-1", "reduced_dim must be in [1, 3], got -1"),
+                             ("4", "reduced_dim must be in [1, 3], got 4"),
+                             ("2", "LDA rank caps at n_speakers-1 = 1, got reduced_dim 2")]},
+    # a refusal from plda_fit that is not about lda_dim keeps its own words
+    "score-ver PLDA on one speaker": _case_emb(
+        "error: PLDA needs at least 2 speakers\n", "--set", "lda_dim=1",
+        write=lambda csv: save_embeddings(csv, [EmbeddingRecord(f"a-u{j}", "a", np.eye(3)[j])
+                                                for j in range(2)])),
 
-
-# name -> inputs -> (argv, text the one error line must contain)
-_BOUNDARY_CASES = {
-    "manifest is a directory": lambda p: (
-        ("train", "--manifest", p["dir"], "--out", p["dir"] / "run"),
-        f"Is a directory: '{p['dir']}'"),
+    # an output path
     "synth --force --out is a file": lambda p: (
         ("synth", "--out", p["file"], "--force", "--speakers", "2", "--utts", "1"),
         str(p["file"])),
+    "synth --out is a corpus, no --force": lambda p: (
+        ("synth", "--out", p["corpus_manifest"].parent, "--speakers", "2", "--utts", "2",
+         "--dur", "0.5", "--seed", "1"),
+        f"already exists: {p['corpus_manifest'].parent} (pass --force"),
+    "prepare --out is a feature directory, no --force": lambda p: (
+        ("prepare", "--manifest", p["corpus_manifest"], "--out", p["feats_manifest"].parent),
+        f"already exists: {p['feats_manifest'].parent} (pass --force"),
     "prepare --out under a file": lambda p: (
         ("prepare", "--manifest", p["manifest"], "--out", p["file"] / "feats"),
         str(p["file"])),
     "train --out is a file": lambda p: (
         ("train", "--manifest", p["manifest"], "--out", p["file"]), str(p["file"])),
+    "train --force, its split refused": _case_manifest(
+        "train", _earlier_run, lambda p: "speaker b has 1 utterance(s)", "--force"),
+    "train --out is a run, no --force": lambda p: (
+        ("train", "--manifest", p["feats_manifest"], "--out", p["run"], "--epochs", "1"),
+        "already exists"),
+    "embed --out exists, no --force": lambda p: (
+        _argv("embed", p, p["feats_manifest"])[:-1] + (p["file"],),
+        f"already exists: {p['file']} (pass --force"),
     "embed --out under a file": lambda p: (
-        ("embed", "--manifest", p["manifest"], "--ckpt", _tiny_checkpoint(p["dir"] / "run"),
-         "--out", p["file"] / "e.csv"), str(p["file"])),
+        ("embed", "--manifest", p["manifest"], "--ckpt", p["ckpt"], "--out", p["file"] / "e.csv"),
+        str(p["file"])),
     "score-ver --out under a file": lambda p: (
         ("score-ver", "--enrol", p["emb"], "--eval", p["emb"],
          "--out", p["file"] / "ver"), str(p["file"])),
-    "--enrol is a directory": lambda p: (
-        ("score-ver", "--enrol", p["dir"], "--eval", p["emb"], "--out", p["dir"] / "ver"),
+
+    # a manifest
+    "manifest is a directory": lambda p: (
+        ("train", "--manifest", p["dir"], "--out", p["dir"] / "run"),
         f"Is a directory: '{p['dir']}'"),
-    "embed --ckpt has no config record": _case_no_config_record,
-    "embed --ckpt is a feature store": _case_feature_store_as_checkpoint,
+    # a row is ASCII digits, as Manifest.save writes it; int() reads all but
+    # the first two
+    **{f"manifest row {row[:8]!r}": _case_manifest(
+        "train", lambda p, row=row: f"a-u0\ta\tx.hvt\t98\na-u1\ta\ty.hvt\t{row}\n",
+        lambda p, row=row: f"{p['manifest']}:2: row {row!r} is not a non-negative integer")
+       for row in ["many", "-1", "+3", " 3", "3 ", "1_0", "\u0663", "9" * 5000]},
+    "manifest is not UTF-8": _case_manifest(
+        "train", lambda p: b"a-u0\ta\tx.hvt\t98\na-u1\ta\t\xff.hvt\t98\n",
+        lambda p: f"{p['manifest']}:2: not UTF-8 text"),
+    "manifest lists no utterances": _case_manifest(
+        "prepare", lambda p: "", lambda p: "lists no utterances"),
+    "manifest id is not a plain token": _case_manifest(
+        "prepare",
+        lambda p: f"a-u0\ta\t{p['dir'] / 'x.wav'}\t0\na,b\ta\t{p['dir'] / 'y.wav'}\t0\n",
+        lambda p: f"error: {p['manifest']}:2: id 'a,b' {_NOT_A_TOKEN}\n"),
+    "manifest has one clip of each speaker": _case_manifest(
+        "train", lambda p: "".join(line for line in
+                                   p["feats_manifest"].read_text().splitlines(True)
+                                   if "-u000-" in line),
+        lambda p: "need at least 2 to split"),
+    **{f"{command}: the second feature store is missing": _case_manifest(
+        command, _second_store_gone, lambda p: "gone.hvt missing")
+       for command in ("train", "embed")},
+
+    # a feature store
+    **{f"feature store {name}": _case_bad_store(*spec)
+       for name, spec in _BAD_FEATURE_STORES.items()},
+    "feature store cut short": _case_manifest(
+        "embed", _store_cut_short, lambda p: str(p["dir"] / "short.hvt")),
+    **{f"{command}: per-window feature files": _case_manifest(
+        command, _per_window_files,
+        lambda p: f"error: {_refused_store(Manifest.load(p['manifest']).entries[0].path)}\n")
+       for command in ("embed", "score-id")},
+    "train: a store from before zip archives": _case_manifest(
+        "train", lambda p: _store_rows(p, save_old_archive, np.stack([
+            u.fragments for u in load_features(Manifest.load(p["feats_manifest"]).entries)])),
+        lambda p: f"error: {_refused_store(p['dir'] / 'features.hvt')}\n"),
+
+    # a checkpoint
+    "embed --ckpt has no config record": _case_checkpoint(_legacy_triple, _not_a_checkpoint),
+    "embed --ckpt is a feature store": _case_checkpoint(
+        lambda ckpt: hv.save_archive(ckpt, {"fragments": np.zeros((1, 10, 10, 20))}),
+        _not_a_checkpoint),
     "checkpoint text record under a tensor key": _case_checkpoint_record(
         "out.w", "1 2 3", "checkpoint record out.w should be an array"),
     "checkpoint config record is an array": _case_checkpoint_record(
         "config", np.ones(3), "checkpoint record config should be text"),
     "checkpoint config record is empty": _case_checkpoint_record(
         "config", "", "missing config key 'n_speakers'"),
-    "manifest row is not an integer": _case_bad_row("many"),
-    "manifest row is negative": _case_bad_row("-1"),
-    # a row is ASCII digits, as Manifest.save writes it; int() reads each of these
-    **{f"manifest row {row[:8]!r}": _case_bad_row(row)
-       for row in ["+3", " 3", "3 ", "1_0", "\u0663", "9" * 5000]},
-    "manifest is not UTF-8": _case_undecodable_manifest,
-    "--enrol CSV is not UTF-8": _case_undecodable_enrol_csv,
-    "--enrol CSV has no value columns, cosine": _case_no_value_columns("cosine"),
-    "--enrol CSV has no value columns, plda": _case_no_value_columns("plda"),
-    "a manifest's WAV is empty": _case_empty_wav,
-    **{f"train --set {pair}": _case_train_setting(pair)
-       for pair in ["lr=nan", "lr=inf", "lr=-1", "stop_at_dev_acc=inf", "seed=-1",
-                    "stop_at_dev_acc=5", "stop_at_dev_acc=-0.5", "batch_size=0",
-                    "model=tdnn", "preset=huge"]},
-    "training diverges": _case_training_diverges,
+    "checkpoint speaker id is not a plain token": _case_checkpoint_record(
+        "speakers", "a\nb,x\nc\n", f"id 'b,x' {_NOT_A_TOKEN}"),
+    "score-id: checkpoint has an extra speaker": _case_checkpoint_record(
+        "speakers", "a\nb\nc\nextra\n", "4 speaker ids for 3 model outputs", "score-id"),
+    # a config record that to_text did not write: it ends in `line`
+    **{f"checkpoint config ends in {line!r}": _case_checkpoint_record(
+        "config", "".join(f"{x}\n" for x in [*_CFG_LINES, line]),
+        f"line {len(_CFG_LINES) + 1}: {message}")
+       for line, message in [
+           ("n_speakers=3", "config key 'n_speakers' given twice"),
+           ("", "expected key=value, got ''"),
+           ("# saved config", "expected key=value, got '# saved config'"),
+           # a checkpoint written while these were still config fields
+           ("feat_dim=20", f"unknown config key 'feat_dim' (known: {_MODEL_KEYS})"),
+           ("dropout=0.2", f"unknown config key 'dropout' (known: {_MODEL_KEYS})")]},
+    "embed: trained checkpoint cut short": _case_checkpoint(
+        lambda ckpt: ckpt.write_bytes(ckpt.read_bytes()[:-16]), str, trained=True),
+    **{f"{command}: float64 checkpoint with .cfg and .spk": _case_checkpoint(
+        _legacy_triple, lambda ckpt: f"error: {_not_a_checkpoint(ckpt)}\n", command, True)
+       for command in ("embed", "score-id")},
+    "score-id: checkpoint from before zip archives": _case_checkpoint(
+        _before_zip_archives,
+        lambda ckpt: f"error: {ckpt}: File is not a zip file; rerun `hvector train` "
+                     "(checkpoints from earlier versions are no longer read)\n",
+        "score-id", True),
+
+    # an embedding CSV
+    "--enrol is a directory": lambda p: (
+        ("score-ver", "--enrol", p["dir"], "--eval", p["emb"], "--out", p["dir"] / "ver"),
+        f"Is a directory: '{p['dir']}'"),
+    "--enrol CSV is not UTF-8": _case_emb("{csv}:3: not UTF-8 text", write=lambda csv: (
+        csv.write_bytes(csv.read_bytes().replace(b"a-u1", b"a-\xff1")))),
+    # the cosine back end scored the empty vectors as 0, and PLDA's refusal
+    # named lda_dim, a setting the command line did not give
+    **{f"--enrol CSV has no value columns, {backend}": _case_emb(
+        "error: {csv} has no embedding value columns\n", "--set", f"backend={backend}",
+        write=lambda csv: csv.write_text("utterance_id,speaker_id\na-u0,a\na-u1,a\n"
+                                         "b-u0,b\nb-u1,b\n"))
+       for backend in ("cosine", "plda")},
+    "--eval CSV value is not a number": _case_csv_value(
+        "eval", 4, "x", "could not convert string 'x' to float64"),
+    "--plda-train CSV value is nan": _case_csv_value("plda", 3, "nan", "values must be finite"),
+    # a line past the third data line: its number is not a multiple of the row's
+    "--plda-train CSV value is inf, line 7": _case_csv_value(
+        "plda", 7, "inf", "values must be finite"),
+    "--plda-train CSV dim differs": _case_dims_differ("plda", 6),
+    "--eval CSV dim differs, cosine": _case_dims_differ("eval", 4, "--set", "backend=cosine"),
+
+    # the work finds nothing to do
+    "prepare reads no clip": _case_manifest(
+        "prepare",
+        lambda p: "".join(f"s{k // 2}-u{k % 2}\ts{k // 2}\t{p['dir'] / f'gone{k}.wav'}\t0\n"
+                          for k in range(4)),
+        lambda p: "".join(f"error: s{k // 2}-u{k % 2}: [Errno 2] No such file or "
+                          f"directory: '{p['dir'] / f'gone{k}.wav'}'\n" for k in range(4))
+        + "error: no usable windows were produced from 4 clips (4 failed)\n"),
+    "training diverges": _case_manifest(
+        "train", lambda p: _store_rows(p, hv.save_archive, np.random.default_rng(0)
+                                       .standard_normal((6, 10, 10, 20))),
+        lambda p: "training diverged at lr=1e+300", "--epochs", "2", "--set", "lr=1e300"),
 }
 
 
-@pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+@pytest.mark.parametrize("case", list(_REFUSALS))
 @pytest.mark.filterwarnings("error")   # a warning would print more lines
-def test_bad_input_is_one_error_line(tmp_path, case):
-    argv, expected = _BOUNDARY_CASES[case](_boundary_inputs(tmp_path))
-    code, _, err = run_cli(*map(str, argv))
+def test_refusal_is_one_error_line_and_changes_no_file(pipeline, tmp_path, case):
+    argv, want, *stdout = _REFUSALS[case](_refusal_inputs(tmp_path, pipeline))
+    tree = _tree(tmp_path)
+    code, out, err = run_cli(*map(str, argv))
     assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert expected in err
+    if want.endswith("\n"):
+        assert err == want
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and want in err, err
+    assert stdout in ([], [out])
+    assert (_tree(tmp_path), _tree(pipeline["root"])) == (tree, pipeline["tree"])
 
 
-_MODEL_KEYS = ("fc1_dim, fc2_dim, frame_cnn_out, frames_per_fragment, gru_hidden, mode, "
-               "n_speakers, seg_cnn_out")
+@pytest.mark.parametrize("command", ["synth", "prepare", "embed"])
+def test_force_rerun_is_byte_identical(pipeline, tmp_path, command):
+    # without --force the rerun is refused: the "no --force" rows
+    out = tmp_path / "out"
+    argv = [str(a) for a in {
+        "synth": ("synth", "--out", out, "--speakers", "2", "--utts", "2", "--dur", "0.5"),
+        "prepare": ("prepare", "--manifest", pipeline["corpus_manifest"], "--out", out),
+        "embed": ("embed", "--manifest", pipeline["feats_manifest"], "--ckpt", pipeline["ckpt"],
+                  "--out", out / "e.csv"),
+    }[command]]
+    assert run_cli(*argv)[0] == 0
+    first = _tree(out)
+    assert run_cli(*argv, "--force")[0] == 0
+    assert _tree(out) == first
 
 
-@pytest.mark.parametrize("line, message", [
-    ("n_speakers=3", "config key 'n_speakers' given twice"),
-    ("", "expected key=value, got ''"),
-    ("# saved config", "expected key=value, got '# saved config'"),
-    # a checkpoint written while these were still config fields
-    ("feat_dim=20", f"unknown config key 'feat_dim' (known: {_MODEL_KEYS})"),
-    ("dropout=0.2", f"unknown config key 'dropout' (known: {_MODEL_KEYS})"),
-])
-def test_embed_refuses_a_config_record_that_to_text_did_not_write(tmp_path, line, message):
-    p = _boundary_inputs(tmp_path)
-    ckpt = _tiny_checkpoint(tmp_path / "run")
-    text = tiny_config().to_text() + line + "\n"
-    hv.save_archive(ckpt, {**hv.load_archive(ckpt), "config": text})
-    out = tmp_path / "emb" / "e.csv"
-    code, _, err = run_cli("embed", "--manifest", str(p["manifest"]),
-                           "--ckpt", str(ckpt), "--out", str(out))
-    assert code == 1
-    n = len(text.splitlines())
-    assert err == f"error: {ckpt}: line {n}: {message}\n"
-    assert not out.parent.exists()
+def test_load_features_raises_each_store_refusal(tmp_path):
+    # the store rows' lines are load_features' own ValueErrors
+    store = tmp_path / "features.hvt"
+    for records, row, refusal in _BAD_FEATURE_STORES.values():
+        _bad_store(store, records, row)
+        with pytest.raises(ValueError) as info:
+            load_features([ManifestEntry("u", "a", str(store), row)])
+        assert str(info.value) == refusal(store)
 
 
 def test_train_defaults_are_the_config_classes_defaults():
@@ -1251,20 +1361,6 @@ def test_train_defaults_are_the_config_classes_defaults():
     assert {key: defaults[key] for key in owned} == owned
     assert all(type(defaults[key]) is type(value) for key, value in owned.items())
     assert set(defaults) - set(owned) == {"preset"}
-
-
-_TRAIN_KEYS = "batch_size, epochs, lr, model, preset, seed, stop_at_dev_acc"
-
-
-@pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "dropout", "train_fraction"])
-def test_fixed_training_values_are_not_settings(tmp_path, key):
-    # Adam's constants, the model's dropout and the 0.9 split are fixed:
-    # train refuses each as an unknown key before any input is read
-    code, _, err = run_cli("train", "--manifest", str(tmp_path / "gone.tsv"),
-                           "--out", str(tmp_path / "run"), "--set", f"{key}=0.5")
-    assert code == 1
-    assert err == f"error: --set: unknown config key {key!r} (known: {_TRAIN_KEYS})\n"
-    assert not (tmp_path / "run").exists()
 
 
 # each command with every flag it requires
@@ -1302,17 +1398,6 @@ def test_flag_the_command_does_not_take(capsys, argv):
         main([command, *_REQUIRED[command], *flag])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-
-
-def test_prepare_refuses_an_id_that_is_not_a_plain_token(tmp_path):
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_text(f"a-u0\ta\t{tmp_path / 'x.wav'}\t0\na,b\ta\t{tmp_path / 'y.wav'}\t0\n")
-    code, _, err = run_cli("prepare", "--manifest", str(manifest),
-                           "--out", str(tmp_path / "feats"))
-    assert code == 1
-    assert err == (f"error: {manifest}:2: id 'a,b' holds ','; an id holds no comma, "
-                   "no '\"' and no control character\n")
-    assert not (tmp_path / "feats").exists()
 
 
 def test_every_config_field_type_has_a_parser():
@@ -1359,22 +1444,6 @@ def test_flag_is_parsed_like_its_set_twin(tmp_path, monkeypatch, command, rest,
     assert flag_err == set_err.replace("error: --set:", f"error: --{key}:", 1)
 
 
-def test_failed_synth_leaves_nothing_to_block_its_rerun(tmp_path):
-    out_dir = tmp_path / "c"
-    good = ("synth", "--out", str(out_dir), "--speakers", "2", "--utts", "2", "--dur", "0.5")
-    # each refusal comes before synth_corpus creates a directory
-    for bad, expected in [(["--speakers", "1"], "at least 2 speakers"),
-                          (["--dur", "0.00001"], "duration 1e-05 s holds no samples"),
-                          (["--dur", "1e9"], "duration 1000000000.0 s does not fit a WAV "
-                                             "file, at most 268435.453625 s"),
-                          (["--seed", "-1"], "seed must be non-negative, got -1")]:
-        code, _, err = run_cli(*good, *bad)
-        assert code == 1 and len(err.splitlines()) == 1 and expected in err, err
-        assert not out_dir.exists()
-    code, _, err = run_cli(*good)
-    assert code == 0, err
-
-
 @pytest.mark.parametrize("exc", [
     MemoryError("Unable to allocate 1.41 TiB for an array with shape (194000000000,) "
                 "and data type float64"),
@@ -1410,46 +1479,6 @@ def test_synth_that_fails_while_rendering_leaves_no_out(tmp_path, monkeypatch):
         assert (kept / "mine.txt").read_text() == "mine\n"
     code, _, err = run_cli("synth", "--out", str(out_dir), *args)
     assert code == 0, err
-
-
-def test_prepare_without_windows_makes_no_out(tmp_path):
-    corpus, feats = tmp_path / "corpus", tmp_path / "x" / "feats"
-    assert run_cli("synth", "--out", str(corpus), "--speakers", "2", "--utts", "2",
-                   "--dur", "1")[0] == 0
-    manifest = str(corpus / "manifest.tsv")
-    wavs = corpus / "wav"
-    wavs.rename(tmp_path / "away")
-    code, _, err = run_cli("prepare", "--manifest", manifest, "--out", str(feats))
-    lines = err.splitlines()
-    assert code == 1 and len(lines) == 5 and all(x.startswith("error: ") for x in lines), err
-    assert lines[-1] == "error: no usable windows were produced from 4 clips (4 failed)"
-    assert not feats.parent.exists()
-    (tmp_path / "away").rename(wavs)
-    code, _, err = run_cli("prepare", "--manifest", manifest, "--out", str(feats))
-    assert code == 0, err
-
-
-def test_refused_score_ver_creates_no_output_directory(tmp_path):
-    # plda_fit owns the rule, and the error names the setting: 2 speakers in
-    # 3 dimensions allow lda_dim 1 alone
-    emb = _boundary_inputs(tmp_path)["emb"]
-    out_dir = tmp_path / "v0"
-    for value, reason in [("0", "reduced_dim must be in [1, 3], got 0"),
-                          ("-1", "reduced_dim must be in [1, 3], got -1"),
-                          ("4", "reduced_dim must be in [1, 3], got 4"),
-                          ("2", "LDA rank caps at n_speakers-1 = 1, got reduced_dim 2")]:
-        code, _, err = run_cli("score-ver", "--enrol", str(emb), "--eval", str(emb),
-                               "--out", str(out_dir), "--set", f"lda_dim={value}")
-        assert code == 1
-        assert err == f"error: --set: bad value for lda_dim: {reason}\n", err
-        assert not out_dir.exists()
-    # a refusal that is not about lda_dim keeps its own words
-    one = tmp_path / "one.csv"
-    save_embeddings(one, [EmbeddingRecord(f"a-u{j}", "a", np.eye(3)[j]) for j in range(2)])
-    code, _, err = run_cli("score-ver", "--enrol", str(one), "--eval", str(one),
-                           "--out", str(out_dir), "--set", "lda_dim=1")
-    assert (code, err) == (1, "error: PLDA needs at least 2 speakers\n")
-    assert not out_dir.exists()
 
 
 def test_failed_report_write_leaves_no_trials_behind(tmp_path, monkeypatch):
@@ -1525,189 +1554,6 @@ def test_failed_write_removes_only_the_directories_it_made(pipeline, tmp_path,
     assert {p.name for p in kept.iterdir()} == wrote | {"mine.txt"}
 
 
-_STORE = np.zeros((2, 10, 3, 20))
-
-
-def _store_with(value):
-    frags = _STORE.copy()
-    frags[1, 3, 2, 5] = value
-    return frags
-
-
-def _not_a_store(path):
-    return (f"{path}: not a feature store of finite (windows, 10, frames, coefficients) "
-            "fragments, as `hvector prepare` writes; rerun it")
-
-
-def _refused_store(path, why):
-    return (f"{path}: {why}; rerun `hvector prepare` (feature files from earlier "
-            "versions, per-window ones too, are no longer read)")
-
-
-# a per-window archive from before feature stores: 3-D fragments and an
-# n_frames record, whatever that holds, or none; each is refused whole
-_PRE_STORE_N_FRAMES = {
-    "is not a scalar": np.array([98.0, 1.0]), "is negative": -5.0, "is zero": 0.0,
-    "is below ten": 9.0, "exceeds the frames": 101.0, "is fractional": 97.5,
-    "is nan": np.nan, "is inf": np.inf, "is text": "98",
-}
-
-# name -> (the store's records, or None for a good store cut short; the
-# manifest's row; the error after the store's name, or None for _not_a_store's)
-_BAD_FEATURE_STORES = {
-    **{f"n_frames {name}": ({"fragments": _STORE[0], "n_frames": value}, 0, None)
-       for name, value in _PRE_STORE_N_FRAMES.items()},
-    "n_frames is missing": ({"fragments": _STORE[0]}, 0, None),
-    "fragments are 2-D": ({"fragments": _STORE[0, 0]}, 0, None),
-    "fragments have 9 on axis 1": ({"fragments": _STORE[:, :9]}, 0, None),
-    "fragments have no frames": ({"fragments": _STORE[:, :, :0]}, 0, None),
-    "fragments are text": ({"fragments": "0 0 0"}, 0, None),
-    "fragments are missing": ({"windows": _STORE}, 0, None),
-    "fragments hold nan": ({"fragments": _store_with(np.nan)}, 0, None),
-    "fragments hold inf": ({"fragments": _store_with(-np.inf)}, 1, None),
-    "file is truncated": (None, 0, "File is not a zip file; rerun `hvector prepare`"),
-    "row is the window count": ({"fragments": _STORE}, 2, "no row 2: the store holds 2 windows"),
-}
-
-
-@pytest.mark.parametrize("case", list(_BAD_FEATURE_STORES))
-def test_malformed_feature_archive_is_one_error_line(tmp_path, case):
-    records, row, expected = _BAD_FEATURE_STORES[case]
-    store = tmp_path / "features.hvt"
-    if records is None:
-        hv.save_archive(store, {"fragments": _STORE})
-        store.write_bytes(store.read_bytes()[:-8])
-    else:
-        hv.save_archive(store, records)
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_text(f"u\ta\t{store}\t{row}\n")
-    with pytest.raises(ValueError) as info:
-        load_features(Manifest.load(manifest).entries)
-    message = str(info.value)
-    if expected is None:
-        assert message == _not_a_store(store)
-    else:
-        assert message.startswith(f"{store}: {expected}"), message
-    code, _, err = run_cli("embed", "--manifest", str(manifest), "--ckpt",
-                           str(_tiny_checkpoint(tmp_path / "run")),
-                           "--out", str(tmp_path / "e.csv"))
-    assert (code, err) == (1, f"error: {message}\n")
-
-
-def test_pre_store_feature_directory_is_refused(pipeline, tmp_path):
-    # the layout `prepare` wrote before feature stores: feats/<window>.hvt,
-    # each with its window's 3-D fragments and n_frames, and n_frames in the
-    # manifest's 4th column
-    entries = Manifest.load(pipeline["feats_manifest"]).entries
-    old = tmp_path / "feats"
-    (old / "feats").mkdir(parents=True)
-    lines = []
-    for u in load_features(entries):
-        path = old / "feats" / f"{u.utterance_id}.hvt"
-        save_old_archive(path, {"fragments": u.fragments, "n_frames": 90.0})
-        lines.append(f"{u.utterance_id}\t{u.speaker_id}\t{path}\t90\n")
-    (old / "manifest.tsv").write_text("".join(lines))
-    first = old / "feats" / f"{entries[0].utterance_id}.hvt"
-    for argv in (("embed", "--out", str(tmp_path / "out" / "e.csv")), ("score-id",)):
-        code, _, err = run_cli(argv[0], "--manifest", str(old / "manifest.tsv"),
-                               "--ckpt", str(pipeline["ckpt"]), *argv[1:])
-        assert (code, err) == \
-            (1, f"error: {_refused_store(first, 'File is not a zip file')}\n")
-    assert not (tmp_path / "out").exists()
-
-
-def test_archives_from_earlier_versions_are_refused(pipeline, tmp_path):
-    # a feature store and a checkpoint as hvector wrote them before archives
-    # were zips of .npy records: each is one error line that names the file
-    # and the command that writes it anew
-    store, ckpt = tmp_path / "features.hvt", tmp_path / "model.hvt"
-    frags = np.stack([u.fragments for u in
-                      load_features(Manifest.load(pipeline["feats_manifest"]).entries)])
-    save_old_archive(store, {"fragments": frags})
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{store}\t{k}\n" for k in range(4)))
-    code, _, err = run_cli("train", "--manifest", str(manifest), "--out", str(tmp_path / "run"))
-    assert (code, err) == (1, f"error: {_refused_store(store, 'File is not a zip file')}\n")
-    assert not (tmp_path / "run").exists()
-    params, cfg = load_checkpoint(pipeline["ckpt"])
-    save_old_archive(ckpt, {"config": cfg.to_text(), **{
-        name: t.data for name, t in params.tensors.items()}})
-    code, _, err = run_cli("score-id", "--manifest", str(pipeline["feats_manifest"]),
-                           "--ckpt", str(ckpt))
-    assert (code, err) == (1, f"error: {ckpt}: File is not a zip file; rerun `hvector train` "
-                              "(checkpoints from earlier versions are no longer read)\n")
-
-
-def test_refused_train_and_embed_create_no_out(pipeline, tmp_path):
-    # train refuses a split without two clips per speaker, and train and
-    # embed a manifest whose store is missing, before either makes --out
-    one_each = tmp_path / "one.tsv"
-    one_each.write_text("".join(line for line in
-                                pipeline["feats_manifest"].read_text().splitlines(True)
-                                if "-u000-" in line))
-    missing = tmp_path / "missing.tsv"
-    missing.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{tmp_path / 'gone.hvt'}\t{k}\n"
-                               for k in range(4)))
-    out = tmp_path / "a" / "b"
-    for argv, expected in [
-            (("train", "--manifest", one_each, "--out", out), "need at least 2 to split"),
-            (("train", "--manifest", missing, "--out", out), "gone.hvt missing"),
-            (("embed", "--manifest", missing, "--ckpt", pipeline["ckpt"],
-              "--out", out / "e.csv"), "gone.hvt missing")]:
-        code, _, err = run_cli(*map(str, argv))
-        assert code == 1 and len(err.splitlines()) == 1 and expected in err, err
-        assert not (tmp_path / "a").exists()
-
-
-# case -> (command, flag, what, hint): with every other input there, the
-# command refuses a missing `flag` input as `error: <what> <path> missing;
-# <hint>`; a "feature file" case gives --manifest a manifest whose store is missing
-_MISSING_INPUTS = {
-    **{f"{command} manifest": (command, "--manifest", "manifest", hint)
-       for command, hint in [("prepare", "run `hvector synth` first"),
-                             ("train", "run `hvector prepare` first"),
-                             ("embed", "run `hvector prepare` first"),
-                             ("score-id", "run `hvector prepare` first")]},
-    **{f"{command} checkpoint": (command, "--ckpt", "checkpoint", "run `hvector train` first")
-       for command in ("embed", "score-id")},
-    **{f"score-ver {flag}": ("score-ver", flag, "embedding CSV", "run `hvector embed` first")
-       for flag in ("--enrol", "--eval", "--plda-train")},
-    **{f"{command} feature store": (command, "--manifest", "feature file",
-                                    "rerun `hvector prepare`")
-       for command in ("train", "embed", "score-id")},
-}
-
-
-@pytest.mark.parametrize("case", list(_MISSING_INPUTS))
-def test_missing_input_is_one_error_line(pipeline, tmp_path, case):
-    command, flag, what, hint = _MISSING_INPUTS[case]
-    emb = _clustered_embedding_csvs(tmp_path)
-    out = tmp_path / "out" / "sub"
-    argv = {
-        "synth": ["--out", out],
-        "prepare": ["--manifest", pipeline["corpus_manifest"], "--out", out],
-        "train": ["--manifest", pipeline["feats_manifest"], "--out", out],
-        "embed": ["--manifest", pipeline["feats_manifest"], "--ckpt", pipeline["ckpt"],
-                  "--out", out / "e.csv"],
-        "score-id": ["--manifest", pipeline["feats_manifest"], "--ckpt", pipeline["ckpt"]],
-        "score-ver": ["--enrol", emb["enrol"], "--eval", emb["eval"],
-                      "--plda-train", emb["plda"], "--out", out],
-    }[command]
-    gone = value = tmp_path / "gone.x"
-    if what == "feature file":
-        value = tmp_path / "nostore.tsv"
-        value.write_text("".join(f"u{k}\t{'ab'[k % 2]}\t{gone}\t{k}\n" for k in range(4)))
-    if flag in argv:
-        argv[argv.index(flag) + 1] = value
-    else:
-        argv += [flag, value]
-    before = sorted(tmp_path.rglob("*"))
-    code, _, err = run_cli(command, *map(str, argv))
-    assert code == 1
-    assert err == f"error: {what} {gone} missing; {hint}\n"
-    assert sorted(tmp_path.rglob("*")) == before
-
-
 @settings(max_examples=40, deadline=None)
 @given(shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(10, 39)),
                        min_size=1, max_size=3),
@@ -1757,7 +1603,8 @@ def test_load_features_returns_each_row_as_prepare_cut_it(shapes, picks, awk):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    _tiny_checkpoint(root / "run")
+    (root / "run").mkdir()
+    save_checkpoint(root / "run" / "model.hvt", *_tiny_params())
     return root
 
 
@@ -1790,7 +1637,6 @@ def test_manifest_loader_fails_cleanly(fuzz_dir, text, check_paths):
     _returns_or_names(lambda: Manifest.load(path, check_paths=check_paths), path)
 
 
-_CFG_LINES = tiny_config().to_text().splitlines()
 _TINY_PARAMS = _tiny_params()[0]
 _TINY_RECORDS = {"speakers": "a\nb\nc\n",
                  **{name: t.data for name, t in _TINY_PARAMS.tensors.items()},

@@ -37,35 +37,7 @@ from hvector.scoring import (
     score_trials,
 )
 
-
-def sweep_oracle(scores, targets):
-    """Brute-force EER: exact rational crossing over every pair of
-    operating points from a full threshold sweep, minimum taken."""
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets, dtype=bool)
-    t_scores = scores[targets]
-    n_scores = scores[~targets]
-    pts = [(Fraction(1), Fraction(0))]
-    for th in np.unique(scores):
-        pts.append((Fraction(int((n_scores >= th).sum()), len(n_scores)),
-                    Fraction(int((t_scores < th).sum()), len(t_scores))))
-    pts.append((Fraction(0), Fraction(1)))
-    best = None
-    for i, a in enumerate(pts):
-        da = a[0] - a[1]
-        if da == 0 and (best is None or a[0] < best):
-            best = a[0]
-        for b in pts[i + 1:]:
-            db = b[0] - b[1]
-            if db == 0:
-                if best is None or b[0] < best:
-                    best = b[0]
-            elif (da < 0 < db) or (db < 0 < da):
-                t = da / (da - db)
-                cand = a[0] + t * (b[0] - a[0])
-                if best is None or cand < best:
-                    best = cand
-    return float(best)
+from test_acceptance import sample_two_cov, sweep_oracle
 
 
 def threshold_oracle(scores, targets):
@@ -501,29 +473,6 @@ class TestForkedScoreMatrix:
         assert len(load_trials(tmp_path / "t.csv")[0]) == shape[0] * shape[1]
 
 
-def sample_two_cov(seed, n_speakers=20, per_speaker=30, d=5):
-    """Draw a corpus from a known two-covariance model; return everything."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    phi_b = a @ a.T + 0.5 * np.eye(d)
-    b = rng.standard_normal((d, d)) * 0.5
-    phi_w = b @ b.T + 0.3 * np.eye(d)
-    mu = rng.standard_normal(d)
-    lb = np.linalg.cholesky(phi_b)
-    lw = np.linalg.cholesky(phi_w)
-    recs, latents, noises = [], [], []
-    for k in range(n_speakers):
-        y = mu + lb @ rng.standard_normal(d)
-        latents.append(y)
-        for j in range(per_speaker):
-            e = lw @ rng.standard_normal(d)
-            noises.append(e)
-            recs.append(EmbeddingRecord(f"s{k}-u{j}", f"s{k}", y + e))
-    truth = PldaModel(mean=np.zeros(d), lda=np.eye(d), mu=mu,
-                      phi_b=phi_b, phi_w=phi_w)
-    return recs, truth, np.stack(latents), np.stack(noises), rng
-
-
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -696,6 +645,21 @@ class TestPlda:
             model = plda_fit(recs, reduced_dim=2)
         assert any("singular" in str(w.message) for w in caught)
         assert np.all(np.isfinite(model.phi_w))
+        # repeats have no within-speaker spread: phi_w is the 1e-6 ridge alone
+        assert np.linalg.eigvalsh(model.phi_w)[-1] < 2e-6
+
+    @pytest.mark.parametrize("lda", [{"reduced_dim": 5}, {"use_lda": False}])
+    def test_a_common_shift_moves_no_score(self, lda):
+        # plda_fit centres on its training mean and scoring on the model's, so
+        # shifting every set by one vector changes the scores by rounding alone
+        # (~1e-14 of the largest); data whose mean is far from 0 show it
+        recs, _, _, _, _ = sample_two_cov(seed=5, per_speaker=6, d=8)
+        shift = np.full(8, 5.0)
+        moved = [EmbeddingRecord(r.utterance_id, r.speaker_id, r.vector + shift) for r in recs]
+        x = embedding_matrix(recs)
+        scores = plda_score(plda_fit(recs, **lda), x[:40, None], x[None, 40:])
+        shifted = plda_score(plda_fit(moved, **lda), x[:40, None] + shift, x[None, 40:] + shift)
+        assert np.max(np.abs(shifted - scores)) <= 1e-10 * np.max(np.abs(scores))
 
     def test_full_rank_projection_equals_no_projection(self):
         recs, _, _, _, rng = sample_two_cov(seed=7)
